@@ -7,7 +7,8 @@ Subcommands:
   sweep         dimension sweep over (p*, n) cells
 
 Configuration files are flat key-value text: one `key = value` per line,
-`#` starts a comment.  Keys are documented in the README; command-line flags
+`#` starts a comment.  Keys are documented in the README; a key the
+subcommand does not read is rejected.  Command-line flags
 --seed/--reps/--threads override the file.  With --assert the exit code is 1
 when any of the subcommand's acceptance-keyed checks fails.
 """
@@ -15,6 +16,7 @@ when any of the subcommand's acceptance-keyed checks fails.
 from __future__ import annotations
 
 import argparse
+import difflib
 import math
 import os
 import sys
@@ -28,6 +30,40 @@ from .harness import (
     run_me_convergence,
     run_wilks_fisher,
 )
+
+
+class _Lookups(dict):
+    """Parsed config entries that record every key the CLI looks up."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.seen = set()
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+def read_config(path, reader):
+    """`reader(entries)` on the parsed file (no file: no entries).
+
+    Every key of the file must be one that `reader` looks up; any other key
+    is a typo or belongs to another subcommand, and raises ValueError.
+    """
+    d = _Lookups(parse_config(path) if path else {})
+    value = reader(d)
+    unknown = sorted(set(d) - d.seen)
+    if unknown:
+        hints = []
+        for key in unknown:
+            close = difflib.get_close_matches(key, d.seen, n=1)
+            hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
+    return value
 
 
 def parse_config(path):
@@ -53,6 +89,12 @@ def _get(d, key, cast, default):
     if cast is float and raw.lower() in ("inf", "+inf", "infinity"):
         return math.inf
     return cast(raw)
+
+
+def _flag_or(flag, d, key, cast, default):
+    """A command-line flag's value, else the file's; the key is looked up either way."""
+    value = _get(d, key, cast, default)
+    return value if flag is None else flag
 
 
 def _get_tuple(d, key, cast, default):
@@ -89,12 +131,12 @@ def experiment_config(args, d, family) -> ExperimentConfig:
     base = _DEFAULTS
     return ExperimentConfig(
         family=family,
-        reps=args.reps if args.reps is not None else _get(d, "reps", int, base.reps),
+        reps=_flag_or(args.reps, d, "reps", int, base.reps),
         x=_get(d, "x", float, base.x),
         steps=steps,
         z_target=_get(d, "z_target", float, None),
-        master_seed=args.seed if args.seed is not None else _get(d, "seed", int, 0),
-        threads=args.threads if args.threads is not None else _get(d, "threads", int, 1),
+        master_seed=_flag_or(args.seed, d, "seed", int, 0),
+        threads=_flag_or(args.threads, d, "threads", int, 1),
         solver_tolerance=_get(d, "solver_tolerance", float, base.solver_tolerance),
         cc=condition_constants(d),
         toy_p=_get(d, "toy_p", int, base.toy_p),
@@ -160,8 +202,7 @@ def _experiment_checks(kind, family, rep):
 
 
 def cmd_experiment(args, family):
-    d = parse_config(args.config) if args.config else {}
-    cfg = experiment_config(args, d, family)
+    cfg = read_config(args.config, lambda d: experiment_config(args, d, family))
     kind = args.experiment
     rep = run_wilks_fisher(cfg) if kind == "wilks" else run_me_convergence(cfg)
     outdir = args.out or "."
@@ -180,15 +221,14 @@ def cmd_experiment(args, family):
     return 0
 
 
-def cmd_bounds(args):
-    d = parse_config(args.config) if args.config else {}
-    cc = condition_constants(d)
-    report = compute_bound_report(
+def bounds_inputs(d) -> dict:
+    """Keyword arguments of `compute_bound_report` from config entries."""
+    return dict(
         x=_get(d, "x", float, 2.0),
         p=_get(d, "p", int, 1),
         m=_get(d, "m", int, 1),
         nu=_get(d, "nu", float, 0.25),
-        cc=cc,
+        cc=condition_constants(d),
         b_eigenvalues=_get_tuple(d, "b_eigenvalues", float, None),
         R_K=_get(d, "r_k_init", float, None),
         K0=_get(d, "k0", float, None),
@@ -196,6 +236,10 @@ def cmd_bounds(args):
         norm_Dinv=_get(d, "norm_dinv", float, 0.0),
         k_max=_get(d, "k_max", int, 20),
     )
+
+
+def cmd_bounds(args):
+    report = compute_bound_report(**read_config(args.config, bounds_inputs))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     report.write_kv(os.path.join(outdir, "bounds_report.kv"))
@@ -229,8 +273,7 @@ def cmd_bounds(args):
 
 
 def cmd_sweep(args):
-    d = parse_config(args.config) if args.config else {}
-    cfg = experiment_config(args, d, "single-index")
+    cfg = read_config(args.config, lambda d: experiment_config(args, d, "single-index"))
     rep = run_dimension_sweep(cfg)
     outdir = args.out or "."
     rep.write(outdir)

@@ -5,8 +5,8 @@ sweeps.
 Replication r of an experiment draws its generator from
 SeedSequence(master_seed, spawn_key=(r,)), so results are independent of
 execution order and thread count; aggregation sorts by replication index.
-Failed replications are recorded and excluded from aggregates, up to a 5%
-budget, beyond which the run aborts.
+Failed replications, whatever error they raise, are recorded and excluded
+from aggregates, up to a 5% budget, beyond which the run aborts.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import scipy.special
 
 from .alternation import (
     AlternationConfig,
-    MonotoneViolationError,
-    SolverError,
     eta_update,
     fisher_residual,
     profile_estimate,
@@ -253,16 +251,16 @@ def _bound_inputs(cfg, nu, star, D_full):
 
 def _make_replication(cfg: ExperimentConfig, ctx, rep_index):
     """Build the model and the start point for one replication."""
+    model = _make_model(cfg, ctx, rep_index)
+    return model, _make_start(cfg, ctx, model)
+
+
+def _make_model(cfg: ExperimentConfig, ctx, rep_index):
+    """The model of one replication: a toy draw or a single-index dataset."""
     seed = derive_seed(cfg.master_seed, rep_index)
     if cfg.family == "toy":
         F2 = ctx.info if ctx is not None else toy_blocks(cfg)
-        star = ctx.upsilon_star if ctx is not None else ParameterPoint(
-            np.zeros(cfg.toy_p), np.zeros(cfg.toy_m)
-        )
-        model = simulate(F2, star, seed=seed)
-        v0 = star.as_vector() + cfg.toy_start_offset
-        start = ParameterPoint.from_vector(v0, star.p)
-        return model, start
+        return simulate(F2, _toy_star(cfg, ctx), seed=seed)
     theta_star = ctx.upsilon_star.theta if ctx is not None else si_theta_star(cfg)
     eta_star = np.asarray(cfg.si_eta_star, dtype=float)
     basis = ctx.basis if ctx is not None else WaveletBasis(
@@ -272,9 +270,25 @@ def _make_replication(cfg: ExperimentConfig, ctx, rep_index):
         cfg.si_n, cfg.si_p, theta_star, eta_star, cfg.si_sigma, cfg.si_s_x,
         seed=seed, basis=basis,
     )
-    model = SingleIndexModel(dataset, basis, constrain_theta=cfg.si_constrain)
-    start, _tau = grid_init(dataset, basis, cfg.si_grid_n, noise_scale=model.noise_scale)
-    return model, start
+    return SingleIndexModel(dataset, basis, constrain_theta=cfg.si_constrain)
+
+
+def _make_start(cfg: ExperimentConfig, ctx, model):
+    """The start point: a fixed offset from the truth (toy) or the grid start."""
+    if cfg.family == "toy":
+        star = _toy_star(cfg, ctx)
+        return ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
+    start, _tau = grid_init(
+        model.dataset, model.basis, cfg.si_grid_n, noise_scale=model.noise_scale
+    )
+    return start
+
+
+def _toy_star(cfg, ctx):
+    """The toy truth: the context's, or the origin while the context is built."""
+    if ctx is not None:
+        return ctx.upsilon_star
+    return ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,6 @@ class ExperimentReport:
 
         os.makedirs(outdir, exist_ok=True)
         rec_path = os.path.join(outdir, "records.csv")
-        ok = [r for r in self.records if r.get("status") == "ok"]
         cols = sorted({k for r in self.records for k in r})
         with open(rec_path, "w") as f:
             f.write(",".join(cols) + "\n")
@@ -307,6 +320,11 @@ class ExperimentReport:
         return rec_path
 
 
+def _failed(rep_index, exc):
+    return {"rep": rep_index, "status": "failed",
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_replications(cfg, worker):
     indices = list(range(cfg.reps))
     if cfg.threads > 1:
@@ -316,9 +334,9 @@ def _run_replications(cfg, worker):
         results = [worker(i) for i in indices]
     failures = [r for r in results if r.get("status") != "ok"]
     if len(failures) > 0.05 * cfg.reps:
+        listing = "; ".join(f"rep {r['rep']}: {r['error']}" for r in failures)
         raise HarnessError(
-            f"{len(failures)} of {cfg.reps} replications failed (>5% budget): "
-            f"first failure: {failures[0].get('error')}"
+            f"{len(failures)} of {cfg.reps} replications failed (>5% budget): {listing}"
         )
     return results
 
@@ -363,8 +381,8 @@ def run_wilks_fisher(config: ExperimentConfig) -> ExperimentReport:
                 np.linalg.norm(ctx.D_full @ (trace.final().as_vector() - star.as_vector()))
             )
             return rec
-        except (SolverError, MonotoneViolationError, np.linalg.LinAlgError) as exc:
-            return {"rep": i, "status": "failed", "error": str(exc)}
+        except Exception as exc:  # any error fails this replication only
+            return _failed(i, exc)
 
     records = _run_replications(config, worker)
     aggregates = aggregate_wilks_fisher(records, ctx)
@@ -455,8 +473,8 @@ def run_me_convergence(config: ExperimentConfig) -> ExperimentReport:
             rec["dist_final"] = dists[-1]
             rec["nu_hat"] = fit_contraction(dists)
             return rec
-        except (SolverError, MonotoneViolationError, np.linalg.LinAlgError) as exc:
-            return {"rep": i, "status": "failed", "error": str(exc)}
+        except Exception as exc:  # any error fails this replication only
+            return _failed(i, exc)
 
     records = _run_replications(config, worker)
     ok = [r for r in records if r["status"] == "ok"]
@@ -507,7 +525,7 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
             point = ParameterPoint.from_vector(v, p)
             Hbar = np.zeros((star_v.size, star_v.size))
             for rep in range(R):
-                model, _ = _make_replication(
+                model = _make_model(
                     config, ctx, 10_000_000 + ri * 100_000 + j * 1000 + rep
                 )
                 try:

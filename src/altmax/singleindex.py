@@ -98,11 +98,6 @@ def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None,
     )
 
 
-def basis_eval(basis: WaveletBasis, k, t):
-    """e_k(t) by dyadic-table lookup with linear interpolation; 0 outside support."""
-    return basis.eval_linear(k, t)
-
-
 def eta_step_closed_form(dataset, basis, theta, ridge=0.0):
     """Normal-equations solution of the basis regression at fixed theta.
 
@@ -261,12 +256,18 @@ def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, max_iter=400,
     return best[0]
 
 
+# grid points scored together by grid_init; bounds the n x block temporaries
+_SCAN_BLOCK = 16
+
+
 def grid_init(dataset, basis, N, noise_scale=1.0):
     """Grid-search initialization on the half-sphere.
 
     Returns (ParameterPoint, tau) where tau is the maximal nearest-neighbor
     gap of the grid.  For each grid point the closed-form eta is computed and
-    the best (theta, eta) by functional value is returned.
+    the best (theta, eta) by functional value is returned; the grid is scored
+    in blocks from the sparse sieve design (`_scan_grid`), and the winner's
+    eta comes from `eta_step_closed_form`.
     """
     if N < 1:
         raise ValueError("grid size N must be >= 1")
@@ -288,21 +289,83 @@ def grid_init(dataset, basis, N, noise_scale=1.0):
         d2 = np.sum((grid[:, None, :] - grid[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
         tau = float(np.sqrt(d2.min(axis=1)).max())
-    inv2s = 1.0 / (2.0 * noise_scale**2)
-    best = None
-    for i in range(grid.shape[0]):
-        th = grid[i]
-        try:
-            eta = eta_step_closed_form(dataset, basis, th)
-        except SolverError:
-            continue
-        r = dataset.y - basis.design(dataset.X @ th) @ eta
-        L = -inv2s * float(r @ r)
-        if best is None or L > best[0]:
-            best = (L, i, th, eta)
+    best = _scan_grid(dataset, basis, grid, noise_scale)
     if best is None:
         raise SolverError("eta step failed on every grid point")
-    return ParameterPoint(best[2], best[3]), tau
+    th = grid[best]
+    return ParameterPoint(th, eta_step_closed_form(dataset, basis, th)), tau
+
+
+def _scan_grid(dataset, basis, grid, noise_scale=1.0):
+    """Index of the grid point whose closed-form eta gives the largest L.
+
+    Scores _SCAN_BLOCK points at a time from the sparse design
+    (`WaveletBasis.level_pairs`): the Gram matrices and right-hand sides of
+    a block are segment sums, and the residual sum of squares follows from
+    them.  A point is accepted as in `eta_step_closed_form`; ties keep the
+    first index.  Returns None when the eta step fails on every point.
+    """
+    X, y = dataset.X, dataset.y
+    n, m = dataset.n, basis.m
+    inv2s = 1.0 / (2.0 * noise_scale**2)
+    yy = float(y @ y) / n
+    best_L, best_i = -np.inf, None
+    for lo in range(0, grid.shape[0], _SCAN_BLOCK):
+        G, c = _gram_block(basis.level_pairs(X @ grid[lo:lo + _SCAN_BLOCK].T), y, m)
+        eta = _solve_block(G, c, diagonal=basis.n_levels == 1)
+        rss = yy - 2.0 * np.einsum("bk,bk->b", c, eta) + np.einsum(
+            "bk,bkl,bl->b", eta, G, eta
+        )
+        L = np.where(np.isnan(rss), -np.inf, -inv2s * n * rss)
+        i = int(np.argmax(L))
+        if L[i] > best_L:
+            best_L, best_i = L[i], lo + i
+    return best_i
+
+
+def _gram_block(pairs, y, m):
+    """E'E/n and E'y/n for every point of a block, as segment sums.
+
+    pairs: `level_pairs` of the n x B index matrix.  Returns G (B, m, m) and
+    c (B, m); the bins of point b start at b*m (c) and b*m*m (G).
+    """
+    n, B = pairs[0][0].shape
+    offset = m * np.arange(B)
+    G = np.zeros(B * m * m)
+    c = np.zeros(B * m)
+    for cols_a, vals_a in pairs:
+        bins_a = cols_a + offset
+        c += np.bincount(bins_a.ravel(), (vals_a * y[:, None]).ravel(), B * m)
+        for cols_b, vals_b in pairs:
+            G += np.bincount(
+                (bins_a * m + cols_b).ravel(), (vals_a * vals_b).ravel(), B * m * m
+            )
+    return G.reshape(B, m, m) / n, c.reshape(B, m) / n
+
+
+def _solve_block(G, c, diagonal):
+    """`eta_step_closed_form` for a stack of normal equations.
+
+    Accept at condition number <= 1e12, else retry once with the ridge
+    1e-8 * trace/m; the eta of a point that fails both is left NaN.  A
+    one-level sieve has a diagonal Gram matrix, whose condition number is
+    the ratio of its diagonal extremes.
+    """
+    B, m, _ = G.shape
+    eta = np.full((B, m), np.nan)
+    ridge = 1e-8 * np.trace(G, axis1=1, axis2=2) / m
+    for lam in (np.zeros(B), ridge):
+        todo = np.flatnonzero(np.isnan(eta[:, 0]))
+        Gl = G[todo] + lam[todo, None, None] * np.eye(m)
+        if diagonal:
+            d = np.diagonal(Gl, axis1=1, axis2=2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ok = d.max(axis=1) / d.min(axis=1) <= 1e12
+            eta[todo[ok]] = c[todo[ok]] / d[ok]
+        else:
+            ok = np.linalg.cond(Gl) <= 1e12
+            eta[todo[ok]] = np.linalg.solve(Gl[ok], c[todo[ok], :, None])[..., 0]
+    return eta
 
 
 class SingleIndexModel(Model):

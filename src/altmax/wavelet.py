@@ -280,12 +280,20 @@ class WaveletBasis:
         out[inside] = self._norm_scale(j) * np.interp(u[inside], grid, self.tables.psi)
         return float(out[0]) if scalar else out
 
-    def _design_general(self, t, want):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = t.size
-        out = np.zeros((n, self.m))
+    def level_pairs(self, t, want=0):
+        """Sparse form of the design (want=0) or of its derivatives (1, 2).
+
+        The translates of one level tile the interval, so each point meets
+        exactly one of them per level.  Returns one (cols, vals) pair per
+        level, both of the shape of t: vals[i] is the want-th derivative of
+        basis function cols[i] at t[i].  Where that translate lies beyond the
+        sieve (only on the last, partly filled level) the pair is (m - 1, 0.0),
+        so every column is a valid index and adds nothing.
+        """
+        t = np.asarray(t, dtype=float)
         S = self.support_len
         tab = self.tables
+        pairs = []
         for j in range(self.n_levels):
             c = self.cell_width(j)
             rr = np.floor((t + self.s_X) / c).astype(int)
@@ -293,14 +301,22 @@ class WaveletBasis:
             u = S * ((t + self.s_X) / c - rr)
             np.clip(u, 0.0, float(S), out=u)
             cols = (2**j - 1) * S + rr
+            scale = self._norm_scale(j) * (S / c) ** want
             keep = cols < self.m
-            if not np.any(keep):
-                continue
-            chain = (S / c) ** want
-            vals = self._norm_scale(j) * chain * _hermite_eval(
+            vals = np.zeros(t.shape)
+            vals[keep] = scale * _hermite_eval(
                 tab.psi, tab.dpsi, u[keep], self.j_table, want
             )
-            out[np.nonzero(keep)[0], cols[keep]] = vals
+            cols[~keep] = self.m - 1
+            pairs.append((cols, vals))
+        return pairs
+
+    def _design_general(self, t, want):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros((t.size, self.m))
+        rows = np.arange(t.size)
+        for cols, vals in self.level_pairs(t, want):
+            out[rows, cols] = vals
         return out
 
     def design(self, t):

@@ -1,6 +1,11 @@
+import argparse
+from pathlib import Path
+
 import pytest
 
-from altmax.cli import main, parse_config
+from altmax.cli import bounds_inputs, experiment_config, main, parse_config, read_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write(path, text):
@@ -117,3 +122,36 @@ def test_cli_bounds_extended_schema(tmp_path):
     assert rc == 0
     kv = (out / "bounds_report.kv").read_text()
     assert "z_quad" in kv and "K_stop" in kv
+
+
+def test_cli_rejects_unknown_keys(tmp_path):
+    cfg = write(tmp_path / "typo.kv", "rep = 3\nstepz = 2\nseed = 1\n")
+    msg = r"unknown config key\(s\): 'rep' \(did you mean 'reps'\?\), 'stepz'"
+    with pytest.raises(ValueError, match=msg):
+        main(["toy", "--config", cfg, "--out", str(tmp_path / "o")])
+    # a key of another subcommand is unknown too
+    cfg = write(tmp_path / "mixed.kv", "x = 2.0\nnu = 0.25\nreps = 3\n")
+    with pytest.raises(ValueError, match="'reps'"):
+        main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")])
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b").exists()
+
+
+def test_cli_flag_overridden_key_is_known(tmp_path):
+    cfg = write(tmp_path / "toy.kv", "reps = 500\nthreads = 3\nsteps = 4\nseed = 2\n")
+    args = argparse.Namespace(reps=5, seed=None, threads=1)
+    c = read_config(cfg, lambda d: experiment_config(args, d, "toy"))
+    assert (c.reps, c.threads, c.master_seed, c.steps) == (5, 1, 2, 4)
+
+
+def test_shipped_configs_load():
+    args = argparse.Namespace(reps=None, seed=None, threads=None)
+    readers = {
+        "toy.kv": lambda d: experiment_config(args, d, "toy"),
+        "single_index.kv": lambda d: experiment_config(args, d, "single-index"),
+        "sweep.kv": lambda d: experiment_config(args, d, "single-index"),
+        "bounds.kv": bounds_inputs,
+    }
+    assert sorted(p.name for p in CONFIGS.glob("*.kv")) == sorted(readers)
+    loaded = {name: read_config(str(CONFIGS / name), r) for name, r in readers.items()}
+    assert loaded["single_index.kv"].si_n == 1000
+    assert loaded["bounds.kv"]["k_max"] == 20

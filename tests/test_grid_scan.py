@@ -1,0 +1,169 @@
+"""The blocked sparse grid scan against a brute-force per-point reference.
+
+`reference_grid_init` is the per-point loop that `grid_init` replaced: one
+dense design, one SVD condition number and one LAPACK solve per grid point.
+`reference_design` is the dense design builder that `level_pairs` replaced.
+Both are kept here, independent of the code under test, as oracles.
+"""
+
+import numpy as np
+import pytest
+
+from altmax.alternation import SolverError
+from altmax.singleindex import (
+    SingleIndexDataset,
+    _scan_grid,
+    eta_step_closed_form,
+    generate,
+    grid_init,
+    uniform_ball,
+)
+from altmax.statcore import ParameterPoint
+from altmax.wavelet import WaveletBasis, _hermite_eval
+
+ETA = (1.0, -0.8, 0.9, -0.7, 0.6, 0.8)
+
+
+def reference_grid(N, p):
+    if p == 1:
+        return np.array([[1.0]])
+    if p == 2:
+        ang = -np.pi / 2 + (np.arange(N) + 0.5) * np.pi / N
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    rng = np.random.default_rng(20170 + N)
+    g = rng.standard_normal((N, p))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g[:, 0] = np.abs(g[:, 0])
+    return g
+
+
+def reference_grid_init(dataset, basis, N, noise_scale=1.0):
+    """(ParameterPoint, tau, winning index) by one eta step per grid point."""
+    grid = reference_grid(N, dataset.p)
+    if grid.shape[0] == 1:
+        tau = 0.0
+    else:
+        d2 = np.sum((grid[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d2, np.inf)
+        tau = float(np.sqrt(d2.min(axis=1)).max())
+    inv2s = 1.0 / (2.0 * noise_scale**2)
+    best = None
+    for i in range(grid.shape[0]):
+        th = grid[i]
+        try:
+            eta = eta_step_closed_form(dataset, basis, th)
+        except SolverError:
+            continue
+        r = dataset.y - basis.design(dataset.X @ th) @ eta
+        L = -inv2s * float(r @ r)
+        if best is None or L > best[0]:
+            best = (L, i, th, eta)
+    if best is None:
+        raise SolverError("eta step failed on every grid point")
+    return ParameterPoint(best[2], best[3]), tau, best[1]
+
+
+def reference_design(basis, t, want):
+    """Dense n x m design (want = derivative order), one level at a time."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((t.size, basis.m))
+    S = basis.support_len
+    tab = basis.tables
+    for j in range(basis.n_levels):
+        c = basis.cell_width(j)
+        rr = np.floor((t + basis.s_X) / c).astype(int)
+        np.clip(rr, 0, S * 2**j - 1, out=rr)
+        u = S * ((t + basis.s_X) / c - rr)
+        np.clip(u, 0.0, float(S), out=u)
+        cols = (2**j - 1) * S + rr
+        keep = cols < basis.m
+        if not np.any(keep):
+            continue
+        chain = (S / c) ** want
+        vals = basis._norm_scale(j) * chain * _hermite_eval(
+            tab.psi, tab.dpsi, u[keep], basis.j_table, want
+        )
+        out[np.nonzero(keep)[0], cols[keep]] = vals
+    return out
+
+
+def dataset(n, p, m, seed, sigma=0.5):
+    basis = WaveletBasis(m=m, s_X=1.0)
+    theta = np.zeros(p)
+    theta[0], theta[1] = np.cos(0.3), np.sin(0.3)
+    eta = [ETA[k % len(ETA)] for k in range(m)]
+    return generate(n, p, theta, eta, sigma, 1.0, seed=seed, basis=basis), basis
+
+
+def assert_same_start(ds, basis, N, noise_scale=1.0):
+    ref_pt, ref_tau, ref_i = reference_grid_init(ds, basis, N, noise_scale)
+    assert _scan_grid(ds, basis, reference_grid(N, ds.p), noise_scale) == ref_i
+    pt, tau = grid_init(ds, basis, N, noise_scale=noise_scale)
+    assert pt.theta.tobytes() == ref_pt.theta.tobytes()
+    assert pt.eta.tobytes() == ref_pt.eta.tobytes()
+    assert tau == ref_tau
+
+
+@pytest.mark.parametrize("m", [1, 3, 6, 13, 14, 20, 39, 40])
+def test_level_pairs_rebuild_design_exactly(m):
+    basis = WaveletBasis(m=m, s_X=1.0)
+    rng = np.random.default_rng(m)
+    # the interval ends, its centre and points just outside it
+    t = np.concatenate([[-1.0, 1.0, 0.0, -1.02, 1.02], rng.uniform(-1, 1, 300)])
+    T = rng.uniform(-1.0, 1.0, (200, 7))
+    for want, dense in enumerate((basis.design, basis.ddesign, basis.d2design)):
+        assert dense(t).tobytes() == reference_design(basis, t, want).tobytes()
+        pairs = basis.level_pairs(T, want)
+        assert len(pairs) == basis.n_levels
+        for k in range(T.shape[1]):
+            E = np.zeros((T.shape[0], m))
+            for cols, vals in pairs:
+                assert cols.shape == vals.shape == T.shape
+                E[np.arange(T.shape[0]), cols[:, k]] = vals[:, k]
+            assert E.tobytes() == reference_design(basis, T[:, k], want).tobytes()
+
+
+@pytest.mark.parametrize("n", [250, 1000])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m", [3, 6, 20])
+def test_scan_matches_per_point_loop(m, p, n):
+    ds, basis = dataset(n, p, m, seed=100 * m + 10 * p + n)
+    # 200 points: twelve full blocks and a partial one
+    assert_same_start(ds, basis, 200, noise_scale=0.5)
+
+
+def test_scan_matches_loop_noiseless_and_tiny_grids():
+    ds, basis = dataset(400, 2, 6, seed=3, sigma=0.0)
+    for N in (1, 2, 17, 64):
+        assert_same_start(ds, basis, N)
+
+
+def test_scan_ridge_fallback_on_empty_column():
+    # data inside the ball of radius 0.5 of a sieve on [-1, 1]: the cells of
+    # columns 0-3 receive no point, so every Gram matrix is singular and each
+    # eta step needs the ridge
+    basis = WaveletBasis(m=6, s_X=1.0)
+    X = uniform_ball(np.random.default_rng(4), 300, 2, 0.5)
+    y = np.sin(3.0 * X[:, 0]) + 0.1 * np.random.default_rng(5).standard_normal(300)
+    ds = SingleIndexDataset(X=X, y=y, s_X=1.0)
+    E = basis.design(X @ np.array([1.0, 0.0]))
+    assert np.linalg.cond(E.T @ E) > 1e12
+    assert_same_start(ds, basis, 64)
+
+
+def test_scan_ridge_fallback_two_levels():
+    basis = WaveletBasis(m=20, s_X=1.0)
+    X = uniform_ball(np.random.default_rng(6), 400, 3, 0.5)
+    y = np.cos(4.0 * X[:, 1]) + 0.1 * np.random.default_rng(7).standard_normal(400)
+    assert_same_start(SingleIndexDataset(X=X, y=y, s_X=1.0), basis, 48)
+
+
+def test_scan_every_point_fails():
+    # every index is 0, in a cell outside the 3-function sieve: E = 0
+    basis = WaveletBasis(m=3, s_X=1.0)
+    ds = SingleIndexDataset(X=np.zeros((50, 2)), y=np.ones(50), s_X=1.0)
+    assert _scan_grid(ds, basis, reference_grid(32, 2)) is None
+    with pytest.raises(SolverError, match="every grid point"):
+        reference_grid_init(ds, basis, 32)
+    with pytest.raises(SolverError, match="every grid point"):
+        grid_init(ds, basis, 32)

@@ -171,6 +171,41 @@ def test_failure_budget(monkeypatch):
     assert rep.aggregates["n_ok"] == 39
 
 
+def test_any_replication_error_is_counted(monkeypatch):
+    import altmax.harness as hz
+    from altmax.harness import HarnessError
+    from altmax.modelapi import ModelDomainError
+
+    real = hz._make_replication
+    bad = set()
+
+    def raising(cfg, ctx, i):
+        if i in bad:
+            raise ModelDomainError(f"rigged domain error {i}")
+        return real(cfg, ctx, i)
+
+    monkeypatch.setattr(hz, "_make_replication", raising)
+    bad.add(3)
+    cfg = ExperimentConfig(family="toy", reps=20, master_seed=1, steps=4)
+    for runner in (run_wilks_fisher, run_me_convergence):
+        rep = runner(cfg)
+        failed = [r for r in rep.records if r["status"] != "ok"]
+        assert failed == [{"rep": 3, "status": "failed",
+                           "error": "ModelDomainError: rigged domain error 3"}]
+        assert rep.aggregates["n_failed"] == 1
+        assert rep.aggregates["n_ok"] == 19
+    # over budget: the message lists every failure, not only the first
+    bad.update({7, 11})
+    with pytest.raises(HarnessError) as info:
+        run_wilks_fisher(cfg)
+    assert str(info.value) == (
+        "3 of 20 replications failed (>5% budget): "
+        "rep 3: ModelDomainError: rigged domain error 3; "
+        "rep 7: ModelDomainError: rigged domain error 7; "
+        "rep 11: ModelDomainError: rigged domain error 11"
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(reps=0)

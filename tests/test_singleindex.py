@@ -4,7 +4,6 @@ import pytest
 from altmax.alternation import AlternationConfig, eta_update, run
 from altmax.modelapi import ModelDomainError, gradient_check
 from altmax.singleindex import (
-    basis_eval,
     eta_step_closed_form,
     generate,
     grid_init,
@@ -62,8 +61,8 @@ def test_dataset_csv(tmp_path):
 
 def test_basis_eval_outside_support():
     _, basis = desk()
-    assert basis_eval(basis, 0, 5.0) == 0.0
-    assert basis_eval(basis, 3, -2.0) == 0.0
+    assert basis.eval_linear(0, 5.0) == 0.0
+    assert basis.eval_linear(3, -2.0) == 0.0
 
 
 def test_eta_step_scalar_least_squares():
