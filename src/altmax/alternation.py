@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .modelapi import Model, UnsupportedCapabilityError
-from .statcore import (
-    BlockInformation,
-    EfficientScore,
-    ParameterPoint,
-    efficient_information,
-    sqrt_spd,
-)
+from .statcore import BlockInformation, EfficientScore, ParameterPoint
 
 
 class SolverError(RuntimeError):
@@ -283,5 +277,4 @@ def fisher_residual(info: BlockInformation, score: EfficientScore, theta_k, thet
     th_s = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if th_k.size != info.p or th_s.size != info.p:
         raise ValueError("theta dimensions do not match the information blocks")
-    Deff = sqrt_spd(efficient_information(info))
-    return float(np.linalg.norm(Deff @ (th_k - th_s) - score.xi))
+    return float(np.linalg.norm(info.efficient_root @ (th_k - th_s) - score.xi))

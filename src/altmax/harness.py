@@ -37,23 +37,13 @@ from .bounds import (
     stopping_steps,
 )
 from .singleindex import SingleIndexModel, generate, grid_init
-from .statcore import (
-    BlockInformation,
-    ParameterPoint,
-    coupling_norm,
-    efficient_score,
-    sqrt_spd,
-)
+from .statcore import BlockInformation, ParameterPoint, coupling_norm, efficient_score
 from .toy import simulate
 from .wavelet import WaveletBasis
 
 
 class HarnessError(RuntimeError):
     pass
-
-
-def derive_rng(master_seed, index):
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
 def derive_seed(master_seed, index):
@@ -214,7 +204,7 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
         )
         star, info, cov = iat.upsilon_star, iat.info, iat.cov
     nu = coupling_norm(info)
-    D_full = sqrt_spd(info.full())
+    D_full = info.full_sqrt()
     cc_eff, z_x, R0 = _bound_inputs(cfg, nu, star, D_full)
     K = cfg.steps
     if K is None:
@@ -517,7 +507,7 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
     out = {}
     for ri, r in enumerate(r_grid):
         worst = 0.0
-        rng = derive_rng(seed, ri)
+        rng = np.random.default_rng(derive_seed(seed, ri))
         for j in range(n_points):
             u = rng.standard_normal(star_v.size)
             u /= np.linalg.norm(u)

@@ -1,9 +1,11 @@
 """Contract a statistical model must satisfy to be driven by the alternator.
 
 A model wraps one realized dataset and exposes the random functional L, its
-split gradient, and optional closed-form partial maximizers.  Optional
-capabilities are declared, not discovered; the alternator dispatches on the
-flags.
+split gradient, and optional closed-form partial maximizers.  An optional
+operation that a model does not provide raises UnsupportedCapabilityError:
+`alternation.eta_update`/`theta_update` try the closed-form step and fall
+back on a generic numeric ascent when it raises.  The ModelCapabilities
+flags describe a model; the alternator does not read them.
 """
 
 from __future__ import annotations

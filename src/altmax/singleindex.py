@@ -20,6 +20,7 @@ Wilks/Fisher analysis where the finite sieve identifies the index scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -267,11 +268,26 @@ def grid_init(dataset, basis, N, noise_scale=1.0):
     gap of the grid.  For each grid point the closed-form eta is computed and
     the best (theta, eta) by functional value is returned; the grid is scored
     in blocks from the sparse sieve design (`_scan_grid`), and the winner's
-    eta comes from `eta_step_closed_form`.
+    eta comes from `eta_step_closed_form`.  The grid and tau depend on
+    (p, N) only and are computed once per pair (`_half_sphere_grid`).
     """
     if N < 1:
         raise ValueError("grid size N must be >= 1")
-    p = dataset.p
+    grid, tau = _half_sphere_grid(dataset.p, N)
+    best = _scan_grid(dataset, basis, grid, noise_scale)
+    if best is None:
+        raise SolverError("eta step failed on every grid point")
+    th = grid[best]
+    return ParameterPoint(th, eta_step_closed_form(dataset, basis, th)), tau
+
+
+@lru_cache(maxsize=8)
+def _half_sphere_grid(p, N):
+    """The N-point grid of `grid_init` (read-only) and its tau.
+
+    Both depend on (p, N) only: p = 2 uses equispaced angles, p >= 3 a draw
+    seeded by 20170 + N.
+    """
     if p == 1:
         grid = np.array([[1.0]])
     elif p == 2:
@@ -289,11 +305,8 @@ def grid_init(dataset, basis, N, noise_scale=1.0):
         d2 = np.sum((grid[:, None, :] - grid[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
         tau = float(np.sqrt(d2.min(axis=1)).max())
-    best = _scan_grid(dataset, basis, grid, noise_scale)
-    if best is None:
-        raise SolverError("eta step failed on every grid point")
-    th = grid[best]
-    return ParameterPoint(th, eta_step_closed_form(dataset, basis, th)), tau
+    grid.setflags(write=False)
+    return grid, tau
 
 
 def _scan_grid(dataset, basis, grid, noise_scale=1.0):

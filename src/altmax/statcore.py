@@ -12,12 +12,18 @@ square roots of the diagonal blocks) is the coupling coefficient `nu`; the
 whole semiparametric calculus below is only defined when nu < 1.
 
 All types are immutable after construction and all operations are pure, so
-everything here is safe for concurrent use without coordination.
+everything here is safe for concurrent use without coordination.  The
+derived geometry of a BlockInformation (its SPD check, the H2 Cholesky
+factor, the SPD root of the efficient information and of the full matrix)
+is computed once per instance, on first use, and kept read-only: the blocks
+cannot change, so it never goes stale.  A failed computation raises and is
+not kept, so it raises again on the next use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -58,6 +64,11 @@ def sqrt_spd(M, tol=1e-10):
         )
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.T
+
+
+def _read_only(M):
+    M.setflags(write=False)
+    return M
 
 
 def _check_spd(M, name):
@@ -147,9 +158,12 @@ class BlockInformation:
     def m(self):
         return self.H2.shape[0]
 
+    @cached_property
+    def _min_eigenvalues(self):
+        return _check_spd(self.D2, "D2"), _check_spd(self.H2, "H2")
+
     def validate(self):
-        _check_spd(self.D2, "D2")
-        _check_spd(self.H2, "H2")
+        self._min_eigenvalues  # raises NotSPDError until the check passes
         return self
 
     def full(self):
@@ -159,7 +173,22 @@ class BlockInformation:
         return np.vstack([top, bot])
 
     def full_sqrt(self):
-        return sqrt_spd(self.full())
+        return self._full_sqrt
+
+    @cached_property
+    def _full_sqrt(self):
+        return _read_only(sqrt_spd(self.full()))
+
+    @cached_property
+    def h2_cho_factor(self):
+        """`scipy.linalg.cho_factor(H2)`, for `cho_solve` against H2."""
+        c, low = scipy.linalg.cho_factor(self.H2)
+        return _read_only(c), low
+
+    @cached_property
+    def efficient_root(self):
+        """SPD root of the efficient information; raises CouplingError if nu >= 1."""
+        return _read_only(sqrt_spd(efficient_information(self)))
 
 
 @dataclass(frozen=True)
@@ -194,8 +223,7 @@ def efficient_information(blocks: BlockInformation, require_spd=True) -> np.ndar
     nu = coupling_norm(blocks)
     if nu >= 1.0:
         raise CouplingError(f"coupling nu = {nu:.6g} >= 1; efficient information undefined")
-    c, low = scipy.linalg.cho_factor(blocks.H2)
-    X = scipy.linalg.cho_solve((c, low), blocks.A.T)
+    X = scipy.linalg.cho_solve(blocks.h2_cho_factor, blocks.A.T)
     Deff2 = blocks.D2 - blocks.A @ X
     Deff2 = 0.5 * (Deff2 + Deff2.T)
     if require_spd:
@@ -217,8 +245,6 @@ def efficient_score(blocks: BlockInformation, grad_theta, grad_eta) -> Efficient
         raise ValueError(
             f"gradient dims ({gt.size},{ge.size}) do not match blocks ({blocks.p},{blocks.m})"
         )
-    c, low = scipy.linalg.cho_factor(blocks.H2)
-    breve = gt - blocks.A @ scipy.linalg.cho_solve((c, low), ge)
-    Deff = sqrt_spd(efficient_information(blocks))
-    xi = np.linalg.solve(Deff, breve)
+    breve = gt - blocks.A @ scipy.linalg.cho_solve(blocks.h2_cho_factor, ge)
+    xi = np.linalg.solve(blocks.efficient_root, breve)
     return EfficientScore(breve_grad=breve, xi=xi)

@@ -90,8 +90,7 @@ def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed, zero_nois
         return ToyGaussianModel(F2, upsilon_star, star, seed=seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(star.size)
-    F = sqrt_spd(F2.full())
-    Y = star + np.linalg.solve(F, z)
+    Y = star + np.linalg.solve(F2.full_sqrt(), z)
     return ToyGaussianModel(F2, upsilon_star, Y, seed=seed)
 
 

@@ -8,7 +8,7 @@ from altmax.harness import (
     build_context,
     chi2_cdf,
     chi2_diagnostics,
-    derive_rng,
+    derive_seed,
     fit_contraction,
     ks_distance,
     probe_delta,
@@ -45,9 +45,9 @@ def test_fit_contraction():
 
 
 def test_seed_derivation_order_independent():
-    a = derive_rng(42, 7).standard_normal(3)
-    b = derive_rng(42, 3).standard_normal(3)
-    a2 = derive_rng(42, 7).standard_normal(3)
+    a = np.random.default_rng(derive_seed(42, 7)).standard_normal(3)
+    b = np.random.default_rng(derive_seed(42, 3)).standard_normal(3)
+    a2 = np.random.default_rng(derive_seed(42, 7)).standard_normal(3)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
 
@@ -204,6 +204,25 @@ def test_any_replication_error_is_counted(monkeypatch):
         "rep 7: ModelDomainError: rigged domain error 7; "
         "rep 11: ModelDomainError: rigged domain error 11"
     )
+
+
+def test_efficient_information_calls_do_not_grow_with_reps(monkeypatch):
+    import altmax.statcore as sc
+
+    real = sc.efficient_information
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "efficient_information", counted)
+    counts = []
+    for reps in (20, 60):
+        calls.clear()
+        run_wilks_fisher(ExperimentConfig(family="toy", reps=reps, master_seed=3, steps=5))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1
 
 
 def test_config_validation():

@@ -142,3 +142,69 @@ def test_sqrt_spd_examples_and_reconstruction():
         assert rel < 1e-10
     with pytest.raises(NotSPDError):
         sqrt_spd(np.diag([1.0, -1.0]))
+
+
+def _coupled_blocks(rng, p, m, coupling):
+    D2, H2 = rand_spd(rng, p), rand_spd(rng, m)
+    A = coupling * rng.standard_normal((p, m))
+    return BlockInformation(D2=D2, A=A, H2=H2)
+
+
+def test_cached_geometry_is_bit_equal_to_fresh_computation():
+    from altmax.alternation import fisher_residual
+
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(30):
+        p, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        blocks = _coupled_blocks(rng, p, m, 0.3)
+        if coupling_norm(blocks) >= 1.0:
+            continue
+        checked += 1
+        fresh_root = sqrt_spd(efficient_information(blocks))
+        assert np.array_equal(blocks.efficient_root, fresh_root)
+        assert np.array_equal(blocks.full_sqrt(), sqrt_spd(blocks.full()))
+        gt, ge = rng.standard_normal(p), rng.standard_normal(m)
+        for _ in range(2):  # first use fills the cache, the second reads it
+            score = efficient_score(blocks, gt, ge)
+            assert np.array_equal(score.xi, np.linalg.solve(fresh_root, score.breve_grad))
+            th_k, th_s = rng.standard_normal(p), rng.standard_normal(p)
+            expect = float(np.linalg.norm(fresh_root @ (th_k - th_s) - score.xi))
+            assert fisher_residual(blocks, score, th_k, th_s) == expect
+    assert checked >= 20
+
+
+def test_cached_geometry_is_read_only_and_computed_once():
+    rng = np.random.default_rng(29)
+    blocks = _coupled_blocks(rng, 3, 2, 0.2)
+    c, _low = blocks.h2_cho_factor
+    for M in (blocks.efficient_root, blocks.full_sqrt(), c):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    assert blocks.efficient_root is blocks.efficient_root
+    assert blocks.full_sqrt() is blocks.full_sqrt()
+    assert blocks.h2_cho_factor is blocks.h2_cho_factor
+
+
+def test_high_coupling_raises_on_every_call():
+    blocks = BlockInformation(D2=[[1.0]], A=[[2.0]], H2=[[1.0]])
+    for _ in range(3):
+        with pytest.raises(CouplingError):
+            blocks.efficient_root
+        with pytest.raises(CouplingError):
+            efficient_score(blocks, [1.0], [0.0])
+    assert "efficient_root" not in vars(blocks)
+
+
+def test_validate_raises_on_every_call_for_non_spd_blocks():
+    for bad, name in (
+        (BlockInformation(D2=[[-1.0]], A=[[0.0]], H2=[[1.0]]), "D2"),
+        (BlockInformation(D2=[[1.0]], A=[[0.0]], H2=[[0.0]]), "H2"),
+        (BlockInformation(D2=[[1.0, 2.0], [0.0, 1.0]], A=[[0.0], [0.0]], H2=[[1.0]]), "D2"),
+    ):
+        for _ in range(3):
+            with pytest.raises(NotSPDError, match=name):
+                bad.validate()
+    good = BlockInformation(D2=np.eye(2), A=np.zeros((2, 1)), H2=[[1.0]])
+    assert good.validate() is good and good.validate() is good
