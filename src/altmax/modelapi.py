@@ -4,8 +4,7 @@ A model wraps one realized dataset and exposes the random functional L, its
 split gradient, and optional closed-form partial maximizers.  An optional
 operation that a model does not provide raises UnsupportedCapabilityError:
 `alternation.eta_update`/`theta_update` try the closed-form step and fall
-back on a generic numeric ascent when it raises.  The ModelCapabilities
-flags describe a model; the alternator does not read them.
+back on a generic numeric ascent when it raises.
 """
 
 from __future__ import annotations
@@ -26,14 +25,6 @@ class UnsupportedCapabilityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ModelCapabilities:
-    dims: tuple
-    has_expected_functional: bool = False
-    has_closed_form_eta_step: bool = False
-    has_closed_form_theta_step: bool = False
-
-
-@dataclass(frozen=True)
 class InformationAtTruth:
     """Expected-Hessian blocks, gradient-covariance blocks, and the truth.
 
@@ -48,14 +39,11 @@ class InformationAtTruth:
 
 
 class Model:
-    """Base class; subclasses implement evaluate/gradient and declare capabilities."""
+    """Base class; subclasses implement dims, evaluate and gradient, and may
+    override any optional operation below."""
 
     @property
     def dims(self):
-        raise NotImplementedError
-
-    @property
-    def capabilities(self) -> ModelCapabilities:
         raise NotImplementedError
 
     def evaluate(self, point: ParameterPoint) -> float:
@@ -65,7 +53,7 @@ class Model:
         """Split gradient (grad_theta, grad_eta) of L at the point."""
         raise NotImplementedError
 
-    # optional capabilities -------------------------------------------------
+    # optional operations: each raises UnsupportedCapabilityError here -------
 
     def eta_argmax(self, theta):
         raise UnsupportedCapabilityError(type(self).__name__ + " has no closed-form eta step")

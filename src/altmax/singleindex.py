@@ -10,17 +10,21 @@ log-likelihood
 with sigma~ the model's noise scale (the dataset's sigma when known and
 positive, else 1), so that the Wilks statistic calibrates against chi^2.
 
-The eta-step is linear least squares in closed form.  The theta-step is
-implemented twice: constrained to the half-sphere (projected gradient
-ascent with a normalization retraction, perturbed restarts and a tangent
-Newton polish), and unconstrained in R^p (Newton ascent) for the local
-Wilks/Fisher analysis where the finite sieve identifies the index scale.
+The eta-step is linear least squares in closed form.  The theta-step
+maximizes L(., eta) through one objective, `_Fit` (L at one point, with its
+theta-gradient and theta-Hessian on first use), and one backtracking line
+search, `_line_search`.  Two solvers use them: `theta_step` on the
+half-sphere (projected gradient ascent with a normalization retraction,
+perturbed restarts and a tangent Newton polish), and
+`SingleIndexModel._theta_newton` in R^p (Newton ascent with a gradient
+fallback inside the theta_cap ball) for the local Wilks/Fisher analysis,
+where the finite sieve identifies the index scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +33,6 @@ from .alternation import SolverError
 from .modelapi import (
     InformationAtTruth,
     Model,
-    ModelCapabilities,
     ModelDomainError,
     UnsupportedCapabilityError,
 )
@@ -127,6 +130,68 @@ def eta_step_closed_form(dataset, basis, theta, ridge=0.0):
     raise SolverError(f"eta step singular even after ridge fallback: {last_exc}")
 
 
+class _Fit:
+    """L(theta, eta) at one point, with its theta-derivatives on first use.
+
+    `t = X theta`, the design at t, the residual and the value are built
+    once; `dE` (the design's derivative), `grad` and `hess` (the theta-
+    gradient and theta-Hessian of L) when first read.
+    """
+
+    def __init__(self, dataset, basis, inv2s, theta, eta):
+        self.X, self.basis, self.inv2s = dataset.X, basis, inv2s
+        self.theta, self.eta = theta, eta
+        self.t = dataset.X @ theta
+        self.E = basis.design(self.t)
+        self.r = dataset.y - self.E @ eta
+        self.value = -inv2s * float(self.r @ self.r)
+
+    @cached_property
+    def dE(self):
+        return self.basis.ddesign(self.t)
+
+    @cached_property
+    def fp(self):
+        return self.dE @ self.eta
+
+    @cached_property
+    def grad(self):
+        return 2.0 * self.inv2s * (self.X.T @ (self.r * self.fp))
+
+    @cached_property
+    def hess(self):
+        fpp = self.basis.d2design(self.t) @ self.eta
+        w = self.r * fpp - self.fp * self.fp
+        return 2.0 * self.inv2s * ((self.X * w[:, None]).T @ self.X)
+
+
+def _line_search(fit_at, L, move, scale, tries, gn=None, gnorm=None, noise=0.0):
+    """Backtracking: halve `scale` until the fit at `move(scale)` is accepted.
+
+    `move(scale)` is the candidate theta, or None where it is infeasible.  A
+    candidate is accepted when its value beats L or, with `gnorm` given, when
+    it is within `noise` of L and gnorm(fit) < gn: near the optimum the value
+    surface is flat to rounding.  Returns (fit, scale) of the accepted
+    candidate, or (None, scale) after `tries` candidates.
+    """
+    for _ in range(tries):
+        theta = move(scale)
+        if theta is not None:
+            fit = fit_at(theta)
+            if fit.value > L or (
+                gnorm is not None and fit.value >= L - noise and gnorm(fit) < gn
+            ):
+                return fit, scale
+        scale *= 0.5
+    return None, scale
+
+
+def _retract(theta):
+    """theta normalized onto the unit sphere; None off the half-sphere."""
+    theta = theta / np.linalg.norm(theta)
+    return theta if theta[0] > 0 else None
+
+
 def _tangent_basis(theta):
     """Orthonormal basis of the tangent space of the unit sphere at theta."""
     p = theta.size
@@ -150,92 +215,58 @@ def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, max_iter=400,
     if p == 1:
         return np.array([1.0])
     inv2s = 1.0 / (2.0 * noise_scale**2)
-    X, y = dataset.X, dataset.y
 
-    def value(th):
-        r = y - basis.design(X @ th) @ eta
-        return -inv2s * float(r @ r)
+    def fit_at(th):
+        return _Fit(dataset, basis, inv2s, th, eta)
 
-    def grad(th):
-        t = X @ th
-        r = y - basis.design(t) @ eta
-        fp = basis.ddesign(t) @ eta
-        return 2.0 * inv2s * (X.T @ (r * fp))
-
-    def hess(th):
-        t = X @ th
-        r = y - basis.design(t) @ eta
-        fp = basis.ddesign(t) @ eta
-        fpp = basis.d2design(t) @ eta
-        w = r * fpp - fp * fp
-        return 2.0 * inv2s * ((X * w[:, None]).T @ X)
+    def tangent_grad(fit):
+        g, th = fit.grad, fit.theta
+        return g - (g @ th) * th
 
     def ascend(th0):
         th = th0 / np.linalg.norm(th0)
         if th[0] <= 0:
             th = -th
-        L = value(th)
-        alpha = 1.0 / (1.0 + np.linalg.norm(grad(th)))
+        fit = fit_at(th)
+        L = fit.value
+        alpha = 1.0 / (1.0 + np.linalg.norm(fit.grad))
         stalled = False
         for _ in range(max_iter):
-            g = grad(th)
-            rg = g - (g @ th) * th
-            gn = np.linalg.norm(rg)
-            if gn <= gtol * (1.0 + abs(L)):
+            rg = tangent_grad(fit)
+            if np.linalg.norm(rg) <= gtol * (1.0 + abs(L)):
                 break
-            accepted = False
-            for _ in range(60):
-                cand = th + alpha * rg
-                cand /= np.linalg.norm(cand)
-                if cand[0] <= 0:
-                    alpha *= 0.5
-                    continue
-                Lc = value(cand)
-                if Lc > L:
-                    th, L = cand, Lc
-                    alpha *= 1.6
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
+            th = fit.theta
+            fit_c, alpha = _line_search(fit_at, L, lambda s: _retract(th + s * rg), alpha, 60)
+            if fit_c is None:
                 stalled = True
                 break
-        # tangent Newton polish (Riemannian Hessian of the sphere).  Near the
-        # optimum the value surface is flat to rounding, so candidates are
-        # accepted on gradient-norm decrease with machine-noise value slack.
+            fit, L = fit_c, fit_c.value
+            alpha *= 1.6
+        # tangent Newton polish (Riemannian Hessian of the sphere), accepting
+        # flat values with a falling gradient norm
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(L))
         for _ in range(25):
-            g = grad(th)
-            rg = g - (g @ th) * th
+            rg = tangent_grad(fit)
             gn = np.linalg.norm(rg)
             if gn <= 1e-13 * (1.0 + abs(L)):
                 break
+            th = fit.theta
             T = _tangent_basis(th)
-            Hc = T.T @ (hess(th) - (g @ th) * np.eye(p)) @ T
-            gc = T.T @ rg
+            Hc = T.T @ (fit.hess - (fit.grad @ th) * np.eye(p)) @ T
             try:
-                step = np.linalg.solve(Hc, -gc)
+                step = np.linalg.solve(Hc, -(T.T @ rg))
             except np.linalg.LinAlgError:
                 break
             if not np.all(np.linalg.eigvalsh(Hc) < 0):
                 break
-            moved = False
-            scale = 1.0
-            for _ in range(30):
-                cand = th + T @ (scale * step)
-                cand /= np.linalg.norm(cand)
-                if cand[0] > 0:
-                    Lc = value(cand)
-                    gcand = grad(cand)
-                    gn_cand = np.linalg.norm(gcand - (gcand @ cand) * cand)
-                    if Lc > L or (Lc >= L - noise and gn_cand < gn):
-                        th, L = cand, max(Lc, L)
-                        moved = True
-                        break
-                scale *= 0.5
-            if not moved:
+            fit_c, _ = _line_search(
+                fit_at, L, lambda s: _retract(th + T @ (s * step)), 1.0, 30,
+                gn, lambda f: np.linalg.norm(tangent_grad(f)), noise,
+            )
+            if fit_c is None:
                 break
-        return th, L, stalled
+            fit, L = fit_c, max(fit_c.value, L)
+        return fit.theta, L, stalled
 
     rng = np.random.default_rng(1729)
     best = None
@@ -414,15 +445,6 @@ class SingleIndexModel(Model):
     def dims(self):
         return (self.dataset.p, self.basis.m)
 
-    @property
-    def capabilities(self):
-        return ModelCapabilities(
-            dims=self.dims,
-            has_expected_functional=self.dataset.theta_star is not None,
-            has_closed_form_eta_step=True,
-            has_closed_form_theta_step=(self.dataset.p == 1 and self.constrain_theta),
-        )
-
     def _check(self, point: ParameterPoint):
         if point.p != self.dataset.p or point.m != self.basis.m:
             raise ModelDomainError("point dimensions do not match the model")
@@ -437,40 +459,24 @@ class SingleIndexModel(Model):
                 f"eta norm {en!r} outside the ball of radius {self.eta_radius}"
             )
 
-    def _residual(self, point):
-        t = self.dataset.X @ point.theta
-        return t, self.dataset.y - self.basis.design(t) @ point.eta
+    def _fit(self, theta, eta):
+        return _Fit(self.dataset, self.basis, self._inv2s, theta, eta)
 
     def evaluate(self, point):
         self._check(point)
-        _, r = self._residual(point)
-        return -self._inv2s * float(r @ r)
+        return self._fit(point.theta, point.eta).value
 
     def gradient(self, point):
         self._check(point)
-        t, r = self._residual(point)
-        E = self.basis.design(t)
-        fp = self.basis.ddesign(t) @ point.eta
-        g_eta = 2.0 * self._inv2s * (E.T @ r)
-        g_theta = 2.0 * self._inv2s * (self.dataset.X.T @ (r * fp))
-        return g_theta, g_eta
+        f = self._fit(point.theta, point.eta)
+        return f.grad, 2.0 * self._inv2s * (f.E.T @ f.r)
 
     def hessian(self, point):
         self._check(point)
-        t, r = self._residual(point)
-        X = self.dataset.X
-        E = self.basis.design(t)
-        dE = self.basis.ddesign(t)
-        fp = dE @ point.eta
-        fpp = self.basis.d2design(t) @ point.eta
+        f = self._fit(point.theta, point.eta)
         c = 2.0 * self._inv2s
-        H_ee = -c * (E.T @ E)
-        w = r * fpp - fp * fp
-        H_tt = c * ((X * w[:, None]).T @ X)
-        H_te = c * (X.T @ (dE * r[:, None] - E * fp[:, None]))
-        top = np.hstack([H_tt, H_te])
-        bot = np.hstack([H_te.T, H_ee])
-        return np.vstack([top, bot])
+        H_te = c * (self.dataset.X.T @ (f.dE * f.r[:, None] - f.E * f.fp[:, None]))
+        return np.block([[f.hess, H_te], [H_te.T, -c * (f.E.T @ f.E)]])
 
     def eta_argmax(self, theta):
         eta = eta_step_closed_form(self.dataset, self.basis, theta)
@@ -493,68 +499,46 @@ class SingleIndexModel(Model):
                                   np.asarray(theta_init, dtype=float))
 
     def _theta_newton(self, eta, th):
-        """Unconstrained Newton ascent in theta with backtracking; gradient fallback."""
-        X, y = self.dataset.X, self.dataset.y
+        """Unconstrained Newton ascent in theta with backtracking; gradient fallback.
 
-        def val(t):
-            r = y - self.basis.design(X @ t) @ eta
-            return -self._inv2s * float(r @ r)
+        Inside the theta_cap ball.  Newton steps also accept flat values with
+        a falling gradient norm.
+        """
+        def fit_at(theta):
+            return self._fit(theta, eta)
 
-        def grad(t):
-            tt = X @ t
-            r = y - self.basis.design(tt) @ eta
-            fp = self.basis.ddesign(tt) @ eta
-            return 2.0 * self._inv2s * (X.T @ (r * fp))
+        def inside(theta):
+            return theta if np.linalg.norm(theta) < self.theta_cap else None
 
-        def hess(t):
-            tt = X @ t
-            r = y - self.basis.design(tt) @ eta
-            fp = self.basis.ddesign(tt) @ eta
-            fpp = self.basis.d2design(tt) @ eta
-            w = r * fpp - fp * fp
-            return 2.0 * self._inv2s * ((X * w[:, None]).T @ X)
-
-        L = val(th)
+        fit = fit_at(th)
+        L = fit.value
         alpha = 1.0
         for _ in range(200):
-            g = grad(th)
+            g = fit.grad
             gn = float(np.linalg.norm(g))
             if gn <= self.theta_gtol * (1.0 + abs(L)):
-                return th
-            H = hess(th)
+                break
             use_newton = False
             try:
-                if np.all(np.linalg.eigvalsh(H) < 0):
-                    d = np.linalg.solve(H, -g)
+                if np.all(np.linalg.eigvalsh(fit.hess) < 0):
+                    d = np.linalg.solve(fit.hess, -g)
                     use_newton = True
             except np.linalg.LinAlgError:
                 pass
             if not use_newton:
                 d = g / gn
-            accepted = False
-            scale = 1.0 if use_newton else alpha
-            noise = 64.0 * np.finfo(float).eps * (1.0 + abs(L))
-            for _ in range(60):
-                cand = th + scale * d
-                if np.linalg.norm(cand) >= self.theta_cap:
-                    scale *= 0.5
-                    continue
-                Lc = val(cand)
-                # near the optimum values are flat to rounding; Newton steps
-                # are accepted on gradient-norm decrease instead
-                gd = use_newton and Lc >= L - noise and float(
-                    np.linalg.norm(grad(cand))
-                ) < gn
-                if Lc > L or gd:
-                    th, L = cand, max(Lc, L)
-                    accepted = True
-                    if not use_newton:
-                        alpha = min(scale * 1.6, 1e3)
-                    break
-                scale *= 0.5
-            if not accepted:
-                return th
-        return th
+            th = fit.theta
+            fit_c, scale = _line_search(
+                fit_at, L, lambda s: inside(th + s * d), 1.0 if use_newton else alpha, 60,
+                gn, (lambda f: np.linalg.norm(f.grad)) if use_newton else None,
+                64.0 * np.finfo(float).eps * (1.0 + abs(L)),
+            )
+            if fit_c is None:
+                break
+            fit, L = fit_c, max(fit_c.value, L)
+            if not use_newton:
+                alpha = min(scale * 1.6, 1e3)
+        return fit.theta
 
     def information_at_truth(self, r_datasets=200, seed=None):
         """Monte Carlo estimate of -Hessian of E L and Cov of the gradient at truth.

@@ -17,7 +17,9 @@ derived geometry of a BlockInformation (its SPD check, the H2 Cholesky
 factor, the SPD root of the efficient information and of the full matrix)
 is computed once per instance, on first use, and kept read-only: the blocks
 cannot change, so it never goes stale.  A failed computation raises and is
-not kept, so it raises again on the next use.
+not kept, so it raises again on the next use.  A pickled or copied point or
+BlockInformation is rebuilt from its fields, so its arrays are read-only
+too and its geometry is computed afresh.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ class ParameterPoint:
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "eta", et)
 
+    def __reduce__(self):
+        # rebuilt through __post_init__, so copies are read-only as well
+        return type(self), (self.theta, self.eta)
+
     @property
     def p(self):
         return self.theta.size
@@ -149,6 +155,10 @@ class BlockInformation:
         object.__setattr__(self, "D2", D2)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "H2", H2)
+
+    def __reduce__(self):
+        # rebuilt from the blocks: read-only again, with no cached geometry
+        return type(self), (self.D2, self.A, self.H2)
 
     @property
     def p(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .modelapi import InformationAtTruth, Model, ModelCapabilities, ModelDomainError
+from .modelapi import InformationAtTruth, Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint, coupling_norm, efficient_information, sqrt_spd
 
 
@@ -30,15 +30,6 @@ class ToyGaussianModel(Model):
     @property
     def dims(self):
         return (self.F2.p, self.F2.m)
-
-    @property
-    def capabilities(self):
-        return ModelCapabilities(
-            dims=self.dims,
-            has_expected_functional=True,
-            has_closed_form_eta_step=True,
-            has_closed_form_theta_step=True,
-        )
 
     def _check(self, point):
         v = point.as_vector()

@@ -11,7 +11,7 @@ from altmax.alternation import (
     theta_update,
     wilks_statistic,
 )
-from altmax.modelapi import Model, ModelCapabilities
+from altmax.modelapi import Model
 from altmax.statcore import (
     BlockInformation,
     ParameterPoint,
@@ -156,10 +156,6 @@ class QuadNoClosedForm(Model):
     @property
     def dims(self):
         return (1, 1)
-
-    @property
-    def capabilities(self):
-        return ModelCapabilities(dims=(1, 1))
 
     def evaluate(self, point):
         d = point.as_vector() - self.Y

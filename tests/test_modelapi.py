@@ -3,7 +3,6 @@ import pytest
 
 from altmax.modelapi import (
     Model,
-    ModelCapabilities,
     UnsupportedCapabilityError,
     finite_difference_gradient,
 )
@@ -16,10 +15,6 @@ class Bare(Model):
     @property
     def dims(self):
         return (1, 1)
-
-    @property
-    def capabilities(self):
-        return ModelCapabilities(dims=(1, 1))
 
     def evaluate(self, point):
         v = point.as_vector()
@@ -58,7 +53,6 @@ def test_model_without_truth_has_no_information():
     X = 0.5 * rng.standard_normal((30, 2))
     ds = SingleIndexDataset(X=X, y=rng.standard_normal(30), s_X=1.0)
     model = SingleIndexModel(ds, basis)
-    assert not model.capabilities.has_expected_functional
     with pytest.raises(UnsupportedCapabilityError, match="truth"):
         model.information_at_truth()
     with pytest.raises(UnsupportedCapabilityError):

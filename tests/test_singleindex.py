@@ -258,12 +258,8 @@ def test_noiseless_identifiability_sphere_alternation():
     assert tr.monotone_defect() <= 0.0
 
 
-def test_capabilities_flags():
+def test_eta_update_stays_in_eta_ball():
     ds, basis = desk(n=100)
     model = model_bind(ds, basis)
-    caps = model.capabilities
-    assert caps.has_closed_form_eta_step
-    assert not caps.has_closed_form_theta_step
-    assert caps.has_expected_functional
     eta = eta_update(model, THETA2)
     assert np.linalg.norm(eta) <= model.eta_radius

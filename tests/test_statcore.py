@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,21 @@ def test_validate_raises_on_every_call_for_non_spd_blocks():
                 bad.validate()
     good = BlockInformation(D2=np.eye(2), A=np.zeros((2, 1)), H2=[[1.0]])
     assert good.validate() is good and good.validate() is good
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy])
+def test_round_trip_is_read_only_with_the_same_geometry(clone):
+    rng = np.random.default_rng(31)
+    pt = ParameterPoint(rng.standard_normal(3), rng.standard_normal(2))
+    back = clone(pt)
+    for a, b in ((back.theta, pt.theta), (back.eta, pt.eta)):
+        assert not a.flags.writeable and np.array_equal(a, b)
+    blocks = _coupled_blocks(rng, 3, 2, 0.2)
+    cached = (blocks.efficient_root, blocks.full_sqrt(), blocks.h2_cho_factor[0])
+    back = clone(blocks)
+    assert not {"efficient_root", "_full_sqrt", "h2_cho_factor"} & set(vars(back))
+    again = (back.efficient_root, back.full_sqrt(), back.h2_cho_factor[0])
+    for a, b in zip((back.D2, back.A, back.H2) + again,
+                    (blocks.D2, blocks.A, blocks.H2) + cached):
+        assert not a.flags.writeable
+        assert a.tobytes() == b.tobytes()
