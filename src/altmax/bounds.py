@@ -70,18 +70,6 @@ class ConditionConstants:
         return self.beta_A_value
 
 
-@dataclass(frozen=True)
-class BreveConstants:
-    g: float
-    nu: float
-    delta_slope: float
-    delta_const: float
-    omega: float
-
-    def delta(self, r):
-        return self.delta_const + self.delta_slope * r
-
-
 def quad_form_constants(B, g):
     """(p_B, v_B, lambda_star, x_c, y_c, g_c) for the quadratic-form quantile.
 
@@ -188,35 +176,26 @@ def spread_parametric(r, x, p_star, cc: ConditionConstants):
     return cc.delta(r) * r + 6.0 * cc.nu1 * cc.omega * (z0sq + 2.0 * r**2)
 
 
-def convert_conditions(cc: ConditionConstants, nu) -> BreveConstants:
-    """Projected-condition constants implied by the full ones under coupling nu."""
+def convert_conditions(cc: ConditionConstants, nu):
+    """(g_breve, nu_breve): the projected-condition constants implied by the
+    full ones under coupling nu.  delta(r) and omega carry over unchanged."""
     fac = (1.0 + nu * math.sqrt(1.0 + nu**2)) / math.sqrt(1.0 - nu**2)
     g_breve = cc.g / fac if not math.isinf(cc.g) else math.inf
-    return BreveConstants(
-        g=g_breve,
-        nu=nu * fac,
-        delta_slope=cc.delta_slope,
-        delta_const=cc.delta_const,
-        omega=cc.omega,
-    )
+    return g_breve, nu * fac
 
 
-def spread_semiparametric(r, x, p_star, p, cc: ConditionConstants, nu,
-                          breve: BreveConstants | None = None):
+def spread_semiparametric(r, x, p_star, p, cc: ConditionConstants, nu):
     """Semiparametric uniform spread with the entropy-squared correction."""
-    br = breve or convert_conditions(cc, nu)
     z0sq = entropy_quantile_sq(x, 2.0 * p_star + 2.0 * p, cc.g0)
     lead = 8.0 / (1.0 - nu**2) ** 2
-    return lead * br.delta(r) * r + 6.0 * cc.nu1 * br.omega * (z0sq + 2.0 * r**2)
+    return lead * cc.delta(r) * r + 6.0 * cc.nu1 * cc.omega * (z0sq + 2.0 * r**2)
 
 
-def spread_semiparametric_plain(r, x, p_star, p, cc: ConditionConstants, nu,
-                                breve: BreveConstants | None = None):
+def spread_semiparametric_plain(r, x, p_star, p, cc: ConditionConstants, nu):
     """Plain semiparametric spread, linear in r."""
-    br = breve or convert_conditions(cc, nu)
     zq = entropy_quantile(x, 2.0 * p_star + 2.0 * p, cc.g0)
     lead = 8.0 / (1.0 - nu**2) ** 2
-    return lead * br.delta(r) * r + 6.0 * cc.nu1 * br.omega * zq * r
+    return lead * cc.delta(r) * r + 6.0 * cc.nu1 * cc.omega * zq * r
 
 
 def C_nu(nu):

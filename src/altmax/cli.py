@@ -16,10 +16,12 @@ when any of the subcommand's acceptance-keyed checks fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -32,38 +34,91 @@ from .harness import (
 )
 
 
-class _Lookups(dict):
-    """Parsed config entries that record every key the CLI looks up."""
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        self.seen = set()
-
-    def __contains__(self, key):
-        self.seen.add(key)
-        return super().__contains__(key)
-
-    def get(self, key, default=None):
-        self.seen.add(key)
-        return super().get(key, default)
+# Config keys whose names differ from their fields'; every other `si_` field
+# drops the prefix.
+_RENAMED = {
+    "master_seed": "seed", "si_constrain": "constrain_theta",
+    "g_r_value": "g_r", "beta_A_value": "beta_a",
+    "R_K": "r_k_init", "K0": "k0", "norm_Dinv": "norm_dinv",
+}
+_UNSETTABLE = ("family", "cc", "si_genus")
 
 
-def read_config(path, reader):
-    """`reader(entries)` on the parsed file (no file: no entries).
+@dataclasses.dataclass(frozen=True)
+class _BoundsKeys:
+    """The `bounds` subcommand's own keys: keywords of `compute_bound_report`."""
 
-    Every key of the file must be one that `reader` looks up; any other key
-    is a typo or belongs to another subcommand, and raises ValueError.
+    x: float = 2.0
+    p: int = 1
+    m: int = 1
+    nu: float = 0.25
+    b_eigenvalues: tuple[float, ...] | None = None
+    R_K: float | None = None
+    K0: float | None = None
+    eps: float = 0.0
+    norm_Dinv: float = 0.0
+    k_max: int = 20
+
+
+def _parser(tp):
+    """The function that parses a config value into a field of type `tp`."""
+    if tp is bool:
+        return lambda raw: raw.lower() in ("1", "true", "yes", "on")
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    args = typing.get_args(tp)
+    if type(None) in args:  # `auto` (or no value) selects None
+        inner = _parser(next(a for a in args if a is not type(None)))
+        return lambda raw: None if raw in ("auto", "") else inner(raw)
+    return tp  # int, or float, which also reads inf, +inf and infinity
+
+
+def _keys(cls, settable=lambda name: True):
+    """{config key: (cls, field name, parser)} for the settable fields of `cls`."""
+    hints = typing.get_type_hints(cls)
+    return {
+        _RENAMED.get(f.name, f.name.removeprefix("si_")): (cls, f.name, _parser(hints[f.name]))
+        for f in dataclasses.fields(cls) if settable(f.name)
+    }
+
+
+def _experiment_keys(*families):
+    """The common experiment keys and those of the given field-name prefixes."""
+    def settable(name):
+        own = name.startswith(("toy_", "si_", "sweep_"))
+        return name not in _UNSETTABLE and (not own or name.startswith(families))
+    return {**_keys(ConditionConstants), **_keys(ExperimentConfig, settable)}
+
+
+KEYS = {
+    "toy": _experiment_keys("toy_"),
+    "single-index": _experiment_keys("si_"),
+    "sweep": _experiment_keys("si_", "sweep_"),
+    "bounds": {**_keys(ConditionConstants), **_keys(_BoundsKeys)},
+}
+
+
+def read_config(path, command):
+    """The values of a config file (no file: none) as {class: {field: value}}.
+
+    Every key of the file must be one of `KEYS[command]`; any other key is a
+    typo or belongs to another subcommand, and raises ValueError.
     """
-    d = _Lookups(parse_config(path) if path else {})
-    value = reader(d)
-    unknown = sorted(set(d) - d.seen)
+    entries = parse_config(path) if path else {}
+    table = KEYS[command]
+    unknown = sorted(set(entries) - set(table))
     if unknown:
         hints = []
         for key in unknown:
-            close = difflib.get_close_matches(key, d.seen, n=1)
+            close = difflib.get_close_matches(key, table, n=1)
             hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
         raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
-    return value
+    values = {cls: {} for cls, _, _ in table.values()}
+    for key, raw in entries.items():
+        cls, name, parse = table[key]
+        values[cls][name] = parse(raw)
+    return values
 
 
 def parse_config(path):
@@ -80,114 +135,48 @@ def parse_config(path):
     return out
 
 
-def _get(d, key, cast, default):
-    if key not in d:
-        return default
-    raw = d[key]
-    if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    if cast is float and raw.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return cast(raw)
-
-
-def _flag_or(flag, d, key, cast, default):
-    """A command-line flag's value, else the file's; the key is looked up either way."""
-    value = _get(d, key, cast, default)
-    return value if flag is None else flag
-
-
-def _get_tuple(d, key, cast, default):
-    if key not in d:
-        return default
-    return tuple(cast(v.strip()) for v in d[key].split(",") if v.strip())
-
-
-def condition_constants(d) -> ConditionConstants:
-    return ConditionConstants(
-        nu0=_get(d, "nu0", float, 1.0),
-        nu1=_get(d, "nu1", float, 1.0),
-        nu2=_get(d, "nu2", float, 1.0),
-        omega=_get(d, "omega", float, 0.0),
-        omega2=_get(d, "omega2", float, 0.0),
-        g=_get(d, "g", float, math.inf),
-        g0=_get(d, "g0", float, math.inf),
-        b=_get(d, "b", float, 1.0),
-        nu_r=_get(d, "nu_r", float, 1.0),
-        delta_slope=_get(d, "delta_slope", float, 0.0),
-        delta_const=_get(d, "delta_const", float, 0.0),
-        g_r_value=_get(d, "g_r", float, math.inf),
-        beta_A_value=_get(d, "beta_a", float, 0.0),
-        z_hess=_get(d, "z_hess", float, 0.0),
-    )
-
-
-_DEFAULTS = ExperimentConfig()
-
-
-def experiment_config(args, d, family) -> ExperimentConfig:
-    steps = d.get("steps", "auto")
-    steps = None if steps in ("auto", "", None) else int(steps)
-    base = _DEFAULTS
+def experiment_config(args, command) -> ExperimentConfig:
+    """The experiment of `args.config`; --seed/--reps/--threads override the file."""
+    values = read_config(args.config, command)
+    kwargs = values[ExperimentConfig]
+    for flag, name in (("seed", "master_seed"), ("reps", "reps"), ("threads", "threads")):
+        if getattr(args, flag) is not None:
+            kwargs[name] = getattr(args, flag)
     return ExperimentConfig(
-        family=family,
-        reps=_flag_or(args.reps, d, "reps", int, base.reps),
-        x=_get(d, "x", float, base.x),
-        steps=steps,
-        z_target=_get(d, "z_target", float, None),
-        master_seed=_flag_or(args.seed, d, "seed", int, 0),
-        threads=_flag_or(args.threads, d, "threads", int, 1),
-        solver_tolerance=_get(d, "solver_tolerance", float, base.solver_tolerance),
-        cc=condition_constants(d),
-        toy_p=_get(d, "toy_p", int, base.toy_p),
-        toy_m=_get(d, "toy_m", int, base.toy_m),
-        toy_d2=_get(d, "toy_d2", float, base.toy_d2),
-        toy_h2=_get(d, "toy_h2", float, base.toy_h2),
-        toy_a=_get(d, "toy_a", float, base.toy_a),
-        toy_start_offset=_get(d, "toy_start_offset", float, base.toy_start_offset),
-        si_n=_get(d, "n", int, base.si_n),
-        si_p=_get(d, "p", int, base.si_p),
-        si_m=_get(d, "m", int, base.si_m),
-        si_sigma=_get(d, "sigma", float, base.si_sigma),
-        si_s_x=_get(d, "s_x", float, base.si_s_x),
-        si_theta_angle=_get(d, "theta_angle", float, base.si_theta_angle),
-        si_eta_star=_get_tuple(d, "eta_star", float, base.si_eta_star),
-        si_grid_n=_get(d, "grid_n", int, base.si_grid_n),
-        si_r_cov=_get(d, "r_cov", int, base.si_r_cov),
-        si_constrain=_get(d, "constrain_theta", bool, base.si_constrain),
-        sweep_n=_get_tuple(d, "sweep_n", int, base.sweep_n),
-        sweep_m=_get_tuple(d, "sweep_m", int, base.sweep_m),
+        family="toy" if command == "toy" else "single-index",
+        cc=ConditionConstants(**values[ConditionConstants]),
+        **kwargs,
     )
 
 
-def _check(name, ok, lines):
-    lines.append(f"check {name}: {'PASS' if ok else 'FAIL'}")
-    return ok
+def bounds_inputs(path) -> dict:
+    """Keyword arguments of `compute_bound_report` from a config file."""
+    values = read_config(path, "bounds")
+    return dict(
+        dataclasses.asdict(_BoundsKeys(**values[_BoundsKeys])),
+        cc=ConditionConstants(**values[ConditionConstants]),
+    )
 
 
 def _experiment_checks(kind, family, rep):
     agg = rep.aggregates
-    lines = []
-    ok = True
+    checks = [("monotone_violations_zero", agg["monotone_violations"] == 0)]
     if kind == "wilks":
         p = rep.meta["p"]
         K = rep.meta["K"]
-        ok &= _check("monotone_violations_zero", agg["monotone_violations"] == 0, lines)
         if family == "toy":
             lo = p - 3.0 * agg["wilks_se"]
             hi = p + 3.0 * agg["wilks_se"]
-            ok &= _check("wilks_mean_3se", lo <= agg["wilks_mean"] <= hi, lines)
-            ok &= _check("wilks_ks", agg["wilks_ks"] <= 0.06, lines)
+            checks.append(("wilks_mean_3se", lo <= agg["wilks_mean"] <= hi))
+            checks.append(("wilks_ks", agg["wilks_ks"] <= 0.06))
         else:
-            ok &= _check("wilks_mean_band", 0.7 * p <= agg["wilks_mean"] <= 1.3 * p, lines)
-            ok &= _check("wilks_ks", agg["wilks_ks"] <= 0.15, lines)
-            ok &= _check(
+            checks.append(("wilks_mean_band", 0.7 * p <= agg["wilks_mean"] <= 1.3 * p))
+            checks.append(("wilks_ks", agg["wilks_ks"] <= 0.15))
+            checks.append((
                 "fisher_residual_final",
                 agg[f"fisher_median_{K}"] <= 0.5 * agg["xi_norm_median"],
-                lines,
-            )
+            ))
     else:
-        ok &= _check("monotone_violations_zero", agg["monotone_violations"] == 0, lines)
         rate = agg["nu_hat_median"]
         converged = agg["dist_final_median"] <= 100.0 * rep.meta.get(
             "solver_tolerance", 1e-9
@@ -197,12 +186,12 @@ def _experiment_checks(kind, family, rep):
         rate_ok = (math.isfinite(rate) and rate <= agg["nu"] + 0.1) or (
             not math.isfinite(rate) and converged
         )
-        ok &= _check("contraction_rate", rate_ok, lines)
-    return ok, lines
+        checks.append(("contraction_rate", rate_ok))
+    return checks
 
 
-def cmd_experiment(args, family):
-    cfg = read_config(args.config, lambda d: experiment_config(args, d, family))
+def cmd_experiment(args):
+    cfg = experiment_config(args, args.command)
     kind = args.experiment
     rep = run_wilks_fisher(cfg) if kind == "wilks" else run_me_convergence(cfg)
     outdir = args.out or "."
@@ -214,32 +203,11 @@ def cmd_experiment(args, family):
         if key in rep.aggregates:
             print(f"{key} = {rep.aggregates[key]!r}")
     print(f"wrote {os.path.join(outdir, 'records.csv')} and summary.kv")
-    if args.do_assert:
-        ok, lines = _experiment_checks(kind, family, rep)
-        print("\n".join(lines))
-        return 0 if ok else 1
-    return 0
-
-
-def bounds_inputs(d) -> dict:
-    """Keyword arguments of `compute_bound_report` from config entries."""
-    return dict(
-        x=_get(d, "x", float, 2.0),
-        p=_get(d, "p", int, 1),
-        m=_get(d, "m", int, 1),
-        nu=_get(d, "nu", float, 0.25),
-        cc=condition_constants(d),
-        b_eigenvalues=_get_tuple(d, "b_eigenvalues", float, None),
-        R_K=_get(d, "r_k_init", float, None),
-        K0=_get(d, "k0", float, None),
-        eps=_get(d, "eps", float, 0.0),
-        norm_Dinv=_get(d, "norm_dinv", float, 0.0),
-        k_max=_get(d, "k_max", int, 20),
-    )
+    return _experiment_checks(kind, cfg.family, rep)
 
 
 def cmd_bounds(args):
-    report = compute_bound_report(**read_config(args.config, bounds_inputs))
+    report = compute_bound_report(**bounds_inputs(args.config))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     report.write_kv(os.path.join(outdir, "bounds_report.kv"))
@@ -249,34 +217,24 @@ def cmd_bounds(args):
     )
     for key, val in report.to_kv():
         print(f"{key} = {val!r}")
-    if args.do_assert:
-        lines = []
-        ok = True
-        rk = np.array(report.r_k)
-        ok &= _check("r_k_nonincreasing", bool(np.all(np.diff(rk) <= 1e-12)), lines)
-        nonneg = all(
-            v >= 0.0
-            for v in (report.z_quad, report.z0_sq, report.z_x, report.K0,
-                      report.R0, report.spread_Q, report.spread_semi,
-                      report.spread_semi_plain, report.kappa)
-        )
-        ok &= _check("quantiles_nonnegative", nonneg, lines)
-        if report.r_star_k:
-            ok &= _check(
-                "r_star_tail_small",
-                report.r_star_k[-1] <= report.r_star_k[0] + 1e-12,
-                lines,
-            )
-        print("\n".join(lines))
-        return 0 if ok else 1
-    return 0
+    nonneg = all(
+        v >= 0.0
+        for v in (report.z_quad, report.z0_sq, report.z_x, report.K0,
+                  report.R0, report.spread_Q, report.spread_semi,
+                  report.spread_semi_plain, report.kappa)
+    )
+    checks = [
+        ("r_k_nonincreasing", bool(np.all(np.diff(np.array(report.r_k)) <= 1e-12))),
+        ("quantiles_nonnegative", nonneg),
+    ]
+    if report.r_star_k:
+        checks.append(("r_star_tail_small", report.r_star_k[-1] <= report.r_star_k[0] + 1e-12))
+    return checks
 
 
 def cmd_sweep(args):
-    cfg = read_config(args.config, lambda d: experiment_config(args, d, "single-index"))
-    rep = run_dimension_sweep(cfg)
-    outdir = args.out or "."
-    rep.write(outdir)
+    rep = run_dimension_sweep(experiment_config(args, "sweep"))
+    rep.write(args.out or ".")
     for row in rep.records:
         print(
             f"cell m={row['m']} n={row['n']}: wilks_err_median={row['wilks_err_median']!r} "
@@ -284,53 +242,40 @@ def cmd_sweep(args):
         )
     for key in sorted(rep.aggregates):
         print(f"{key} = {rep.aggregates[key]!r}")
-    if args.do_assert:
-        lines = []
-        ok = True
-        for key, val in rep.aggregates.items():
-            ok &= _check(key, bool(val), lines)
-        print("\n".join(lines))
-        return 0 if ok else 1
-    return 0
+    return [(key, bool(val)) for key, val in rep.aggregates.items()]
+
+
+COMMANDS = {
+    "toy": ("toy experiments", cmd_experiment),
+    "single-index": ("single-index experiments", cmd_experiment),
+    "bounds": ("finite-sample bound report", cmd_bounds),
+    "sweep": ("dimension sweep", cmd_sweep),
+}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="altmax", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("toy", "single-index"):
-        sp = sub.add_parser(name, help=f"{name} experiments")
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--reps", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--experiment", choices=("wilks", "me"), default="wilks")
+    for name, (help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kind in (("--config", str), ("--seed", int), ("--out", str),
+                           ("--reps", int), ("--threads", int)):
+            if name != "bounds" or flag in ("--config", "--out"):
+                sp.add_argument(flag, type=kind, default=None)
+        if name in ("toy", "single-index"):
+            sp.add_argument("--experiment", choices=("wilks", "me"), default="wilks")
         sp.add_argument("--assert", dest="do_assert", action="store_true")
-    sp = sub.add_parser("bounds", help="finite-sample bound report")
-    sp.add_argument("--config", type=str, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--assert", dest="do_assert", action="store_true")
-    sp = sub.add_parser("sweep", help="dimension sweep")
-    sp.add_argument("--config", type=str, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--assert", dest="do_assert", action="store_true")
     return ap
 
 
 def main(argv=None):
+    """Run one subcommand; with --assert, print its checks and exit 1 if one fails."""
     args = build_parser().parse_args(argv)
-    if args.command == "toy":
-        return cmd_experiment(args, "toy")
-    if args.command == "single-index":
-        return cmd_experiment(args, "single-index")
-    if args.command == "bounds":
-        return cmd_bounds(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return 2
+    checks = COMMANDS[args.command][1](args)
+    if not args.do_assert:
+        return 0
+    print("\n".join(f"check {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks))
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 if __name__ == "__main__":

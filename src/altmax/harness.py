@@ -128,14 +128,14 @@ class ExperimentConfig:
     si_sigma: float = 0.5
     si_s_x: float = 1.0
     si_theta_angle: float = 0.3
-    si_eta_star: tuple = (1.0, -0.8, 0.9, -0.7, 0.6, 0.8)
+    si_eta_star: tuple[float, ...] = (1.0, -0.8, 0.9, -0.7, 0.6, 0.8)
     si_grid_n: int = 512  # grid spacing must undercut the link's oscillation scale
     si_r_cov: int = 200
     si_constrain: bool = False
     si_genus: int = 7
     # dimension sweep
-    sweep_n: tuple = (250, 1000)
-    sweep_m: tuple = (3, 6)
+    sweep_n: tuple[int, ...] = (250, 1000)
+    sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
         if self.reps < 1:
@@ -166,26 +166,28 @@ def si_theta_star(cfg: ExperimentConfig):
 
 @dataclass
 class ExperimentContext:
-    """Shared per-configuration state: truth, information blocks, step count."""
+    """Shared per-configuration state: truth, information blocks, step count.
+
+    `build_context` fills in the bound inputs and K after a pilot replication
+    drawn from this context's own truth, information and basis.
+    """
 
     cfg: ExperimentConfig
     upsilon_star: ParameterPoint
     info: BlockInformation
-    cov: BlockInformation
     nu: float
     D_full: np.ndarray  # SPD root of the full information, used as the norm weight
-    K: int
     basis: WaveletBasis | None = None
     cc_eff: ConditionConstants | None = None
     z_x: float | None = None
     R0: float | None = None
+    K: int | None = None
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
     if cfg.family == "toy":
-        F2 = toy_blocks(cfg)
+        info = toy_blocks(cfg)
         star = ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
-        info = cov = F2
         basis = None
     else:
         theta_star = si_theta_star(cfg)
@@ -202,40 +204,41 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
             r_datasets=cfg.si_r_cov,
             seed=derive_seed(cfg.master_seed, 999_979),
         )
-        star, info, cov = iat.upsilon_star, iat.info, iat.cov
-    nu = coupling_norm(info)
-    D_full = info.full_sqrt()
-    cc_eff, z_x, R0 = _bound_inputs(cfg, nu, star, D_full)
+        star, info = iat.upsilon_star, iat.info
+    ctx = ExperimentContext(
+        cfg=cfg, upsilon_star=star, info=info, nu=coupling_norm(info),
+        D_full=info.full_sqrt(), basis=basis,
+    )
+    ctx.cc_eff, ctx.z_x, ctx.R0 = _bound_inputs(ctx)
     K = cfg.steps
     if K is None:
-        if R0 is None:
+        if ctx.R0 is None:
             K = 30
         else:
-            z = cfg.z_target if cfg.z_target is not None else z_x
+            z = cfg.z_target if cfg.z_target is not None else ctx.z_x
             # the rule counts linear-contraction steps; keep a floor of 3 so
             # the nonlinear first phase after a grid start is crossed as well
-            K = max(3, min(stopping_steps(z, R0, nu), 200))
-    return ExperimentContext(
-        cfg=cfg, upsilon_star=star, info=info, cov=cov, nu=nu,
-        D_full=D_full, K=K, basis=basis, cc_eff=cc_eff, z_x=z_x, R0=R0,
-    )
+            K = max(3, min(stopping_steps(z, ctx.R0, ctx.nu), 200))
+    ctx.K = K
+    return ctx
 
 
-def _bound_inputs(cfg, nu, star, D_full):
+def _bound_inputs(ctx):
     """Effective condition constants, z(x), and the concentration radius R0,
     with a pilot replication supplying the initial-guess radius."""
+    cfg, star = ctx.cfg, ctx.upsilon_star
     cc = cfg.cc
     if cfg.family == "single-index" and cc.omega == 0.0:
         # i.i.d. default when no gradient-roughness constant is supplied
         cc = replace(cc, omega=1.0 / math.sqrt(cfg.si_n))
-    if not 0.0 < nu < 1.0:
+    if not 0.0 < ctx.nu < 1.0:
         return cc, None, None
     p_star = star.p_star
     z_x = combined_quantile(cfg.x, p_star, cc=cc)
-    _, start = _make_replication(cfg, None, 999_931)
-    R_K = max(z_x, float(np.linalg.norm(D_full @ (start.as_vector() - star.as_vector()))))
+    _, start = _make_replication(cfg, ctx, 999_931)
+    R_K = max(z_x, float(np.linalg.norm(ctx.D_full @ (start.as_vector() - star.as_vector()))))
     K0 = initial_level_K0(R_K, cfg.x, cc, z_x)
-    R0 = concentration_radius_R0(cfg.x, K0, p_star, cc, nu, z_x)
+    R0 = concentration_radius_R0(cfg.x, K0, p_star, cc, ctx.nu, z_x)
     return cc, z_x, R0
 
 
@@ -249,36 +252,23 @@ def _make_model(cfg: ExperimentConfig, ctx, rep_index):
     """The model of one replication: a toy draw or a single-index dataset."""
     seed = derive_seed(cfg.master_seed, rep_index)
     if cfg.family == "toy":
-        F2 = ctx.info if ctx is not None else toy_blocks(cfg)
-        return simulate(F2, _toy_star(cfg, ctx), seed=seed)
-    theta_star = ctx.upsilon_star.theta if ctx is not None else si_theta_star(cfg)
-    eta_star = np.asarray(cfg.si_eta_star, dtype=float)
-    basis = ctx.basis if ctx is not None else WaveletBasis(
-        m=cfg.si_m, s_X=cfg.si_s_x, genus=cfg.si_genus
-    )
+        return simulate(ctx.info, ctx.upsilon_star, seed=seed)
     dataset = generate(
-        cfg.si_n, cfg.si_p, theta_star, eta_star, cfg.si_sigma, cfg.si_s_x,
-        seed=seed, basis=basis,
+        cfg.si_n, cfg.si_p, ctx.upsilon_star.theta, np.asarray(cfg.si_eta_star, dtype=float),
+        cfg.si_sigma, cfg.si_s_x, seed=seed, basis=ctx.basis,
     )
-    return SingleIndexModel(dataset, basis, constrain_theta=cfg.si_constrain)
+    return SingleIndexModel(dataset, ctx.basis, constrain_theta=cfg.si_constrain)
 
 
 def _make_start(cfg: ExperimentConfig, ctx, model):
     """The start point: a fixed offset from the truth (toy) or the grid start."""
     if cfg.family == "toy":
-        star = _toy_star(cfg, ctx)
+        star = ctx.upsilon_star
         return ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
     start, _tau = grid_init(
         model.dataset, model.basis, cfg.si_grid_n, noise_scale=model.noise_scale
     )
     return start
-
-
-def _toy_star(cfg, ctx):
-    """The toy truth: the context's, or the origin while the context is built."""
-    if ctx is not None:
-        return ctx.upsilon_star
-    return ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def coupling_norm(blocks: BlockInformation) -> float:
     return smax**2
 
 
-def efficient_information(blocks: BlockInformation, require_spd=True) -> np.ndarray:
+def efficient_information(blocks: BlockInformation) -> np.ndarray:
     """Efficient information D2 - A H2^{-1} A.T (theta-block Schur complement).
 
     Equals the inverse of the theta-block of the inverse of the full block
@@ -236,13 +236,12 @@ def efficient_information(blocks: BlockInformation, require_spd=True) -> np.ndar
     X = scipy.linalg.cho_solve(blocks.h2_cho_factor, blocks.A.T)
     Deff2 = blocks.D2 - blocks.A @ X
     Deff2 = 0.5 * (Deff2 + Deff2.T)
-    if require_spd:
-        wmin = float(np.linalg.eigvalsh(Deff2).min())
-        if wmin <= 0.0:
-            raise CouplingError(
-                f"efficient information not SPD (min eigenvalue {wmin:.6e}); "
-                "nu >= 1 or numerical breakdown"
-            )
+    wmin = float(np.linalg.eigvalsh(Deff2).min())
+    if wmin <= 0.0:
+        raise CouplingError(
+            f"efficient information not SPD (min eigenvalue {wmin:.6e}); "
+            "nu >= 1 or numerical breakdown"
+        )
     return Deff2
 
 

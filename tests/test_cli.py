@@ -1,9 +1,12 @@
 import argparse
+import math
 from pathlib import Path
 
 import pytest
 
-from altmax.cli import bounds_inputs, experiment_config, main, parse_config, read_config
+from altmax.bounds import ConditionConstants
+from altmax.cli import KEYS, bounds_inputs, experiment_config, main, parse_config
+from altmax.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -11,6 +14,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def namespace(config, reps=None, seed=None, threads=None):
+    return argparse.Namespace(config=config, reps=reps, seed=seed, threads=threads)
 
 
 def test_parse_config(tmp_path):
@@ -136,22 +143,126 @@ def test_cli_rejects_unknown_keys(tmp_path):
     assert not (tmp_path / "o").exists() and not (tmp_path / "b").exists()
 
 
+def test_cli_rejects_keys_of_another_family(tmp_path):
+    rejected = {
+        "toy": ("grid_n = 7", "constrain_theta = 1", "sweep_m = 3"),
+        "single-index": ("toy_a = 0.9", "sweep_n = 250"),
+        "sweep": ("toy_p = 2",),
+    }
+    for command, lines in rejected.items():
+        for line in lines:
+            cfg = write(tmp_path / "c.kv", f"reps = 3\n{line}\n")
+            key = line.split(" ")[0]
+            with pytest.raises(ValueError, match=f"unknown config key\\(s\\): '{key}'"):
+                main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+    cfg = write(tmp_path / "s.kv", "sweep_n = 250\ngrid_n = 64\nconstrain_theta = 1\n")
+    c = experiment_config(namespace(cfg), "sweep")
+    assert (c.sweep_n, c.si_grid_n, c.si_constrain) == ((250,), 64, True)
+
+
 def test_cli_flag_overridden_key_is_known(tmp_path):
     cfg = write(tmp_path / "toy.kv", "reps = 500\nthreads = 3\nsteps = 4\nseed = 2\n")
-    args = argparse.Namespace(reps=5, seed=None, threads=1)
-    c = read_config(cfg, lambda d: experiment_config(args, d, "toy"))
+    c = experiment_config(namespace(cfg, reps=5, threads=1), "toy")
     assert (c.reps, c.threads, c.master_seed, c.steps) == (5, 1, 2, 4)
 
 
+CONDITION_KEYS = """nu0 = 0.9
+nu1 = 1.1
+nu2 = 1.2
+omega = 0.1
+omega2 = 0.2
+g = 30
+g0 = +inf
+b = 2.0
+nu_r = 0.7
+g_r = 12.5
+delta_slope = 0.01
+delta_const = 0.02
+beta_a = 0.3
+z_hess = 0.4
+"""
+CONDITIONS = ConditionConstants(
+    nu0=0.9, nu1=1.1, nu2=1.2, omega=0.1, omega2=0.2, g=30.0, g0=math.inf, b=2.0,
+    nu_r=0.7, g_r_value=12.5, delta_slope=0.01, delta_const=0.02, beta_A_value=0.3,
+    z_hess=0.4,
+)
+COMMON_KEYS = """reps = 7
+x = 1.5
+steps = 5
+z_target = 1e-3
+seed = 42
+threads = 2
+solver_tolerance = 1e-8
+"""
+SINGLE_INDEX_KEYS = """n = 500
+p = 3
+m = 3
+sigma = 0.25
+s_x = 2.0
+theta_angle = 0.2
+eta_star = 1.0, -0.5, 0.25
+grid_n = 128
+r_cov = 50
+constrain_theta = yes
+"""
+SINGLE_INDEX = dict(
+    family="single-index", reps=7, x=1.5, steps=5, z_target=1e-3, master_seed=42,
+    threads=2, solver_tolerance=1e-8, cc=CONDITIONS, si_n=500, si_p=3, si_m=3,
+    si_sigma=0.25, si_s_x=2.0, si_theta_angle=0.2, si_eta_star=(1.0, -0.5, 0.25),
+    si_grid_n=128, si_r_cov=50, si_constrain=True,
+)
+
+
+def test_every_documented_key_parses(tmp_path):
+    files = {
+        "toy": COMMON_KEYS + CONDITION_KEYS + (
+            "toy_p = 2\ntoy_m = 3\ntoy_d2 = 3.0\ntoy_h2 = 4.0\ntoy_a = 0.9\n"
+            "toy_start_offset = 1.5\n"
+        ),
+        "single-index": COMMON_KEYS + CONDITION_KEYS + SINGLE_INDEX_KEYS,
+        "sweep": COMMON_KEYS + CONDITION_KEYS + SINGLE_INDEX_KEYS
+        + "sweep_n = 200, 400, 800\nsweep_m = 3,\n",
+        "bounds": CONDITION_KEYS + (
+            "x = 1.5\np = 2\nm = 3\nnu = 0.4\nb_eigenvalues = 1.0, 0.8, 0.5, 1.2, 0.9\n"
+            "r_k_init = 4.0\nk0 = 3.5\neps = 1e-4\nnorm_dinv = 0.01\nk_max = 12\n"
+        ),
+    }
+    paths = {}
+    for command, text in files.items():
+        paths[command] = write(tmp_path / f"{command}.kv", text)
+        assert set(parse_config(paths[command])) == set(KEYS[command])
+    assert experiment_config(namespace(paths["toy"]), "toy") == ExperimentConfig(
+        family="toy", reps=7, x=1.5, steps=5, z_target=1e-3, master_seed=42, threads=2,
+        solver_tolerance=1e-8, cc=CONDITIONS, toy_p=2, toy_m=3, toy_d2=3.0, toy_h2=4.0,
+        toy_a=0.9, toy_start_offset=1.5,
+    )
+    assert experiment_config(namespace(paths["single-index"]), "single-index") == (
+        ExperimentConfig(**SINGLE_INDEX)
+    )
+    assert experiment_config(namespace(paths["sweep"]), "sweep") == ExperimentConfig(
+        **SINGLE_INDEX, sweep_n=(200, 400, 800), sweep_m=(3,)
+    )
+    assert bounds_inputs(paths["bounds"]) == dict(
+        x=1.5, p=2, m=3, nu=0.4, cc=CONDITIONS, b_eigenvalues=(1.0, 0.8, 0.5, 1.2, 0.9),
+        R_K=4.0, K0=3.5, eps=1e-4, norm_Dinv=0.01, k_max=12,
+    )
+    # flags override the file; `auto`, inf spellings and 0 read as documented
+    cfg = write(tmp_path / "o.kv", "steps = auto\ng = inf\ng_r = infinity\n"
+                "constrain_theta = 0\nreps = 0\n")
+    c = experiment_config(namespace(cfg, reps=9, seed=4, threads=3), "single-index")
+    assert (c.reps, c.master_seed, c.threads, c.steps) == (9, 4, 3, None)
+    assert c.cc.g == math.inf and c.cc.g_r_value == math.inf and c.si_constrain is False
+
+
 def test_shipped_configs_load():
-    args = argparse.Namespace(reps=None, seed=None, threads=None)
     readers = {
-        "toy.kv": lambda d: experiment_config(args, d, "toy"),
-        "single_index.kv": lambda d: experiment_config(args, d, "single-index"),
-        "sweep.kv": lambda d: experiment_config(args, d, "single-index"),
+        "toy.kv": lambda path: experiment_config(namespace(path), "toy"),
+        "single_index.kv": lambda path: experiment_config(namespace(path), "single-index"),
+        "sweep.kv": lambda path: experiment_config(namespace(path), "sweep"),
         "bounds.kv": bounds_inputs,
     }
     assert sorted(p.name for p in CONFIGS.glob("*.kv")) == sorted(readers)
-    loaded = {name: read_config(str(CONFIGS / name), r) for name, r in readers.items()}
+    loaded = {name: r(str(CONFIGS / name)) for name, r in readers.items()}
     assert loaded["single_index.kv"].si_n == 1000
     assert loaded["bounds.kv"]["k_max"] == 20
