@@ -60,10 +60,20 @@ class _BoundsKeys:
     k_max: int = 20
 
 
+def _parse_bool(raw):
+    """`1`, `true`, `yes`, `on` or `0`, `false`, `no`, `off`, in any case."""
+    word = raw.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected 1/true/yes/on or 0/false/no/off")
+
+
 def _parser(tp):
     """The function that parses a config value into a field of type `tp`."""
     if tp is bool:
-        return lambda raw: raw.lower() in ("1", "true", "yes", "on")
+        return _parse_bool
     if typing.get_origin(tp) is tuple:
         item = typing.get_args(tp)[0]
         return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
@@ -103,7 +113,8 @@ def read_config(path, command):
     """The values of a config file (no file: none) as {class: {field: value}}.
 
     Every key of the file must be one of `KEYS[command]`; any other key is a
-    typo or belongs to another subcommand, and raises ValueError.
+    typo or belongs to another subcommand, and raises ValueError, as does a
+    value that does not parse.
     """
     entries = parse_config(path) if path else {}
     table = KEYS[command]
@@ -117,7 +128,10 @@ def read_config(path, command):
     values = {cls: {} for cls, _, _ in table.values()}
     for key, raw in entries.items():
         cls, name, parse = table[key]
-        values[cls][name] = parse(raw)
+        try:
+            values[cls][name] = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad value {raw!r} for config key {key!r}: {exc}") from None
     return values
 
 

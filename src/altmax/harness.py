@@ -5,15 +5,19 @@ sweeps.
 Replication r of an experiment draws its generator from
 SeedSequence(master_seed, spawn_key=(r,)), so results are independent of
 execution order and thread count; aggregation sorts by replication index.
-Failed replications, whatever error they raise, are recorded and excluded
-from aggregates, up to a 5% budget, beyond which the run aborts.
+Each experiment is a module-level worker of (context, replication index),
+which pickles, run by the one `_run_replications`: a failed replication,
+whatever error it raises, is recorded and excluded from aggregates, up to a
+5% budget, beyond which the run aborts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.special
@@ -140,6 +144,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps >= 1 required")
+        if self.threads < 1:
+            raise ValueError("threads >= 1 required")
         if self.family not in ("toy", "single-index"):
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -235,21 +241,27 @@ def _bound_inputs(ctx):
         return cc, None, None
     p_star = star.p_star
     z_x = combined_quantile(cfg.x, p_star, cc=cc)
-    _, start = _make_replication(cfg, ctx, 999_931)
+    _, start = _make_replication(ctx, 999_931)
     R_K = max(z_x, float(np.linalg.norm(ctx.D_full @ (start.as_vector() - star.as_vector()))))
     K0 = initial_level_K0(R_K, cfg.x, cc, z_x)
     R0 = concentration_radius_R0(cfg.x, K0, p_star, cc, ctx.nu, z_x)
     return cc, z_x, R0
 
 
-def _make_replication(cfg: ExperimentConfig, ctx, rep_index):
-    """Build the model and the start point for one replication."""
-    model = _make_model(cfg, ctx, rep_index)
-    return model, _make_start(cfg, ctx, model)
+def _make_replication(ctx, rep_index):
+    """The model of one replication and its start: a fixed offset (toy) or the grid start."""
+    cfg, star = ctx.cfg, ctx.upsilon_star
+    model = _make_model(ctx, rep_index)
+    if cfg.family == "toy":
+        return model, ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
+    start, _tau = grid_init(model.dataset, model.basis, cfg.si_grid_n,
+                            noise_scale=model.noise_scale)
+    return model, start
 
 
-def _make_model(cfg: ExperimentConfig, ctx, rep_index):
+def _make_model(ctx, rep_index):
     """The model of one replication: a toy draw or a single-index dataset."""
+    cfg = ctx.cfg
     seed = derive_seed(cfg.master_seed, rep_index)
     if cfg.family == "toy":
         return simulate(ctx.info, ctx.upsilon_star, seed=seed)
@@ -260,15 +272,10 @@ def _make_model(cfg: ExperimentConfig, ctx, rep_index):
     return SingleIndexModel(dataset, ctx.basis, constrain_theta=cfg.si_constrain)
 
 
-def _make_start(cfg: ExperimentConfig, ctx, model):
-    """The start point: a fixed offset from the truth (toy) or the grid start."""
-    if cfg.family == "toy":
-        star = ctx.upsilon_star
-        return ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
-    start, _tau = grid_init(
-        model.dataset, model.basis, cfg.si_grid_n, noise_scale=model.noise_scale
+def _alternation_config(ctx):
+    return AlternationConfig(
+        max_steps=ctx.K, solver_tolerance=ctx.cfg.solver_tolerance, norm_matrix=ctx.D_full
     )
-    return start
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +290,6 @@ class ExperimentReport:
     meta: dict
 
     def write(self, outdir):
-        import os
-
         os.makedirs(outdir, exist_ok=True)
         rec_path = os.path.join(outdir, "records.csv")
         cols = sorted({k for r in self.records for k in r})
@@ -300,25 +305,44 @@ class ExperimentReport:
         return rec_path
 
 
-def _failed(rep_index, exc):
-    return {"rep": rep_index, "status": "failed",
-            "error": f"{type(exc).__name__}: {exc}"}
+def _attempt(replicate, ctx, rep_index):
+    try:
+        return replicate(ctx, rep_index)
+    except Exception as exc:  # any error fails this replication only
+        return {"rep": rep_index, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_replications(cfg, worker):
-    indices = list(range(cfg.reps))
+def _run_replications(ctx, replicate, kind, aggregate, **meta):
+    """Run `replicate(ctx, i)` for every replication; report `aggregate(ok, ctx)` and `meta`."""
+    cfg = ctx.cfg
+    attempt = partial(_attempt, replicate, ctx)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(worker, indices))
+            records = list(ex.map(attempt, range(cfg.reps)))
     else:
-        results = [worker(i) for i in indices]
-    failures = [r for r in results if r.get("status") != "ok"]
+        records = [attempt(i) for i in range(cfg.reps)]
+    ok = [r for r in records if r["status"] == "ok"]
+    failures = [r for r in records if r["status"] != "ok"]
     if len(failures) > 0.05 * cfg.reps:
         listing = "; ".join(f"rep {r['rep']}: {r['error']}" for r in failures)
         raise HarnessError(
             f"{len(failures)} of {cfg.reps} replications failed (>5% budget): {listing}"
         )
-    return results
+    if not ok:
+        raise HarnessError("no successful replications")
+    nu_hats = np.array([r["nu_hat"] for r in ok])
+    any_rate = bool(np.any(np.isfinite(nu_hats)))
+    aggregates = {
+        "n_ok": len(ok),
+        "n_failed": len(failures),
+        "nu": ctx.nu,
+        "nu_hat_median": float(np.nanmedian(nu_hats)) if any_rate else float("nan"),
+        "monotone_violations": int(sum(1 for r in ok if r["monotone_defect"] > 0.0)),
+        **aggregate(ok, ctx),
+    }
+    meta = {"family": cfg.family, "K": ctx.K, "reps": cfg.reps,
+            "seed": cfg.master_seed, "threads": cfg.threads, **meta}
+    return ExperimentReport(kind, records, aggregates, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -327,75 +351,50 @@ def _run_replications(cfg, worker):
 
 def run_wilks_fisher(config: ExperimentConfig) -> ExperimentReport:
     ctx = build_context(config)
-    K = ctx.K
-    star = ctx.upsilon_star
-    acfg = AlternationConfig(
-        max_steps=K, step_tolerance=0.0,
-        solver_tolerance=config.solver_tolerance, norm_matrix=ctx.D_full,
+    return _run_replications(
+        ctx, _wilks_replication, "wilks_fisher", aggregate_wilks_fisher,
+        nu=ctx.nu, p=ctx.upsilon_star.p, m=ctx.upsilon_star.m, x=config.x,
     )
 
-    def worker(i):
-        try:
-            model, start = _make_replication(config, ctx, i)
-            gt, ge = model.gradient(star)
-            score = efficient_score(ctx.info, gt, ge)
-            xi2 = float(score.xi @ score.xi)
-            L_star = model.evaluate(
-                ParameterPoint(star.theta, eta_update(model, star.theta, acfg))
-            )
-            trace = run(model, start, acfg)
-            rec = {"rep": i, "status": "ok", "xi_norm2": xi2,
-                   "monotone_defect": trace.monotone_defect(),
-                   "stop_reason": trace.stop_reason}
-            steps = [r.step_norm for r in trace.records[1:]]
-            rec["nu_hat"] = fit_contraction(
-                [float("nan")] + steps, floor=max(steps[-1], 1e-300) if steps else None
-            )
-            for k in range(K + 1):
-                r_k = trace.records[min(k, len(trace.records) - 1)]
-                rec[f"fisher_{k}"] = fisher_residual(
-                    ctx.info, score, r_k.point_kk.theta, star.theta
-                )
-                rec[f"wilks_{k}"] = 2.0 * (r_k.L_kk1 - L_star)
-            rec["dist_final"] = float(
-                np.linalg.norm(ctx.D_full @ (trace.final().as_vector() - star.as_vector()))
-            )
-            return rec
-        except Exception as exc:  # any error fails this replication only
-            return _failed(i, exc)
 
-    records = _run_replications(config, worker)
-    aggregates = aggregate_wilks_fisher(records, ctx)
-    meta = {"family": config.family, "K": K, "nu": ctx.nu, "reps": config.reps,
-            "p": star.p, "m": star.m, "x": config.x, "seed": config.master_seed,
-            "threads": config.threads}
-    return ExperimentReport("wilks_fisher", records, aggregates, meta)
+def _wilks_replication(ctx, i):
+    """The efficient score, and the Wilks and Fisher residuals of every step."""
+    K, star = ctx.K, ctx.upsilon_star
+    acfg = _alternation_config(ctx)
+    model, start = _make_replication(ctx, i)
+    score = efficient_score(ctx.info, *model.gradient(star))
+    L_star = model.evaluate(ParameterPoint(star.theta, eta_update(model, star.theta, acfg)))
+    trace = run(model, start, acfg)
+    rec = {"rep": i, "status": "ok", "xi_norm2": float(score.xi @ score.xi),
+           "monotone_defect": trace.monotone_defect(),
+           "stop_reason": trace.stop_reason}
+    steps = [r.step_norm for r in trace.records[1:]]
+    rec["nu_hat"] = fit_contraction(
+        [float("nan")] + steps, floor=max(steps[-1], 1e-300) if steps else None
+    )
+    for k in range(K + 1):
+        r_k = trace.records[min(k, len(trace.records) - 1)]
+        rec[f"fisher_{k}"] = fisher_residual(ctx.info, score, r_k.point_kk.theta, star.theta)
+        rec[f"wilks_{k}"] = 2.0 * (r_k.L_kk1 - L_star)
+    rec["dist_final"] = float(
+        np.linalg.norm(ctx.D_full @ (trace.final().as_vector() - star.as_vector()))
+    )
+    return rec
 
 
-def aggregate_wilks_fisher(records, ctx):
-    ok = [r for r in records if r["status"] == "ok"]
-    if not ok:
-        raise HarnessError("no successful replications")
+def aggregate_wilks_fisher(ok, ctx):
+    """The Wilks, Fisher-residual and bound summaries of the successful records `ok`."""
     K = ctx.K
     p = ctx.upsilon_star.p
     w_K = np.array([r[f"wilks_{K}"] for r in ok])
     xi2 = np.array([r["xi_norm2"] for r in ok])
-    nu_hats = np.array([r["nu_hat"] for r in ok])
-    nu_hat_median = (
-        float(np.nanmedian(nu_hats)) if np.any(np.isfinite(nu_hats)) else float("nan")
-    )
     agg = {
-        "n_ok": len(ok),
-        "n_failed": len(records) - len(ok),
         "wilks_mean": float(np.mean(w_K)),
         "wilks_se": float(np.std(w_K, ddof=1) / math.sqrt(len(ok))),
         "wilks_var": float(np.var(w_K, ddof=1)),
         "wilks_ks": ks_distance(w_K, p),
         "xi_norm2_mean": float(np.mean(xi2)),
         "xi_norm_median": float(np.median(np.sqrt(xi2))),
-        "monotone_violations": int(sum(1 for r in ok if r["monotone_defect"] > 0.0)),
-        "nu_hat_median": nu_hat_median,
-        "nu": ctx.nu,
     }
     bounds_on = ctx.R0 is not None
     if bounds_on:
@@ -428,54 +427,37 @@ def aggregate_wilks_fisher(records, ctx):
 
 def run_me_convergence(config: ExperimentConfig) -> ExperimentReport:
     ctx = build_context(config)
-    K = ctx.K
-    star = ctx.upsilon_star
-    acfg = AlternationConfig(
-        max_steps=K, step_tolerance=0.0,
-        solver_tolerance=config.solver_tolerance, norm_matrix=ctx.D_full,
+    return _run_replications(
+        ctx, _me_replication, "me_convergence", _aggregate_me,
+        solver_tolerance=config.solver_tolerance,
     )
-    profile_cfg = replace(acfg, max_steps=max(4 * K, 120))
 
-    def worker(i):
-        try:
-            model, start = _make_replication(config, ctx, i)
-            me, _ = profile_estimate(model, profile_cfg, starts=[start])
-            trace = run(model, start, acfg)
-            me_v = me.as_vector()
-            dists = [
-                float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
-                for r in trace.records
-            ]
-            rec = {"rep": i, "status": "ok",
-                   "monotone_defect": trace.monotone_defect()}
-            for k, d in enumerate(dists):
-                rec[f"dist_{k}"] = d
-            rec["dist_final"] = dists[-1]
-            rec["nu_hat"] = fit_contraction(dists)
-            return rec
-        except Exception as exc:  # any error fails this replication only
-            return _failed(i, exc)
 
-    records = _run_replications(config, worker)
-    ok = [r for r in records if r["status"] == "ok"]
-    if not ok:
-        raise HarnessError("no successful replications")
+def _me_replication(ctx, i):
+    """The distance of every step to the replication's maximizer."""
+    acfg = _alternation_config(ctx)
+    profile_cfg = replace(acfg, max_steps=max(4 * ctx.K, 120))
+    model, start = _make_replication(ctx, i)
+    me_v = profile_estimate(model, profile_cfg, starts=[start])[0].as_vector()
+    trace = run(model, start, acfg)
+    dists = [
+        float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
+        for r in trace.records
+    ]
+    rec = {"rep": i, "status": "ok", "monotone_defect": trace.monotone_defect()}
+    rec.update({f"dist_{k}": d for k, d in enumerate(dists)})
+    rec["dist_final"] = dists[-1]
+    rec["nu_hat"] = fit_contraction(dists)
+    return rec
+
+
+def _aggregate_me(ok, ctx):
     nu_hats = np.array([r["nu_hat"] for r in ok])
-    any_rate = bool(np.any(np.isfinite(nu_hats)))
-    agg = {
-        "n_ok": len(ok),
-        "n_failed": len(records) - len(ok),
-        "nu": ctx.nu,
-        "nu_hat_median": float(np.nanmedian(nu_hats)) if any_rate else float("nan"),
-        "nu_hat_max": float(np.nanmax(nu_hats)) if any_rate else float("nan"),
+    return {
+        "nu_hat_max": float(np.nanmax(nu_hats)) if np.any(np.isfinite(nu_hats)) else float("nan"),
         "dist_final_max": float(np.max([r["dist_final"] for r in ok])),
         "dist_final_median": float(np.median([r["dist_final"] for r in ok])),
-        "monotone_violations": int(sum(1 for r in ok if r["monotone_defect"] > 0.0)),
     }
-    meta = {"family": config.family, "K": ctx.K, "reps": config.reps,
-            "seed": config.master_seed, "threads": config.threads,
-            "solver_tolerance": config.solver_tolerance}
-    return ExperimentReport("me_convergence", records, agg, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +487,7 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
             point = ParameterPoint.from_vector(v, p)
             Hbar = np.zeros((star_v.size, star_v.size))
             for rep in range(R):
-                model = _make_model(
-                    config, ctx, 10_000_000 + ri * 100_000 + j * 1000 + rep
-                )
+                model = _make_model(ctx, 10_000_000 + ri * 100_000 + j * 1000 + rep)
                 try:
                     Hbar += model.hessian(point)
                 except Exception:
@@ -526,20 +506,17 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
 
 def run_dimension_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Median Wilks error and Fisher residual over a (p*, n) grid."""
-    rows = []
     records = []
     eta_pool = np.asarray(config.si_eta_star, dtype=float)
     for mi, m in enumerate(config.sweep_m):
-        eta = eta_pool[:m] if eta_pool.size >= m else np.resize(eta_pool, m)
+        eta = np.resize(eta_pool, m)  # the pool repeated or cut to length m
         for ni, n in enumerate(config.sweep_n):
             cell_cfg = replace(
-                config, family="single-index", si_n=int(n), si_m=int(m),
-                si_eta_star=tuple(eta),
-                master_seed=config.master_seed,
+                config, family="single-index", si_n=int(n), si_m=int(m), si_eta_star=tuple(eta)
             )
             rep = run_wilks_fisher(cell_cfg)
             K = rep.meta["K"]
-            row = {
+            records.append({
                 "rep": mi * len(config.sweep_n) + ni,
                 "status": "ok",
                 "m": int(m),
@@ -549,13 +526,10 @@ def run_dimension_sweep(config: ExperimentConfig) -> ExperimentReport:
                 "wilks_err_median": rep.aggregates[f"wilks_err_median_{K}"],
                 "fisher_median": rep.aggregates[f"fisher_median_{K}"],
                 "nu": rep.aggregates["nu"],
-            }
-            rows.append(row)
-            records.append(row)
+            })
     agg = {}
-    for mi, m in enumerate(config.sweep_m):
-        cells = [r for r in rows if r["m"] == m]
-        cells.sort(key=lambda r: r["n"])
+    for m in config.sweep_m:
+        cells = sorted((r for r in records if r["m"] == m), key=lambda r: r["n"])
         for a, b in zip(cells[:-1], cells[1:]):
             agg[f"err_decreases_m{m}_n{a['n']}_to_n{b['n']}"] = bool(
                 b["wilks_err_median"] < a["wilks_err_median"]

@@ -161,6 +161,37 @@ def test_cli_rejects_keys_of_another_family(tmp_path):
     assert (c.sweep_n, c.si_grid_n, c.si_constrain) == ((250,), 64, True)
 
 
+def test_cli_bool_spellings(tmp_path):
+    spellings = {"1": True, "TRUE": True, "Yes": True, "on": True,
+                 "0": False, "false": False, "NO": False, "Off": False}
+    for raw, value in spellings.items():
+        cfg = write(tmp_path / "b.kv", f"constrain_theta = {raw}\n")
+        assert experiment_config(namespace(cfg), "single-index").si_constrain is value
+    # a typo or another number is an error, not the unconstrained analysis
+    for raw in ("ture", "2", "y"):
+        cfg = write(tmp_path / "b.kv", f"constrain_theta = {raw}\n")
+        with pytest.raises(ValueError) as info:
+            experiment_config(namespace(cfg), "single-index")
+        assert str(info.value) == (
+            f"{cfg}: bad value {raw!r} for config key 'constrain_theta': "
+            "expected 1/true/yes/on or 0/false/no/off"
+        )
+
+
+def test_cli_bad_value_names_file_and_key(tmp_path):
+    cfg = write(tmp_path / "toy.kv", "reps = 2x\n")
+    with pytest.raises(ValueError) as info:
+        main(["toy", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert str(info.value) == (
+        f"{cfg}: bad value '2x' for config key 'reps': "
+        "invalid literal for int() with base 10: '2x'"
+    )
+    cfg = write(tmp_path / "sweep.kv", "sweep_n = 250, 1e3\n")
+    with pytest.raises(ValueError, match=f"{cfg}: bad value '250, 1e3' for config key 'sweep_n'"):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_flag_overridden_key_is_known(tmp_path):
     cfg = write(tmp_path / "toy.kv", "reps = 500\nthreads = 3\nsteps = 4\nseed = 2\n")
     c = experiment_config(namespace(cfg, reps=5, threads=1), "toy")

@@ -1,4 +1,6 @@
+import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -145,12 +147,12 @@ def test_failure_budget(monkeypatch):
 
     real = hz._make_replication
 
-    def flaky(cfg, ctx, i):
+    def flaky(ctx, i):
         if isinstance(i, int) and 0 <= i < 10:
             from altmax.alternation import SolverError
 
             raise SolverError(f"rigged failure {i}")
-        return real(cfg, ctx, i)
+        return real(ctx, i)
 
     monkeypatch.setattr(hz, "_make_replication", flaky)
     cfg = ExperimentConfig(family="toy", reps=40, master_seed=1, steps=4)
@@ -158,12 +160,12 @@ def test_failure_budget(monkeypatch):
         run_wilks_fisher(cfg)
     # within budget: failures recorded, excluded from aggregates
 
-    def flaky_one(cfg, ctx, i):
+    def flaky_one(ctx, i):
         if i == 0:
             from altmax.alternation import SolverError
 
             raise SolverError("rigged failure")
-        return real(cfg, ctx, i)
+        return real(ctx, i)
 
     monkeypatch.setattr(hz, "_make_replication", flaky_one)
     rep = run_wilks_fisher(cfg)
@@ -179,10 +181,10 @@ def test_any_replication_error_is_counted(monkeypatch):
     real = hz._make_replication
     bad = set()
 
-    def raising(cfg, ctx, i):
+    def raising(ctx, i):
         if i in bad:
             raise ModelDomainError(f"rigged domain error {i}")
-        return real(cfg, ctx, i)
+        return real(ctx, i)
 
     monkeypatch.setattr(hz, "_make_replication", raising)
     bad.add(3)
@@ -230,3 +232,25 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(family="nope")
+    for threads in (0, -2):  # constructs the config only; starts no thread
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(threads=threads)
+
+
+def test_replication_workers_pickle():
+    # a process pool pickles each task: the worker, its context and the index
+    from altmax.harness import _attempt, _me_replication, _wilks_replication
+
+    contexts = [
+        build_context(ExperimentConfig(family="toy", reps=1, steps=5)),
+        build_context(ExperimentConfig(
+            family="single-index", reps=1, si_n=250, si_m=3,
+            si_eta_star=(1.0, -0.8, 0.9), si_r_cov=20, si_grid_n=64,
+        )),
+    ]
+    for ctx in contexts:
+        for worker in (_wilks_replication, _me_replication):
+            task = functools.partial(_attempt, worker, ctx)
+            record = pickle.loads(pickle.dumps(task))(0)
+            assert record["status"] == "ok"
+            assert repr(record) == repr(task(0))
