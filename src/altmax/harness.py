@@ -256,6 +256,10 @@ def _make_replication(ctx, rep_index):
         return model, ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
     start, _tau = grid_init(model.dataset, model.basis, cfg.si_grid_n,
                             noise_scale=model.noise_scale)
+    if float(np.linalg.norm(start.eta)) > model.eta_radius:
+        # the grid's closed-form eta leaves the model's ball: keep the grid
+        # theta (not re-scored) with the model's eta step, which stays inside
+        start = ParameterPoint(start.theta, model.eta_argmax(start.theta))
     return model, start
 
 

@@ -109,11 +109,7 @@ def eta_step_closed_form(dataset, basis, theta, ridge=0.0):
     condition estimate above 1e12 triggers one fallback ridge of
     1e-8 * trace/m; a singular system after the fallback raises.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    E = basis.design(dataset.X @ theta)
-    n = dataset.n
-    G = E.T @ E / n
-    b = E.T @ dataset.y / n
+    G, b = _normal_equations(dataset, basis, theta)
     m = G.shape[0]
     attempt = [ridge]
     if ridge == 0.0:
@@ -128,6 +124,43 @@ def eta_step_closed_form(dataset, basis, theta, ridge=0.0):
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
             last_exc = exc
     raise SolverError(f"eta step singular even after ridge fallback: {last_exc}")
+
+
+def _normal_equations(dataset, basis, theta):
+    """G = 1/n sum e e' and b = 1/n sum y_i e of the basis regression at theta."""
+    E = basis.design(dataset.X @ np.atleast_1d(np.asarray(theta, dtype=float)))
+    return E.T @ E / dataset.n, E.T @ dataset.y / dataset.n
+
+
+def _eta_on_ball(dataset, basis, theta, radius):
+    """argmax over ||eta|| <= radius of L(theta, .), for a theta whose closed-form
+    eta lies outside the ball.
+
+    On the sphere the maximizer is (G + lam I)^{-1} b, with G, b the
+    `_normal_equations` at theta and lam > 0 the root of
+    ||eta(lam)|| = radius; the root is bisected in the eigenbasis of G and
+    taken from the side inside the ball.
+    """
+    G, b = _normal_equations(dataset, basis, theta)
+    w, V = np.linalg.eigh(G)
+    w = np.clip(w, 0.0, None)
+    c = V.T @ b
+
+    def norm(lam):
+        return float(np.linalg.norm(c / (w + lam)))
+
+    lo, hi = 0.0, float(np.linalg.norm(c)) / radius
+    while norm(hi) > radius:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if norm(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return V @ (c / (w + hi))
 
 
 class _Fit:
@@ -480,9 +513,8 @@ class SingleIndexModel(Model):
 
     def eta_argmax(self, theta):
         eta = eta_step_closed_form(self.dataset, self.basis, theta)
-        nrm = float(np.linalg.norm(eta))
-        if nrm > self.eta_radius:
-            eta = eta * (self.eta_radius / nrm)
+        if float(np.linalg.norm(eta)) > self.eta_radius:
+            return _eta_on_ball(self.dataset, self.basis, theta, self.eta_radius)
         return eta
 
     def theta_argmax(self, eta, theta_init=None):

@@ -94,8 +94,8 @@ class ParameterPoint:
     eta: np.ndarray
 
     def __post_init__(self):
-        th = np.atleast_1d(np.asarray(self.theta, dtype=float)).copy()
-        et = np.atleast_1d(np.asarray(self.eta, dtype=float)).copy()
+        th = np.array(self.theta, dtype=float, ndmin=1)
+        et = np.array(self.eta, dtype=float, ndmin=1)
         if th.ndim != 1 or et.ndim != 1:
             raise ValueError("theta and eta must be vectors")
         if th.size < 1 or et.size < 1:

@@ -15,6 +15,23 @@ from .modelapi import InformationAtTruth, Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint, coupling_norm, efficient_information, sqrt_spd
 
 
+def _pos_solve(M, b):
+    """`scipy.linalg.solve(M, b, assume_a="pos")`, with scipy's 1x1 branch taken directly.
+
+    For a 1x1 M scipy computes `b / a` after input handling that costs far
+    more than the division; here the same quotient follows the same two
+    checks (non-finite input, zero pivot).  Every other shape goes to scipy.
+    """
+    if M.shape != (1, 1):
+        return scipy.linalg.solve(M, b, assume_a="pos")
+    a = M[0, 0]
+    if not (np.isfinite(a) and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if a == 0:
+        raise np.linalg.LinAlgError("A singular matrix detected.")
+    return b / a
+
+
 class ToyGaussianModel(Model):
     def __init__(self, F2: BlockInformation, upsilon_star: ParameterPoint, Y, seed=None):
         F2.validate()
@@ -35,7 +52,7 @@ class ToyGaussianModel(Model):
         v = point.as_vector()
         if v.size != self.Y.size:
             raise ModelDomainError("point dimension does not match the model")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ModelDomainError("point has non-finite coordinates")
         return v
 
@@ -58,12 +75,12 @@ class ToyGaussianModel(Model):
     def eta_argmax(self, theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         y_th, y_et = self.Y[: self._p], self.Y[self._p :]
-        return y_et - scipy.linalg.solve(self.F2.H2, self.F2.A.T @ (th - y_th), assume_a="pos")
+        return y_et - _pos_solve(self.F2.H2, self.F2.A.T @ (th - y_th))
 
     def theta_argmax(self, eta, theta_init=None):
         et = np.atleast_1d(np.asarray(eta, dtype=float))
         y_th, y_et = self.Y[: self._p], self.Y[self._p :]
-        return y_th - scipy.linalg.solve(self.F2.D2, self.F2.A @ (et - y_et), assume_a="pos")
+        return y_th - _pos_solve(self.F2.D2, self.F2.A @ (et - y_et))
 
     def information_at_truth(self):
         # Cov(grad L(u*)) = F2 inv(F2) F2 = F2: information and covariance coincide.
@@ -89,7 +106,7 @@ def contraction_matrix(F2: BlockInformation):
     """M0 = Ftheta^{-1} A Feta^{-2} A.T Ftheta^{-1} and its spectral norm (= nu)."""
     F2.validate()
     Fth = sqrt_spd(F2.D2)
-    inner = F2.A @ scipy.linalg.solve(F2.H2, F2.A.T, assume_a="pos")
+    inner = F2.A @ _pos_solve(F2.H2, F2.A.T)
     M0 = np.linalg.solve(Fth, np.linalg.solve(Fth, inner).T)
     M0 = 0.5 * (M0 + M0.T)
     return M0, float(np.linalg.norm(M0, 2))
@@ -107,11 +124,7 @@ def exact_alternation(model: ToyGaussianModel, start: ParameterPoint, k: int) ->
         return start
     p = model.F2.p
     y_th = model.Y[:p]
-    M = scipy.linalg.solve(
-        model.F2.D2,
-        model.F2.A @ scipy.linalg.solve(model.F2.H2, model.F2.A.T, assume_a="pos"),
-        assume_a="pos",
-    )
+    M = _pos_solve(model.F2.D2, model.F2.A @ _pos_solve(model.F2.H2, model.F2.A.T))
     err = start.theta - y_th
     prev = err
     for _ in range(k):

@@ -254,3 +254,24 @@ def test_replication_workers_pickle():
             record = pickle.loads(pickle.dumps(task))(0)
             assert record["status"] == "ok"
             assert repr(record) == repr(task(0))
+
+
+def test_grid_start_outside_the_eta_ball_runs():
+    # at this size the grid's closed-form eta of replications 0 and 19 lies
+    # outside the model's eta ball (norms 150 and 26.6 against a radius of
+    # 15.65); the start keeps the grid theta with the model's eta step, so
+    # both replications run instead of failing at their first evaluation
+    from altmax.harness import _attempt, _make_replication, _wilks_replication
+    from altmax.singleindex import grid_init
+
+    ctx = build_context(ExperimentConfig(
+        family="single-index", reps=1, si_n=250, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
+        si_r_cov=20, si_grid_n=64, master_seed=3,
+    ))
+    for i in (0, 19):
+        model, start = _make_replication(ctx, i)
+        grid_start, _ = grid_init(model.dataset, model.basis, 64, noise_scale=model.noise_scale)
+        assert np.linalg.norm(grid_start.eta) > model.eta_radius
+        assert np.array_equal(start.theta, grid_start.theta)
+        assert np.linalg.norm(start.eta) <= model.eta_radius
+        assert _attempt(_wilks_replication, ctx, i)["status"] == "ok"

@@ -263,3 +263,31 @@ def test_eta_update_stays_in_eta_ball():
     model = model_bind(ds, basis)
     eta = eta_update(model, THETA2)
     assert np.linalg.norm(eta) <= model.eta_radius
+
+
+def test_eta_argmax_on_the_ball_is_the_constrained_maximizer():
+    # a ball smaller than the closed-form eta: the eta step is the maximizer of
+    # L(theta, .) over the ball, which lies on its sphere and beats the radial
+    # projection of the closed form and every other point of the ball
+    ds, basis = desk(n=300, seed=4)
+    free = eta_step_closed_form(ds, basis, THETA2)
+    radius = 0.5 * float(np.linalg.norm(free))
+    model = model_bind(ds, basis, eta_radius=radius)
+    eta = model.eta_argmax(THETA2)
+    assert radius * (1 - 1e-9) <= np.linalg.norm(eta) <= radius
+
+    def L(e):
+        return model.evaluate(ParameterPoint(THETA2, e))
+
+    best = L(eta)
+    assert best > L(free * (radius / np.linalg.norm(free)))
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        e = rng.standard_normal(6)
+        e *= radius * rng.random() ** (1 / 6) / np.linalg.norm(e)
+        assert L(e) <= best
+    # KKT: the eta-gradient points along eta, outwards
+    g = model.gradient(ParameterPoint(THETA2, eta))[1]
+    assert g @ eta > 0 and g @ eta >= (1 - 1e-9) * np.linalg.norm(g) * np.linalg.norm(eta)
+    # inside the ball the eta step is the closed form, bit for bit
+    assert np.array_equal(model_bind(ds, basis).eta_argmax(THETA2), free)

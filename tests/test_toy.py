@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from altmax.alternation import AlternationConfig, run
 from altmax.modelapi import gradient_check
@@ -12,6 +13,7 @@ from altmax.statcore import (
 )
 from altmax.toy import (
     ToyGaussianModel,
+    _pos_solve,
     contraction_matrix,
     exact_alternation,
     exact_profile,
@@ -177,3 +179,41 @@ def test_expected_functional_maximized_at_truth():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         ToyGaussianModel(F2_CANON, STAR, Y=[1.0, 0.0, 3.0])
+
+
+def _outcome(solve, M, b):
+    try:
+        return solve(M, b)
+    except Exception as exc:  # noqa: BLE001 - the exception type is compared
+        return type(exc)
+
+
+def test_pos_solve_is_scipys_scalar_branch():
+    # the toy's 1x1 solves skip scipy's wrapper: the quotient, its dtype and
+    # shape, and the exception of a bad input must stay scipy's own, so a
+    # scipy that changes its scalar path fails here rather than moving records
+    def scipy_solve(M, b):
+        return scipy.linalg.solve(M, b, assume_a="pos")
+
+    rng = np.random.default_rng(11)
+    cases = []
+    for scale in (1.0, 1e-300, 1e300, 1e-150, 1e150, 5e-324):
+        for _ in range(40):
+            M = np.array([[rng.choice([-1.0, 1.0]) * rng.random() * scale]])
+            bscale = rng.choice([1.0, 1e-300, 1e300])
+            cases.append((M, rng.standard_normal(1) * bscale))
+            cases.append((M, rng.standard_normal((1, int(rng.integers(1, 5)))) * bscale))
+    for bad in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        cases.append((np.array([[bad]]), np.array([1.0])))
+        cases.append((np.array([[2.0]]), np.array([[1.0, bad]])))
+        cases.append((np.array([[bad]]), np.array([np.nan])))
+    cases.append((np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])))
+    with np.errstate(all="ignore"):
+        for M, b in cases:
+            want, got = _outcome(scipy_solve, M, b), _outcome(_pos_solve, M, b)
+            if isinstance(want, type):
+                assert got is want, (M, b)
+            else:
+                assert isinstance(got, np.ndarray), (M, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True), (M, b)
