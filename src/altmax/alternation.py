@@ -72,12 +72,6 @@ class AlternatingTrace:
     stop_reason: str = "max_steps"  # max_steps | tolerance | stationary
     synthesized_eta0: bool = False
 
-    def __len__(self):
-        return len(self.records)
-
-    def point(self, k) -> ParameterPoint:
-        return self.records[k].point_kk
-
     def final(self) -> ParameterPoint:
         return self.records[-1].point_kk
 

@@ -298,10 +298,10 @@ def me_radius(k, kappa_val, nu, R_tilde0, with_aux=False):
     return (val, tau, L) if with_aux else val
 
 
-def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf, chunk=20_000):
+def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf):
     """Empirical exceedance of ||B xi|| over the quantile, per x.
 
-    Draws are generated in fixed-size chunks, each with a seed derived from
+    Draws are generated in chunks of 20 000, each with a seed derived from
     (seed, chunk index), so the result is independent of execution schedule.
     Pass criterion: fraction <= 2 exp(-x) + 3 binomial standard errors.
     """
@@ -309,11 +309,9 @@ def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf, chunk=20_000):
     dim = B.shape[0]
     zs = [quad_form_quantile(x, B, g) for x in x_list]
     counts = np.zeros(len(x_list), dtype=np.int64)
-    n_chunks = (n_draws + chunk - 1) // chunk
-    done = 0
-    for c in range(n_chunks):
-        size = min(chunk, n_draws - done)
-        done += size
+    chunk = 20_000
+    for c, lo in enumerate(range(0, n_draws, chunk)):
+        size = min(chunk, n_draws - lo)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
         xi = rng.standard_normal((size, dim))
         norms = np.linalg.norm(xi @ B.T, axis=1)

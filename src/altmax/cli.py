@@ -41,7 +41,7 @@ _RENAMED = {
     "g_r_value": "g_r", "beta_A_value": "beta_a",
     "R_K": "r_k_init", "K0": "k0", "norm_Dinv": "norm_dinv",
 }
-_UNSETTABLE = ("family", "cc", "si_genus")
+_UNSETTABLE = ("family", "cc")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .bounds import (
     spread_semiparametric,
     stopping_steps,
 )
-from .singleindex import SingleIndexModel, generate, grid_init
+from .singleindex import SingleIndexModel, generate
 from .statcore import BlockInformation, ParameterPoint, coupling_norm, efficient_score
 from .toy import simulate
 from .wavelet import WaveletBasis
@@ -81,10 +81,10 @@ def chi2_diagnostics(samples, p):
     return float(np.mean(s)), float(np.var(s, ddof=1)), ks_distance(s, p)
 
 
-def fit_contraction(distances, floor=None, k_min=2):
+def fit_contraction(distances, floor=None):
     """Geometric rate by log-linear least squares on the tail of a distance sequence.
 
-    Points with index < k_min or value <= 10*floor are excluded; fewer than
+    Points with index < 2 or value <= 10*floor are excluded; fewer than
     two usable points returns NaN (flagged sentinel).
     """
     d = np.asarray(distances, dtype=float)
@@ -94,7 +94,7 @@ def fit_contraction(distances, floor=None, k_min=2):
         floor = max(float(d[-1]), 1e-300, 1e-15 * float(d.max() if d.size else 0.0))
         floor = min(floor, tiny) if positive.size else floor
     k = np.arange(d.size)
-    keep = (k >= k_min) & (d > 10.0 * floor) & np.isfinite(d)
+    keep = (k >= 2) & (d > 10.0 * floor) & np.isfinite(d)
     if keep.sum() < 2:
         return float("nan")
     kk = k[keep].astype(float)
@@ -136,7 +136,6 @@ class ExperimentConfig:
     si_grid_n: int = 512  # grid spacing must undercut the link's oscillation scale
     si_r_cov: int = 200
     si_constrain: bool = False
-    si_genus: int = 7
     # dimension sweep
     sweep_n: tuple[int, ...] = (250, 1000)
     sweep_m: tuple[int, ...] = (3, 6)
@@ -200,7 +199,7 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
         eta_star = np.asarray(cfg.si_eta_star, dtype=float)
         if eta_star.size != cfg.si_m:
             raise ValueError("si_eta_star length must equal si_m")
-        basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x, genus=cfg.si_genus)
+        basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x)
         probe = generate(
             cfg.si_n, cfg.si_p, theta_star, eta_star, cfg.si_sigma, cfg.si_s_x,
             seed=derive_seed(cfg.master_seed, 999_983), basis=basis,
@@ -249,18 +248,13 @@ def _bound_inputs(ctx):
 
 
 def _make_replication(ctx, rep_index):
-    """The model of one replication and its start: a fixed offset (toy) or the grid start."""
+    """The model of one replication and its start: a fixed offset (toy) or the
+    model's grid start on si_grid_n points."""
     cfg, star = ctx.cfg, ctx.upsilon_star
     model = _make_model(ctx, rep_index)
     if cfg.family == "toy":
         return model, ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
-    start, _tau = grid_init(model.dataset, model.basis, cfg.si_grid_n,
-                            noise_scale=model.noise_scale)
-    if float(np.linalg.norm(start.eta)) > model.eta_radius:
-        # the grid's closed-form eta leaves the model's ball: keep the grid
-        # theta (not re-scored) with the model's eta step, which stays inside
-        start = ParameterPoint(start.theta, model.eta_argmax(start.theta))
-    return model, start
+    return model, model.default_start(cfg.si_grid_n)
 
 
 def _make_model(ctx, rep_index):

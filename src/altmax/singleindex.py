@@ -81,8 +81,7 @@ def uniform_ball(rng, n, p, radius):
     return z * r[:, None]
 
 
-def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None,
-             genus=7, j_table=12) -> SingleIndexDataset:
+def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None) -> SingleIndexDataset:
     """Simulate a dataset; deterministic per seed.  f = sum_k eta_star_k e_k."""
     theta_star = _check_half_sphere(theta_star)
     if theta_star.size != p:
@@ -91,7 +90,7 @@ def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None,
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if basis is None:
-        basis = WaveletBasis(m=eta_star.size, s_X=s_X, genus=genus, j_table=j_table)
+        basis = WaveletBasis(m=eta_star.size, s_X=s_X)
     rng = np.random.default_rng(seed)
     X = uniform_ball(rng, n, p, s_X)
     f = basis.synth(X @ theta_star, eta_star)
@@ -102,20 +101,17 @@ def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None,
     )
 
 
-def eta_step_closed_form(dataset, basis, theta, ridge=0.0):
+def eta_step_closed_form(dataset, basis, theta):
     """Normal-equations solution of the basis regression at fixed theta.
 
-    Solves (1/n sum e e' + ridge I) eta = 1/n sum y_i e.  With ridge 0 a
-    condition estimate above 1e12 triggers one fallback ridge of
-    1e-8 * trace/m; a singular system after the fallback raises.
+    Solves (1/n sum e e') eta = 1/n sum y_i e.  A condition estimate above
+    1e12 triggers one fallback ridge of 1e-8 * trace/m; a singular system
+    after the fallback raises.
     """
     G, b = _normal_equations(dataset, basis, theta)
     m = G.shape[0]
-    attempt = [ridge]
-    if ridge == 0.0:
-        attempt.append(1e-8 * np.trace(G) / m)
     last_exc = None
-    for lam in attempt:
+    for lam in (0.0, 1e-8 * np.trace(G) / m):
         Gl = G + lam * np.eye(m)
         try:
             if np.linalg.cond(Gl) > 1e12:
@@ -234,13 +230,12 @@ def _tangent_basis(theta):
     return np.column_stack(cols[: p - 1]) if cols else np.zeros((p, 0))
 
 
-def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, max_iter=400,
-               restarts=5, noise_scale=1.0):
+def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, noise_scale=1.0):
     """Local maximizer of L(., eta) on the half-sphere.
 
-    Projected gradient ascent with normalization retraction and backtracking
-    line search, followed by a tangent-space Newton polish; up to `restarts`
-    perturbed restarts, best value returned.
+    Projected gradient ascent (at most 400 iterations) with normalization
+    retraction and backtracking line search, followed by a tangent-space
+    Newton polish; five perturbed restarts, best value returned.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     theta_init = np.atleast_1d(np.asarray(theta_init, dtype=float))
@@ -263,15 +258,13 @@ def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, max_iter=400,
         fit = fit_at(th)
         L = fit.value
         alpha = 1.0 / (1.0 + np.linalg.norm(fit.grad))
-        stalled = False
-        for _ in range(max_iter):
+        for _ in range(400):
             rg = tangent_grad(fit)
             if np.linalg.norm(rg) <= gtol * (1.0 + abs(L)):
                 break
             th = fit.theta
             fit_c, alpha = _line_search(fit_at, L, lambda s: _retract(th + s * rg), alpha, 60)
             if fit_c is None:
-                stalled = True
                 break
             fit, L = fit_c, fit_c.value
             alpha *= 1.6
@@ -299,25 +292,15 @@ def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, max_iter=400,
             if fit_c is None:
                 break
             fit, L = fit_c, max(fit_c.value, L)
-        return fit.theta, L, stalled
+        return fit.theta, L
 
     rng = np.random.default_rng(1729)
-    best = None
-    diagnostics = []
-    th0 = theta_init
-    for attempt in range(restarts + 1):
-        try:
-            th, L, stalled = ascend(th0)
-            diagnostics.append((attempt, L, stalled))
-            if best is None or L > best[1]:
-                best = (th, L)
-        except FloatingPointError as exc:  # pragma: no cover
-            diagnostics.append((attempt, None, str(exc)))
+    best = ascend(theta_init)
+    for _ in range(5):
         pert = rng.standard_normal(p)
-        ref = best[0] if best is not None else theta_init
-        th0 = ref + 0.05 * pert / np.linalg.norm(pert)
-    if best is None:
-        raise SolverError(f"theta step failed on all restarts: {diagnostics}")
+        th, L = ascend(best[0] + 0.05 * pert / np.linalg.norm(pert))
+        if L > best[1]:
+            best = (th, L)
     return best[0]
 
 
@@ -450,28 +433,26 @@ class SingleIndexModel(Model):
 
     constrain_theta=True keeps theta-updates on the half-sphere; False runs
     them unconstrained in R^p (the finite sieve identifies the scale
-    locally), which is the mode used for Wilks/Fisher calibration.
+    locally), which is the mode used for Wilks/Fisher calibration.  The
+    noise scale is the dataset's sigma when known and positive, else 1.
     """
 
+    theta_cap = 4.0  # admissible theta norm
+    theta_gtol = 1e-9  # relative gradient tolerance of the theta solvers
+
     def __init__(self, dataset: SingleIndexDataset, basis: WaveletBasis,
-                 constrain_theta=True, noise_scale=None, eta_radius=None,
-                 theta_cap=4.0, theta_gtol=1e-9):
+                 constrain_theta=True, eta_radius=None):
         self.dataset = dataset
         self.basis = basis
         self.constrain_theta = bool(constrain_theta)
-        if noise_scale is None:
-            noise_scale = (
-                dataset.sigma if dataset.sigma is not None and dataset.sigma > 0 else 1.0
-            )
-        self.noise_scale = float(noise_scale)
+        sigma = dataset.sigma
+        self.noise_scale = float(sigma) if sigma is not None and sigma > 0 else 1.0
         if eta_radius is None:
             if dataset.eta_star is not None:
                 eta_radius = max(10.0 * float(np.linalg.norm(dataset.eta_star)), 1.0)
             else:
                 eta_radius = 1e3
         self.eta_radius = float(eta_radius)
-        self.theta_cap = float(theta_cap)
-        self.theta_gtol = float(theta_gtol)
         self._inv2s = 1.0 / (2.0 * self.noise_scale**2)
 
     @property
@@ -632,9 +613,16 @@ class SingleIndexModel(Model):
         sig2 = (ds.sigma or 0.0) ** 2
         return -ds.n * self._inv2s * (float(np.mean((fstar - fhat) ** 2)) + sig2)
 
-    def default_start(self):
-        pt, _ = grid_init(self.dataset, self.basis, N=64, noise_scale=self.noise_scale)
-        return pt
+    def default_start(self, N=64):
+        """The start of `grid_init` on N grid points, inside the eta ball.
+
+        Where the grid's closed-form eta leaves the ball, the grid theta is
+        kept (not re-scored) with the model's eta step, which stays inside.
+        """
+        start, _tau = grid_init(self.dataset, self.basis, N, noise_scale=self.noise_scale)
+        if float(np.linalg.norm(start.eta)) > self.eta_radius:
+            start = ParameterPoint(start.theta, self.eta_argmax(start.theta))
+        return start
 
 
 def model_bind(dataset, basis, **kwargs) -> SingleIndexModel:

@@ -46,12 +46,12 @@ def _as_matrix(M, name="matrix"):
     return M
 
 
-def sqrt_spd(M, tol=1e-10):
+def sqrt_spd(M):
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol_abs, 0) are clipped to 0; an eigenvalue below
-    -tol_abs raises NotSPDError.  tol is relative to the largest eigenvalue
-    magnitude (with an absolute floor of 1e-10 for near-zero matrices).
+    Eigenvalues in [-tol, 0) are clipped to 0; an eigenvalue below -tol
+    raises NotSPDError.  tol is 1e-10 times the largest eigenvalue magnitude
+    (with an absolute floor of 1e-10 for near-zero matrices).
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
@@ -60,9 +60,9 @@ def sqrt_spd(M, tol=1e-10):
         raise NotSPDError("matrix is not symmetric")
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -tol * scale:
+    if w.min() < -1e-10 * scale:
         raise NotSPDError(
-            f"matrix has eigenvalue {w.min():.6e} below -{tol:g}*scale; not PSD"
+            f"matrix has eigenvalue {w.min():.6e} below -1e-10*scale; not PSD"
         )
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.T

@@ -22,8 +22,8 @@ member is supported inside the interval.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,16 +138,13 @@ class WaveletTables:
         return np.linspace(0.0, S, S * 2**self.j_table + 1)
 
 
-_TABLE_CACHE: dict = {}
-_TABLE_LOCK = threading.Lock()
-
-
 def wavelet_tables(genus=7, j_table=12) -> WaveletTables:
-    key = (int(genus), int(j_table))
-    with _TABLE_LOCK:
-        if key in _TABLE_CACHE:
-            return _TABLE_CACHE[key]
-    N, J = key
+    """The tables of `genus` on the dyadic grid of step 2^-j_table, built once per pair."""
+    return _wavelet_tables(int(genus), int(j_table))
+
+
+@lru_cache(maxsize=None)
+def _wavelet_tables(N, J):
     h = daubechies_filter(N)
     n = h.size
     S = n - 1
@@ -167,24 +164,18 @@ def wavelet_tables(genus=7, j_table=12) -> WaveletTables:
             psi[ok] += fac * g[m] * phi[src[ok]]
         return psi
 
-    tables = WaveletTables(
+    return WaveletTables(
         genus=N, j_table=J, psi=build(0), dpsi=build(1), d2psi=build(2)
     )
-    with _TABLE_LOCK:
-        _TABLE_CACHE.setdefault(key, tables)
-        return _TABLE_CACHE[key]
 
 
 def level_of_index(k, support_len):
     """Decompose flat index k = (2^j - 1)*S + r into (j, r)."""
-    if k < 0:
-        raise ValueError("index must be >= 0")
-    j = int(np.floor(np.log2(k / support_len + 1.0 + 1e-15)))
-    # guard against float edge cases at level boundaries
+    if k < 0 or support_len < 1:
+        raise ValueError("index >= 0 and support length >= 1 required")
+    j = 0
     while (2 ** (j + 1) - 1) * support_len <= k:
         j += 1
-    while (2**j - 1) * support_len > k:
-        j -= 1
     r = k - (2**j - 1) * support_len
     return j, r
 
@@ -232,14 +223,14 @@ class WaveletBasis:
     plain linear table lookup.
     """
 
-    def __init__(self, m, s_X, genus=7, j_table=12):
+    def __init__(self, m, s_X, genus=7):
         if m < 1:
             raise ValueError("m >= 1 required")
         if s_X <= 0:
             raise ValueError("s_X > 0 required")
         self.m = int(m)
         self.s_X = float(s_X)
-        self.tables = wavelet_tables(genus, j_table)
+        self.tables = wavelet_tables(genus)
         self.genus = self.tables.genus
         self.j_table = self.tables.j_table
         S = self.tables.support_len

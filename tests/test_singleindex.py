@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from altmax.alternation import AlternationConfig, eta_update, run
+from altmax.alternation import AlternationConfig, eta_update, profile_estimate, run
+from altmax.harness import ExperimentConfig, _make_model, build_context
 from altmax.modelapi import ModelDomainError, gradient_check
 from altmax.singleindex import (
     eta_step_closed_form,
@@ -291,3 +292,25 @@ def test_eta_argmax_on_the_ball_is_the_constrained_maximizer():
     assert g @ eta > 0 and g @ eta >= (1 - 1e-9) * np.linalg.norm(g) * np.linalg.norm(eta)
     # inside the ball the eta step is the closed form, bit for bit
     assert np.array_equal(model_bind(ds, basis).eta_argmax(THETA2), free)
+
+
+def test_default_start_lies_inside_the_eta_ball():
+    # at this size the 64-point grid's closed-form eta of replications 0 and
+    # 19 lies outside the model's eta ball (norms 150 and 26.6 against a
+    # radius of 15.65); the default start keeps the grid theta with the
+    # model's eta step, so profile_estimate can start from it
+    ctx = build_context(ExperimentConfig(
+        family="single-index", reps=1, si_n=250, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
+        si_r_cov=20, si_grid_n=64, master_seed=3,
+    ))
+    for i in (0, 19):
+        model = _make_model(ctx, i)
+        profile_estimate(model, AlternationConfig(max_steps=20))
+        assert np.linalg.norm(model.default_start().eta) <= model.eta_radius
+    # inside the ball the default start is the grid start, byte for byte
+    model = _make_model(ctx, 1)
+    grid_start, _ = grid_init(model.dataset, model.basis, 64, noise_scale=model.noise_scale)
+    assert np.linalg.norm(grid_start.eta) <= model.eta_radius
+    start = model.default_start(64)
+    assert start.theta.tobytes() == grid_start.theta.tobytes()
+    assert start.eta.tobytes() == grid_start.eta.tobytes()
