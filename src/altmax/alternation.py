@@ -1,10 +1,14 @@
 """Block-coordinate (alternating) maximization engine.
 
 From a start (theta_0, eta_0) the engine repeats: maximize over eta at the
-current theta, then over theta at the new eta.  Iterates are indexed so that
-point_kk = (theta_k, eta_k) with theta_k the fresh theta-maximizer, and
-point_kk1 = (theta_k, eta_{k+1}); the functional is non-decreasing along the
-interleaved sequence up to the inner-solver tolerance, which is enforced.
+current theta, then over theta at the new eta.  Both steps are the model's
+own partial maximizers, `eta_argmax` and `theta_argmax`, which every model
+provides.  Iterates are indexed so that point_kk = (theta_k, eta_k) with
+theta_k the fresh theta-maximizer, and point_kk1 = (theta_k, eta_{k+1}); the
+functional is non-decreasing along the interleaved sequence up to the
+inner-solver tolerance, which is enforced.  A run stops as "stationary" at
+the first step that moves by less than the solver tolerance, or as
+"max_steps" after max_steps steps.
 """
 
 from __future__ import annotations
@@ -13,16 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .modelapi import Model, UnsupportedCapabilityError
+from .modelapi import Model
 from .statcore import BlockInformation, EfficientScore, ParameterPoint
 
 
 class SolverError(RuntimeError):
-    """Inner partial maximizer failed; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """An inner partial maximizer failed."""
 
 
 class MonotoneViolationError(RuntimeError):
@@ -38,7 +38,6 @@ class ProfileEstimateError(RuntimeError):
 @dataclass(frozen=True)
 class AlternationConfig:
     max_steps: int = 30
-    step_tolerance: float = 0.0  # 0 disables the early-stopping rule
     solver_tolerance: float = 1e-9
     norm_matrix: np.ndarray | None = None  # multiplied before the Euclidean norm
 
@@ -47,8 +46,6 @@ class AlternationConfig:
             raise ValueError("max_steps K >= 1 required")
         if self.solver_tolerance <= 0:
             raise ValueError("solver_tolerance must be > 0")
-        if self.step_tolerance < 0:
-            raise ValueError("step_tolerance must be >= 0")
 
     def weighted_norm(self, v):
         if self.norm_matrix is None:
@@ -69,8 +66,7 @@ class TraceRecord:
 @dataclass
 class AlternatingTrace:
     records: list = field(default_factory=list)
-    stop_reason: str = "max_steps"  # max_steps | tolerance | stationary
-    synthesized_eta0: bool = False
+    stop_reason: str = "max_steps"  # max_steps | stationary
 
     def final(self) -> ParameterPoint:
         return self.records[-1].point_kk
@@ -112,84 +108,23 @@ class AlternatingTrace:
                 f.write(",".join(row) + "\n")
 
 
-def _numeric_coordinate_ascent(model, point, which, tol, max_iter=2000):
-    """Generic backtracking gradient ascent in one block; fallback when the
-    model provides no partial maximizer of its own."""
-    v = point.as_vector().copy()
-    p = point.p
-    sl = slice(0, p) if which == "theta" else slice(p, None)
-    step = 1.0
-    L = model.evaluate(ParameterPoint.from_vector(v, p))
-    for _ in range(max_iter):
-        gt, ge = model.gradient(ParameterPoint.from_vector(v, p))
-        g = gt if which == "theta" else ge
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            return v[sl].copy()
-        improved = False
-        for _ in range(60):
-            cand = v.copy()
-            cand[sl] = v[sl] + step * g
-            Lc = model.evaluate(ParameterPoint.from_vector(cand, p))
-            if Lc > L:
-                v, L = cand, Lc
-                step *= 1.5
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return v[sl].copy()
-    raise SolverError(
-        f"{which}-block ascent did not converge within budget",
-        last_iterate=ParameterPoint.from_vector(v, p),
-    )
+def eta_update(model: Model, theta):
+    """argmax over eta of L(theta, .): the model's eta step."""
+    return np.asarray(model.eta_argmax(theta), dtype=float)
 
 
-def eta_update(model: Model, theta, cfg: AlternationConfig | None = None, eta_init=None):
-    """argmax over eta of L(theta, .) within the solver tolerance."""
-    cfg = cfg or AlternationConfig()
-    try:
-        return np.asarray(model.eta_argmax(theta), dtype=float)
-    except UnsupportedCapabilityError:
-        pass
-    p = np.atleast_1d(np.asarray(theta, dtype=float)).size
-    m = model.dims[1]
-    eta0 = np.zeros(m) if eta_init is None else np.asarray(eta_init, dtype=float)
-    start = ParameterPoint(np.atleast_1d(np.asarray(theta, dtype=float)), eta0)
-    return _numeric_coordinate_ascent(model, start, "eta", cfg.solver_tolerance)
+def theta_update(model: Model, eta, theta_init=None):
+    """argmax over theta of L(., eta): the model's theta step from theta_init."""
+    return np.asarray(model.theta_argmax(eta, theta_init=theta_init), dtype=float)
 
 
-def theta_update(model: Model, eta, cfg: AlternationConfig | None = None, theta_init=None):
-    """argmax over theta of L(., eta) within the solver tolerance."""
-    cfg = cfg or AlternationConfig()
-    try:
-        return np.asarray(model.theta_argmax(eta, theta_init=theta_init), dtype=float)
-    except UnsupportedCapabilityError:
-        pass
-    p = model.dims[0]
-    th0 = np.zeros(p) if theta_init is None else np.asarray(theta_init, dtype=float)
-    start = ParameterPoint(th0, np.atleast_1d(np.asarray(eta, dtype=float)))
-    return _numeric_coordinate_ascent(model, start, "theta", cfg.solver_tolerance)
-
-
-def run(model: Model, start: ParameterPoint, cfg: AlternationConfig,
-        synthesize_eta0=False) -> AlternatingTrace:
-    """Run the alternation from `start` and capture the trace.
-
-    With synthesize_eta0=True the supplied eta component is replaced by one
-    eta-update before the sequence begins (for callers that only have a
-    theta guess); the trace flags this.
-    """
-    trace = AlternatingTrace(synthesized_eta0=synthesize_eta0)
+def run(model: Model, start: ParameterPoint, cfg: AlternationConfig) -> AlternatingTrace:
+    """Run the alternation from `start` and capture the trace."""
+    trace = AlternatingTrace()
     theta = start.theta.copy()
-    if synthesize_eta0:
-        eta = eta_update(model, theta, cfg)
-    else:
-        eta = start.eta.copy()
-    point = ParameterPoint(theta, eta)
+    point = ParameterPoint(theta, start.eta.copy())
     L0 = model.evaluate(point)
-    eta_next = eta_update(model, theta, cfg, eta_init=eta)
-    point01 = ParameterPoint(theta, eta_next)
+    point01 = ParameterPoint(theta, eta_update(model, theta))
     L01 = model.evaluate(point01)
     slack = 10.0 * cfg.solver_tolerance
     if L01 < L0 - slack:
@@ -201,15 +136,14 @@ def run(model: Model, start: ParameterPoint, cfg: AlternationConfig,
     prev_L = L01
     for k in range(1, cfg.max_steps + 1):
         eta_k = trace.records[-1].point_kk1.eta
-        theta_k = theta_update(model, eta_k, cfg, theta_init=prev_point.theta)
+        theta_k = theta_update(model, eta_k, theta_init=prev_point.theta)
         point_kk = ParameterPoint(theta_k, eta_k)
         L_kk = model.evaluate(point_kk)
         if L_kk < prev_L - slack:
             raise MonotoneViolationError(
                 f"theta-update decreased L by {prev_L - L_kk:.3e} (> {slack:.1e}) at k={k}"
             )
-        eta_next = eta_update(model, theta_k, cfg, eta_init=eta_k)
-        point_kk1 = ParameterPoint(theta_k, eta_next)
+        point_kk1 = ParameterPoint(theta_k, eta_update(model, theta_k))
         L_kk1 = model.evaluate(point_kk1)
         if L_kk1 < L_kk - slack:
             raise MonotoneViolationError(
@@ -222,45 +156,50 @@ def run(model: Model, start: ParameterPoint, cfg: AlternationConfig,
         if step < cfg.solver_tolerance:
             trace.stop_reason = "stationary"
             return trace
-        if cfg.step_tolerance > 0 and step < cfg.step_tolerance:
-            trace.stop_reason = "tolerance"
-            return trace
-    trace.stop_reason = "max_steps"
     return trace
 
 
 def profile_estimate(model: Model, cfg: AlternationConfig, starts=None):
     """Joint maximizer by running the alternation to stationarity from multi-start.
 
-    Returns (point, trace) for the best start; selection is lexicographic by
-    (value, start index), so the result is schedule-independent.
+    Each start runs for at least 200 steps.  A start whose run raises, or
+    stops at max_steps without becoming stationary, counts as failed.
+    Returns (point, trace) for the best stationary start; selection is
+    lexicographic by (value, start index), so the result is
+    schedule-independent.  Raises ProfileEstimateError, with one diagnostic
+    per start, when no start becomes stationary.
     """
     if starts is None:
         starts = [model.default_start()]
-    long_cfg = replace(cfg, max_steps=max(cfg.max_steps, 200), step_tolerance=0.0)
+    long_cfg = replace(cfg, max_steps=max(cfg.max_steps, 200))
     best = None
     diagnostics = []
     for i, s in enumerate(starts):
         try:
             trace = run(model, s, long_cfg)
-            val = model.evaluate(trace.final())
-            diagnostics.append((i, "ok", val))
-            if best is None or val > best[0] + 0.0:
-                best = (val, i, trace)
         except (SolverError, MonotoneViolationError) as exc:
             diagnostics.append((i, f"failed: {exc}", None))
+            continue
+        if trace.stop_reason != "stationary":
+            steps = len(trace.records) - 1
+            diagnostics.append((i, f"failed: not stationary after {steps} steps", None))
+            continue
+        val = model.evaluate(trace.final())
+        diagnostics.append((i, "ok", val))
+        if best is None or val > best[0]:
+            best = (val, i, trace)
     if best is None:
-        raise ProfileEstimateError("all starts failed", diagnostics)
+        listing = "; ".join(f"start {i} {msg}" for i, msg, _ in diagnostics)
+        raise ProfileEstimateError(f"no start became stationary: {listing}", diagnostics)
     return best[2].final(), best[2]
 
 
-def wilks_statistic(model: Model, theta_k, theta_star, cfg: AlternationConfig | None = None):
+def wilks_statistic(model: Model, theta_k, theta_star):
     """2 (max_eta L(theta_k, .) - max_eta L(theta_star, .))."""
-    cfg = cfg or AlternationConfig()
     th_k = np.atleast_1d(np.asarray(theta_k, dtype=float))
     th_s = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    Lk = model.evaluate(ParameterPoint(th_k, eta_update(model, th_k, cfg)))
-    Ls = model.evaluate(ParameterPoint(th_s, eta_update(model, th_s, cfg)))
+    Lk = model.evaluate(ParameterPoint(th_k, eta_update(model, th_k)))
+    Ls = model.evaluate(ParameterPoint(th_s, eta_update(model, th_s)))
     return 2.0 * (Lk - Ls)
 
 

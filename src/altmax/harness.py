@@ -361,7 +361,7 @@ def _wilks_replication(ctx, i):
     acfg = _alternation_config(ctx)
     model, start = _make_replication(ctx, i)
     score = efficient_score(ctx.info, *model.gradient(star))
-    L_star = model.evaluate(ParameterPoint(star.theta, eta_update(model, star.theta, acfg)))
+    L_star = model.evaluate(ParameterPoint(star.theta, eta_update(model, star.theta)))
     trace = run(model, start, acfg)
     rec = {"rep": i, "status": "ok", "xi_norm2": float(score.xi @ score.xi),
            "monotone_defect": trace.monotone_defect(),
@@ -486,10 +486,7 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
             Hbar = np.zeros((star_v.size, star_v.size))
             for rep in range(R):
                 model = _make_model(ctx, 10_000_000 + ri * 100_000 + j * 1000 + rep)
-                try:
-                    Hbar += model.hessian(point)
-                except Exception:
-                    Hbar += np.nan
+                Hbar += model.hessian(point)
             Hbar /= R
             M = np.linalg.solve(D0, np.linalg.solve(D0, -Hbar).T)
             dev = float(np.linalg.norm(0.5 * (M + M.T) - np.eye(star_v.size), 2))

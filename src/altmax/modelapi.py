@@ -1,10 +1,9 @@
 """Contract a statistical model must satisfy to be driven by the alternator.
 
 A model wraps one realized dataset and exposes the random functional L, its
-split gradient, and optional closed-form partial maximizers.  An optional
-operation that a model does not provide raises UnsupportedCapabilityError:
-`alternation.eta_update`/`theta_update` try the closed-form step and fall
-back on a generic numeric ascent when it raises.
+split gradient and Hessian, and its two partial maximizers, `eta_argmax` and
+`theta_argmax`.  A model provides both maximizers: the engine alternates
+them and has no generic ascent to fall back on.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ class ModelDomainError(ValueError):
 
 
 class UnsupportedCapabilityError(RuntimeError):
-    """An optional operation was requested from a model that does not provide it."""
+    """The operation needs a known truth, and the model's dataset has none."""
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,7 @@ class InformationAtTruth:
 
 
 class Model:
-    """Base class; subclasses implement dims, evaluate and gradient, and may
-    override any optional operation below."""
+    """Base class; a subclass implements every operation below."""
 
     @property
     def dims(self):
@@ -53,27 +51,25 @@ class Model:
         """Split gradient (grad_theta, grad_eta) of L at the point."""
         raise NotImplementedError
 
-    # optional operations: each raises UnsupportedCapabilityError here -------
+    def hessian(self, point: ParameterPoint):
+        raise NotImplementedError
 
     def eta_argmax(self, theta):
-        raise UnsupportedCapabilityError(type(self).__name__ + " has no closed-form eta step")
+        """argmax over eta of L(theta, .)."""
+        raise NotImplementedError
 
     def theta_argmax(self, eta, theta_init=None):
-        raise UnsupportedCapabilityError(type(self).__name__ + " has no closed-form theta step")
-
-    def hessian(self, point: ParameterPoint):
-        raise UnsupportedCapabilityError(type(self).__name__ + " does not expose a Hessian")
+        """argmax over theta of L(., eta); theta_init is the previous theta."""
+        raise NotImplementedError
 
     def expected_evaluate(self, point: ParameterPoint):
-        raise UnsupportedCapabilityError(type(self).__name__ + " has no expected functional")
+        raise NotImplementedError
 
     def information_at_truth(self) -> InformationAtTruth:
-        raise UnsupportedCapabilityError(
-            type(self).__name__ + " has no known truth (simulation models only)"
-        )
+        raise NotImplementedError
 
     def default_start(self) -> ParameterPoint:
-        raise UnsupportedCapabilityError(type(self).__name__ + " provides no default start")
+        raise NotImplementedError
 
 
 def finite_difference_gradient(model: Model, point: ParameterPoint, h=1e-6):

@@ -624,7 +624,3 @@ class SingleIndexModel(Model):
             start = ParameterPoint(start.theta, self.eta_argmax(start.theta))
         return start
 
-
-def model_bind(dataset, basis, **kwargs) -> SingleIndexModel:
-    """Bind a dataset and basis into a model satisfying the model contract."""
-    return SingleIndexModel(dataset, basis, **kwargs)

@@ -24,7 +24,7 @@ from altmax.harness import (
     run_wilks_fisher,
 )
 from altmax.modelapi import gradient_check
-from altmax.singleindex import generate, model_bind
+from altmax.singleindex import SingleIndexModel, generate
 from altmax.statcore import BlockInformation, ParameterPoint
 from altmax.toy import ToyGaussianModel, exact_alternation
 from altmax.wavelet import WaveletBasis
@@ -223,7 +223,7 @@ def test_criterion_10_gradient_correctness():
     theta_star = np.array([math.cos(0.3), math.sin(0.3)])
     eta = np.array([1.0, -0.8, 0.9, -0.7, 0.6, 0.8])
     ds = generate(1000, 2, theta_star, eta, 0.5, 1.0, seed=77, basis=basis)
-    si = model_bind(ds, basis, constrain_theta=False)
+    si = SingleIndexModel(ds, basis, constrain_theta=False)
     pts = []
     for _ in range(100):
         th = rng.standard_normal(2)

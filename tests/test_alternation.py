@@ -4,6 +4,7 @@ import pytest
 from altmax.alternation import (
     AlternationConfig,
     MonotoneViolationError,
+    ProfileEstimateError,
     eta_update,
     fisher_residual,
     profile_estimate,
@@ -72,14 +73,6 @@ def test_trace_csv(tmp_path):
     assert len(lines) == len(tr.records) + 1
 
 
-def test_synthesized_eta0_flag():
-    m = canon()
-    tr = run(m, ParameterPoint([0.0], [123.0]), AlternationConfig(max_steps=3),
-             synthesize_eta0=True)
-    assert tr.synthesized_eta0
-    assert abs(tr.records[0].point_kk.eta[0] - 0.5) < 1e-14
-
-
 def test_profile_estimate_toy_exact():
     m = canon()
     cfg = AlternationConfig(max_steps=60, solver_tolerance=1e-13)
@@ -146,8 +139,7 @@ def test_fisher_residual_examples():
 
 
 class QuadNoClosedForm(Model):
-    """Tiny quadratic model without partial maximizers: exercises the
-    generic numeric coordinate ascent."""
+    """Tiny quadratic model without partial maximizers."""
 
     def __init__(self):
         self._full = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -166,13 +158,10 @@ class QuadNoClosedForm(Model):
         return g[:1], g[1:]
 
 
-def test_generic_numeric_fallback_matches_closed_form():
-    num = QuadNoClosedForm()
-    cfg = AlternationConfig(max_steps=10, solver_tolerance=1e-10)
-    eta = eta_update(num, [0.0], cfg)
-    assert abs(eta[0] - 0.5) < 1e-8
-    tr = run(num, ParameterPoint([0.0], [0.0]), cfg)
-    assert abs(tr.records[1].point_kk.theta[0] - 0.75) < 1e-7
+def test_model_without_partial_maximizers_is_rejected():
+    # the engine calls the model's own maximizers; there is no numeric fallback
+    with pytest.raises(NotImplementedError):
+        run(QuadNoClosedForm(), ParameterPoint([0.0], [0.0]), AlternationConfig(max_steps=3))
 
 
 class BrokenEtaStep(ToyGaussianModel):
@@ -186,28 +175,28 @@ def test_monotone_violation_aborts():
         run(m, ParameterPoint([0.0], [0.0]), AlternationConfig(max_steps=4))
 
 
-def test_stop_reason_tolerance():
-    m = canon()
-    cfg = AlternationConfig(max_steps=50, step_tolerance=1e-3, solver_tolerance=1e-14)
-    tr = run(m, ParameterPoint([0.0], [0.0]), cfg)
-    assert tr.stop_reason == "tolerance"
-    assert tr.records[-1].step_norm < 1e-3
-
-
 class AlwaysBroken(ToyGaussianModel):
     def eta_argmax(self, theta):
         return super().eta_argmax(theta) + 5.0
 
 
 def test_profile_estimate_all_starts_fail():
-    from altmax.alternation import ProfileEstimateError
-
     m = AlwaysBroken(F2, STAR, Y=[1.0, 0.0])
     cfg = AlternationConfig(max_steps=5)
     with pytest.raises(ProfileEstimateError) as exc:
         profile_estimate(m, cfg, starts=[ParameterPoint([0.0], [0.0]),
                                          ParameterPoint([1.0], [1.0])])
     assert len(exc.value.diagnostics) == 2
+
+
+def test_profile_estimate_rejects_a_run_that_is_not_stationary():
+    # nu = 0.999: each step shrinks the distance to the maximizer by only
+    # nu^2, so 200 steps end far from stationarity
+    near_one = BlockInformation(D2=[[1.0]], A=[[0.999]], H2=[[1.0]])
+    m = ToyGaussianModel(near_one, STAR, Y=[1.0, 0.0])
+    with pytest.raises(ProfileEstimateError, match="not stationary after 200 steps") as exc:
+        profile_estimate(m, AlternationConfig(max_steps=5), starts=[STAR])
+    assert exc.value.diagnostics[0][2] is None
 
 
 def test_config_validation():

@@ -18,6 +18,7 @@ from altmax.harness import (
     run_me_convergence,
     run_wilks_fisher,
 )
+from altmax.modelapi import ModelDomainError
 
 
 def test_chi2_cdf_closed_forms():
@@ -123,6 +124,15 @@ def test_probe_delta_single_index_monotone_and_scaling():
     for r in grid:
         ratio = (d_small[r] * math.sqrt(500)) / (d_big[r] * math.sqrt(2000))
         assert 0.5 <= ratio <= 2.0
+
+
+def test_probe_delta_propagates_the_model_domain_error():
+    # at r = 1e4 the shell points leave the model's domain; the Hessian's
+    # error reaches the caller instead of becoming a NaN average
+    cfg = ExperimentConfig(family="single-index", reps=1, master_seed=0,
+                           si_n=500, si_m=3, si_eta_star=(1.0, -0.8, 0.9))
+    with pytest.raises(ModelDomainError, match="outside"):
+        probe_delta(cfg, r_grid=(1e4,), R=2, n_points=1)
 
 
 def test_dimension_sweep_cells_deterministic():

@@ -25,17 +25,21 @@ class Bare(Model):
         return g[:1], g[1:]
 
 
-def test_optional_capabilities_raise_unsupported():
-    m = Bare()
+def test_base_operations_raise_not_implemented():
+    m = Model()
+    pt = ParameterPoint([0.0], [0.0])
     for call in (
+        lambda: m.dims,
+        lambda: m.evaluate(pt),
+        lambda: m.gradient(pt),
+        lambda: m.hessian(pt),
         lambda: m.eta_argmax([0.0]),
         lambda: m.theta_argmax([0.0]),
-        lambda: m.hessian(ParameterPoint([0.0], [0.0])),
-        lambda: m.expected_evaluate(ParameterPoint([0.0], [0.0])),
+        lambda: m.expected_evaluate(pt),
         lambda: m.information_at_truth(),
         lambda: m.default_start(),
     ):
-        with pytest.raises(UnsupportedCapabilityError):
+        with pytest.raises(NotImplementedError):
             call()
 
 

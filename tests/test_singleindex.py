@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from altmax.alternation import AlternationConfig, eta_update, profile_estimate, run
+from altmax.alternation import (
+    AlternationConfig,
+    ProfileEstimateError,
+    eta_update,
+    profile_estimate,
+    run,
+)
 from altmax.harness import ExperimentConfig, _make_model, build_context
 from altmax.modelapi import ModelDomainError, gradient_check
 from altmax.singleindex import (
+    SingleIndexModel,
     eta_step_closed_form,
     generate,
     grid_init,
-    model_bind,
     theta_step,
 )
 from altmax.statcore import ParameterPoint
@@ -101,7 +107,7 @@ def test_profile_estimate_noiseless_recovers_truth():
     theta_star = np.array([np.cos(ang[90]), np.sin(ang[90])])
     basis = WaveletBasis(m=4, s_X=1.0)
     ds = generate(400, 2, theta_star, ETA6[:4], 0.0, 1.0, seed=19, basis=basis)
-    model = model_bind(ds, basis, constrain_theta=True)
+    model = SingleIndexModel(ds, basis, constrain_theta=True)
     start, _ = grid_init(ds, basis, N)
     pt, _ = profile_estimate(
         model, AlternationConfig(max_steps=40, solver_tolerance=1e-11), starts=[start]
@@ -134,7 +140,7 @@ def test_theta_step_p1_trivial():
 
 def test_theta_step_stationarity_and_mesh_oracle():
     ds, basis = desk(n=400, seed=12)
-    model = model_bind(ds, basis)
+    model = SingleIndexModel(ds, basis)
     eta = eta_step_closed_form(ds, basis, THETA2)
     th = theta_step(ds, basis, eta, THETA2, noise_scale=model.noise_scale)
     t = ds.X @ th
@@ -184,7 +190,7 @@ def test_grid_init_noiseless_recovery_on_grid():
 
 def test_model_gradient_fd_agreement():
     ds, basis = desk(n=500, seed=7)
-    model = model_bind(ds, basis, constrain_theta=False)
+    model = SingleIndexModel(ds, basis, constrain_theta=False)
     rng = np.random.default_rng(0)
     pts = []
     for _ in range(100):
@@ -197,7 +203,7 @@ def test_model_gradient_fd_agreement():
 
 def test_model_value_sign_and_domain():
     ds, basis = desk(n=200, sigma=0.0, seed=1)
-    model = model_bind(ds, basis)
+    model = SingleIndexModel(ds, basis)
     assert model.evaluate(ParameterPoint(THETA2, ETA6)) == 0.0
     off = ParameterPoint(THETA2, ETA6 + 0.1)
     assert model.evaluate(off) < 0.0
@@ -209,7 +215,7 @@ def test_model_value_sign_and_domain():
 
 def test_model_hessian_fd():
     ds, basis = desk(n=200, seed=3)
-    model = model_bind(ds, basis, constrain_theta=False)
+    model = SingleIndexModel(ds, basis, constrain_theta=False)
     pt = ParameterPoint(THETA2, ETA6 * 0.9)
     H = model.hessian(pt)
     v0 = pt.as_vector()
@@ -227,7 +233,7 @@ def test_model_hessian_fd():
 
 def test_information_at_truth_noiseless_cov_zero():
     ds, basis = desk(n=300, sigma=0.0, seed=6)
-    model = model_bind(ds, basis)
+    model = SingleIndexModel(ds, basis)
     iat = model.information_at_truth(r_datasets=10)
     assert np.allclose(iat.cov.full(), 0.0)
     w = np.linalg.eigvalsh(iat.info.full())
@@ -236,7 +242,7 @@ def test_information_at_truth_noiseless_cov_zero():
 
 def test_information_at_truth_replication_oracle():
     ds, basis = desk(n=400, seed=10)
-    model = model_bind(ds, basis)
+    model = SingleIndexModel(ds, basis)
     iat = model.information_at_truth(r_datasets=200, seed=100)
     ref = model.information_at_truth(r_datasets=2000, seed=999)
     # each entry within 3 standard errors of the long-run estimate
@@ -250,7 +256,7 @@ def test_noiseless_identifiability_sphere_alternation():
     # sigma = 0, f in span, n >= 5m: alternation from grid recovers the truth
     basis = WaveletBasis(m=6, s_X=1.0)
     ds = generate(600, 2, THETA2, ETA6, 0.0, 1.0, seed=11, basis=basis)
-    model = model_bind(ds, basis, constrain_theta=True)
+    model = SingleIndexModel(ds, basis, constrain_theta=True)
     start, _ = grid_init(ds, basis, 512, noise_scale=model.noise_scale)
     cfg = AlternationConfig(max_steps=12, solver_tolerance=1e-11)
     tr = run(model, start, cfg)
@@ -261,7 +267,7 @@ def test_noiseless_identifiability_sphere_alternation():
 
 def test_eta_update_stays_in_eta_ball():
     ds, basis = desk(n=100)
-    model = model_bind(ds, basis)
+    model = SingleIndexModel(ds, basis)
     eta = eta_update(model, THETA2)
     assert np.linalg.norm(eta) <= model.eta_radius
 
@@ -273,7 +279,7 @@ def test_eta_argmax_on_the_ball_is_the_constrained_maximizer():
     ds, basis = desk(n=300, seed=4)
     free = eta_step_closed_form(ds, basis, THETA2)
     radius = 0.5 * float(np.linalg.norm(free))
-    model = model_bind(ds, basis, eta_radius=radius)
+    model = SingleIndexModel(ds, basis, eta_radius=radius)
     eta = model.eta_argmax(THETA2)
     assert radius * (1 - 1e-9) <= np.linalg.norm(eta) <= radius
 
@@ -291,22 +297,27 @@ def test_eta_argmax_on_the_ball_is_the_constrained_maximizer():
     g = model.gradient(ParameterPoint(THETA2, eta))[1]
     assert g @ eta > 0 and g @ eta >= (1 - 1e-9) * np.linalg.norm(g) * np.linalg.norm(eta)
     # inside the ball the eta step is the closed form, bit for bit
-    assert np.array_equal(model_bind(ds, basis).eta_argmax(THETA2), free)
+    assert np.array_equal(SingleIndexModel(ds, basis).eta_argmax(THETA2), free)
 
 
 def test_default_start_lies_inside_the_eta_ball():
     # at this size the 64-point grid's closed-form eta of replications 0 and
     # 19 lies outside the model's eta ball (norms 150 and 26.6 against a
     # radius of 15.65); the default start keeps the grid theta with the
-    # model's eta step, so profile_estimate can start from it
+    # model's eta step, so profile_estimate can start from it.  From there
+    # replication 19 becomes stationary; replication 0 does not within 200
+    # steps, so profile_estimate rejects it
     ctx = build_context(ExperimentConfig(
         family="single-index", reps=1, si_n=250, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
         si_r_cov=20, si_grid_n=64, master_seed=3,
     ))
-    for i in (0, 19):
-        model = _make_model(ctx, i)
-        profile_estimate(model, AlternationConfig(max_steps=20))
+    rep0, rep19 = _make_model(ctx, 0), _make_model(ctx, 19)
+    for model in (rep0, rep19):
         assert np.linalg.norm(model.default_start().eta) <= model.eta_radius
+    with pytest.raises(ProfileEstimateError, match="not stationary after 200 steps"):
+        profile_estimate(rep0, AlternationConfig(max_steps=20))
+    _, trace = profile_estimate(rep19, AlternationConfig(max_steps=20))
+    assert trace.stop_reason == "stationary"
     # inside the ball the default start is the grid start, byte for byte
     model = _make_model(ctx, 1)
     grid_start, _ = grid_init(model.dataset, model.basis, 64, noise_scale=model.noise_scale)

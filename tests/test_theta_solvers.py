@@ -12,7 +12,7 @@ reproduce them bit for bit.
 import numpy as np
 import pytest
 
-from altmax.singleindex import generate, model_bind, theta_step
+from altmax.singleindex import SingleIndexModel, generate, theta_step
 from altmax.statcore import ParameterPoint
 from altmax.wavelet import WaveletBasis
 
@@ -228,7 +228,7 @@ def bind(p, m, seed, sigma=0.5, constrain_theta=True):
     theta[0], theta[1] = np.cos(0.3), np.sin(0.3)
     eta = [ETA[k % len(ETA)] for k in range(m)]
     ds = generate(400, p, theta, eta, sigma, 1.0, seed=seed, basis=basis)
-    return model_bind(ds, basis, constrain_theta=constrain_theta), theta, np.array(eta)
+    return SingleIndexModel(ds, basis, constrain_theta=constrain_theta), theta, np.array(eta)
 
 
 def starts(p, theta_star, seed):
