@@ -23,6 +23,7 @@ import numpy as np
 import scipy.special
 
 from .alternation import (
+    AlternatingTrace,
     AlternationConfig,
     eta_update,
     fisher_residual,
@@ -436,13 +437,17 @@ def _me_replication(ctx, i):
     acfg = _alternation_config(ctx)
     profile_cfg = replace(acfg, max_steps=max(4 * ctx.K, 120))
     model, start = _make_replication(ctx, i)
-    me_v = profile_estimate(model, profile_cfg, starts=[start])[0].as_vector()
-    trace = run(model, start, acfg)
+    me, profile = profile_estimate(model, profile_cfg, starts=[start])
+    me_v = me.as_vector()
+    # the alternation is deterministic: the K-step run from `start` would
+    # repeat the profile run's first K + 1 records
+    records = profile.records[: acfg.max_steps + 1]
     dists = [
         float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
-        for r in trace.records
+        for r in records
     ]
-    rec = {"rep": i, "status": "ok", "monotone_defect": trace.monotone_defect()}
+    rec = {"rep": i, "status": "ok",
+           "monotone_defect": AlternatingTrace(records).monotone_defect()}
     rec.update({f"dist_{k}": d for k, d in enumerate(dists)})
     rec["dist_final"] = dists[-1]
     rec["nu_hat"] = fit_contraction(dists)

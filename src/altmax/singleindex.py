@@ -200,12 +200,17 @@ def _line_search(fit_at, L, move, scale, tries, gn=None, gnorm=None, noise=0.0):
     `move(scale)` is the candidate theta, or None where it is infeasible.  A
     candidate is accepted when its value beats L or, with `gnorm` given, when
     it is within `noise` of L and gnorm(fit) < gn: near the optimum the value
-    surface is flat to rounding.  Returns (fit, scale) of the accepted
+    surface is flat to rounding.  A candidate with the same bytes as the
+    last one fitted is skipped without a fit, since it would be rejected
+    again: once `scale` falls below an ulp of the step, `move` returns one
+    point on every remaining try.  Returns (fit, scale) of the accepted
     candidate, or (None, scale) after `tries` candidates.
     """
+    last = None
     for _ in range(tries):
         theta = move(scale)
-        if theta is not None:
+        if theta is not None and (key := theta.tobytes()) != last:
+            last = key
             fit = fit_at(theta)
             if fit.value > L or (
                 gnorm is not None and fit.value >= L - noise and gnorm(fit) < gn

@@ -1,6 +1,7 @@
 import functools
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,3 +286,34 @@ def test_grid_start_outside_the_eta_ball_runs():
         assert np.array_equal(start.theta, grid_start.theta)
         assert np.linalg.norm(start.eta) <= model.eta_radius
         assert _attempt(_wilks_replication, ctx, i)["status"] == "ok"
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(family="toy", reps=3, master_seed=7, steps=14, solver_tolerance=1e-12),
+    ExperimentConfig(family="single-index", reps=3, master_seed=33, steps=12, si_sigma=0.0,
+                     solver_tolerance=1e-9),
+], ids=["toy", "single-index"])
+def test_me_replication_reads_the_k_step_run_from_the_profile_trace(cfg):
+    # the record as built by a separate K-step run after the profile run
+    from altmax.alternation import profile_estimate, run
+    from altmax.harness import _alternation_config, _make_replication, _me_replication
+
+    ctx = build_context(cfg)
+    for i in range(3):
+        acfg = _alternation_config(ctx)
+        model, start = _make_replication(ctx, i)
+        me_v = profile_estimate(
+            model, replace(acfg, max_steps=max(4 * ctx.K, 120)), starts=[start]
+        )[0].as_vector()
+        trace = run(model, start, acfg)
+        dists = [float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
+                 for r in trace.records]
+        old = {"rep": i, "status": "ok", "monotone_defect": trace.monotone_defect()}
+        old.update({f"dist_{k}": d for k, d in enumerate(dists)})
+        old["dist_final"] = dists[-1]
+        old["nu_hat"] = fit_contraction(dists)
+
+        new = _me_replication(ctx, i)
+        assert list(new) == list(old)
+        for key, value in old.items():
+            assert new[key] == value or (math.isnan(new[key]) and math.isnan(value)), key

@@ -12,7 +12,7 @@ reproduce them bit for bit.
 import numpy as np
 import pytest
 
-from altmax.singleindex import SingleIndexModel, generate, theta_step
+from altmax.singleindex import SingleIndexModel, _line_search, generate, theta_step
 from altmax.statcore import ParameterPoint
 from altmax.wavelet import WaveletBasis
 
@@ -291,3 +291,49 @@ def test_theta_newton_matches_reference(p, m, sigma):
         for th0 in starts(p, theta, seed=p) + [3.9 * theta]:
             ref = reference_theta_newton(model, e, th0)
             assert np.array_equal(model.theta_argmax(e, th0), ref)
+
+
+class CountingFit:
+    """`fit_at` of a constant value that counts the thetas it is asked for."""
+
+    def __init__(self, value):
+        self.value, self.thetas = value, []
+
+    def __call__(self, theta):
+        self.thetas.append(theta)
+        return self
+
+
+def test_line_search_fits_a_repeated_candidate_once():
+    # past an ulp of the step every candidate is the same point: one fit,
+    # and the scale still halves on every try
+    fit_at = CountingFit(-2.0)
+    theta = np.array([0.6, 0.8])
+    assert _line_search(fit_at, -1.0, lambda s: theta.copy(), 0.75, 60) == (None, 0.75 * 0.5**60)
+    assert len(fit_at.thetas) == 1
+    # distinct candidates are each fitted
+    fit_at = CountingFit(-2.0)
+    _line_search(fit_at, -1.0, lambda s: np.array([1.0, s]), 1.0, 10)
+    assert len(fit_at.thetas) == 10
+
+
+def test_line_search_skip_leaves_infeasible_candidates_alone():
+    theta = np.array([0.6, 0.8])
+
+    def move(s):
+        return None if s > 0.3 else theta.copy()
+
+    # two infeasible tries halve the scale without a fit; the feasible
+    # candidate is fitted and accepted
+    fit_at = CountingFit(0.0)
+    fit, scale = _line_search(fit_at, -1.0, move, 1.0, 60)
+    assert (fit, scale, len(fit_at.thetas)) == (fit_at, 0.25, 1)
+    # rejected, it is fitted once; an infeasible try between two equal
+    # candidates does not make the second one new
+    fit_at = CountingFit(-2.0)
+    assert _line_search(fit_at, -1.0, move, 1.0, 60) == (None, 0.5**60)
+    assert len(fit_at.thetas) == 1
+    fit_at = CountingFit(-2.0)
+    assert _line_search(fit_at, -1.0, lambda s: None if s == 0.5 else theta.copy(),
+                        1.0, 4) == (None, 0.0625)
+    assert len(fit_at.thetas) == 1
