@@ -184,7 +184,7 @@ def profile_estimate(model: Model, cfg: AlternationConfig, starts=None):
             steps = len(trace.records) - 1
             diagnostics.append((i, f"failed: not stationary after {steps} steps", None))
             continue
-        val = model.evaluate(trace.final())
+        val = trace.records[-1].L_kk  # the value of trace.final()
         diagnostics.append((i, "ok", val))
         if best is None or val > best[0]:
             best = (val, i, trace)

@@ -381,16 +381,25 @@ def _wilks_replication(ctx, i):
     return rec
 
 
+def _ddof1(spread, x):
+    """spread(x, ddof=1) for np.std or np.var; NaN, without numpy's warning, for one value."""
+    return float(spread(x, ddof=1)) if len(x) > 1 else math.nan
+
+
 def aggregate_wilks_fisher(ok, ctx):
-    """The Wilks, Fisher-residual and bound summaries of the successful records `ok`."""
+    """The Wilks, Fisher-residual and bound summaries of the successful records `ok`.
+
+    With one successful record the spreads (wilks_se, wilks_var and every
+    fisher_se_k) are NaN.
+    """
     K = ctx.K
     p = ctx.upsilon_star.p
     w_K = np.array([r[f"wilks_{K}"] for r in ok])
     xi2 = np.array([r["xi_norm2"] for r in ok])
     agg = {
         "wilks_mean": float(np.mean(w_K)),
-        "wilks_se": float(np.std(w_K, ddof=1) / math.sqrt(len(ok))),
-        "wilks_var": float(np.var(w_K, ddof=1)),
+        "wilks_se": _ddof1(np.std, w_K) / math.sqrt(len(ok)),
+        "wilks_var": _ddof1(np.var, w_K),
         "wilks_ks": ks_distance(w_K, p),
         "xi_norm2_mean": float(np.mean(xi2)),
         "xi_norm_median": float(np.median(np.sqrt(xi2))),
@@ -405,9 +414,8 @@ def aggregate_wilks_fisher(ok, ctx):
         fk = np.array([r[f"fisher_{k}"] for r in ok])
         wk = np.array([r[f"wilks_{k}"] for r in ok])
         agg[f"fisher_median_{k}"] = float(np.median(fk))
-        agg[f"fisher_se_{k}"] = float(
-            1.2533 * np.std(fk, ddof=1) / math.sqrt(len(ok))
-        )  # ~SE of a median under normality
+        # ~SE of a median under normality
+        agg[f"fisher_se_{k}"] = 1.2533 * _ddof1(np.std, fk) / math.sqrt(len(ok))
         agg[f"wilks_err_median_{k}"] = float(np.median(np.abs(wk - xi2)))
         if bounds_on:
             r_k = fisher_radius(k, ctx.cfg.x, ctx.nu, ctx.R0, ctx.z_x, sp_R0)
@@ -473,8 +481,14 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
     The expected Hessian at each sampled shell point is estimated by
     averaging analytic Hessians over R fresh datasets; delta_hat(r) is the
     largest deviation of the normalized Hessian from the identity over
-    n_points points sampled on the shell of radius r.
+    n_points points sampled on the shell of radius r.  The dataset seeds
+    are distinct only for R <= 1000 and n_points <= 100, so larger values
+    raise ValueError.
     """
+    if not 1 <= R <= 1000:
+        raise ValueError(f"R must be in 1..1000, got {R!r}")
+    if not 1 <= n_points <= 100:
+        raise ValueError(f"n_points must be in 1..100, got {n_points!r}")
     ctx = build_context(config)
     star_v = ctx.upsilon_star.as_vector()
     D0 = ctx.D_full

@@ -127,6 +127,7 @@ class WaveletTables:
     psi: np.ndarray
     dpsi: np.ndarray
     d2psi: np.ndarray
+    dpsi_h: np.ndarray  # dpsi times the table step 2^-j_table
 
     @property
     def support_len(self):
@@ -164,8 +165,10 @@ def _wavelet_tables(N, J):
             psi[ok] += fac * g[m] * phi[src[ok]]
         return psi
 
+    dpsi = build(1)
     return WaveletTables(
-        genus=N, j_table=J, psi=build(0), dpsi=build(1), d2psi=build(2)
+        genus=N, j_table=J, psi=build(0), dpsi=dpsi, d2psi=build(2),
+        dpsi_h=dpsi * (1.0 / 2.0**J),
     )
 
 
@@ -180,38 +183,52 @@ def level_of_index(k, support_len):
     return j, r
 
 
-def _hermite_eval(y, d, u, j_table, want):
-    """Cubic Hermite interpolation of a dyadic (value, derivative) table.
+def _hermite_eval(tab, x, want):
+    """Cubic Hermite interpolation of the (psi, psi') tables of `tab`.
 
-    want: 0 -> value, 1 -> first derivative, 2 -> second derivative.
-    u is an array already inside [0, S].
+    want: 0 -> value, 1 -> first derivative, 2 -> second derivative, all
+    with respect to u = x / 2^j_table.  x is an array of table coordinates
+    already inside [0, S*2^j_table]; the integer part of x picks the table
+    cell and its fraction s is the position inside the cell.  x is
+    overwritten.  Each formula keeps the operations and their order of the
+    textbook one, so the result has its bits.
     """
-    scale = 2.0**j_table
-    x = u * scale
-    idx = np.minimum(x.astype(int), y.size - 2)
-    s = x - idx
-    h = 1.0 / scale
-    y0 = y[idx]
-    y1 = y[idx + 1]
-    d0 = d[idx]
-    d1 = d[idx + 1]
+    psi, dpsi = tab.psi, tab.dpsi
+    idx = x.astype(int)  # x >= 0, so truncation is the floor
+    np.minimum(idx, psi.size - 2, out=idx)
+    s = np.subtract(x, idx, out=x)
+    y0 = psi[idx]
+    y1 = psi[1:][idx]
     if want == 0:
+        # y0 (1 - q) + d0 h (s^3 - 2 s^2 + s) + y1 q + d1 h (s^3 - s^2)
+        # with q = 3 s^2 - 2 s^3, summed left to right; in place, because
+        # the grid scan evaluates blocks of many thousand points
         s2 = s * s
         s3 = s2 * s
-        return (
-            y0 * (2 * s3 - 3 * s2 + 1)
-            + d0 * h * (s3 - 2 * s2 + s)
-            + y1 * (-2 * s3 + 3 * s2)
-            + d1 * h * (s3 - s2)
-        )
+        q = 3 * s2
+        q -= 2 * s3
+        out = np.subtract(1, q)
+        out *= y0
+        w = 2 * s2
+        np.subtract(s3, w, out=w)
+        w += s
+        w *= tab.dpsi_h[idx]
+        out += w
+        y1 *= q
+        out += y1
+        s3 -= s2
+        s3 *= tab.dpsi_h[1:][idx]
+        out += s3
+        return out
+    h = 1.0 / 2.0**tab.j_table
+    d0 = dpsi[idx]
+    d1 = dpsi[1:][idx]
     if want == 1:
         s2 = s * s
-        return (
-            6 * (s2 - s) * (y0 - y1) / h
-            + d0 * (3 * s2 - 4 * s + 1)
-            + d1 * (3 * s2 - 2 * s)
-        )
-    return ((12 * s - 6) * (y0 - y1) / h + d0 * (6 * s - 4) + d1 * (6 * s - 2)) / h
+        c = 3 * s2
+        return 6 * (s2 - s) * (y0 - y1) / h + d0 * (c - 4 * s + 1) + d1 * (c - 2 * s)
+    s6 = 6 * s
+    return ((12 * s - 6) * (y0 - y1) / h + d0 * (s6 - 4) + d1 * (s6 - 2)) / h
 
 
 class WaveletBasis:
@@ -283,31 +300,48 @@ class WaveletBasis:
         """
         t = np.asarray(t, dtype=float)
         S = self.support_len
-        tab = self.tables
+        x_top = S * 2**self.j_table  # the last node of the tables
+        shifted = t + self.s_X
         pairs = []
         for j in range(self.n_levels):
             c = self.cell_width(j)
-            rr = np.floor((t + self.s_X) / c).astype(int)
-            np.clip(rr, 0, S * 2**j - 1, out=rr)
-            u = S * ((t + self.s_X) / c - rr)
-            np.clip(u, 0.0, float(S), out=u)
-            cols = (2**j - 1) * S + rr
+            a = shifted / c  # position in cells of level j
+            # truncation differs from the floor only below 0, clipped there
+            rr = a.astype(int)
+            np.maximum(rr, 0, out=rr)
+            np.minimum(rr, S * 2**j - 1, out=rr)
+            # table coordinate 2^j_table S (a - rr) of the point in its cell;
+            # scaling by a power of two after rounding gives the same bits
+            x = np.subtract(a, rr, out=a)
+            x *= x_top
+            np.maximum(x, 0.0, out=x)
+            np.minimum(x, float(x_top), out=x)
+            cols = rr
+            cols += (2**j - 1) * S
             scale = self._norm_scale(j) * (S / c) ** want
-            keep = cols < self.m
-            vals = np.zeros(t.shape)
-            vals[keep] = scale * _hermite_eval(
-                tab.psi, tab.dpsi, u[keep], self.j_table, want
-            )
-            cols[~keep] = self.m - 1
+            if (2 ** (j + 1) - 1) * S <= self.m:  # the whole level is in the sieve
+                vals = _hermite_eval(self.tables, x, want)
+                vals *= scale
+            else:
+                # flat positions, not a boolean mask: a mask gathers and
+                # scatters a scattered selection several times slower
+                keep = np.flatnonzero(cols < self.m)
+                kept = _hermite_eval(self.tables, x.ravel()[keep], want)
+                kept *= scale
+                vals = np.zeros(t.shape)
+                vals.reshape(-1)[keep] = kept
+                np.minimum(cols, self.m - 1, out=cols)
             pairs.append((cols, vals))
         return pairs
 
     def _design_general(self, t, want):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, self.m))
-        rows = np.arange(t.size)
+        row_start = np.arange(0, out.size, self.m)
+        flat = out.reshape(-1)
         for cols, vals in self.level_pairs(t, want):
-            out[rows, cols] = vals
+            cols += row_start  # flat positions in out
+            flat[cols] = vals
         return out
 
     def design(self, t):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,25 @@ def test_config_validation():
         AlternationConfig(max_steps=0)
     with pytest.raises(ValueError):
         AlternationConfig(solver_tolerance=0.0)
+
+
+class CountingToy(ToyGaussianModel):
+    evaluations = 0
+
+    def evaluate(self, point):
+        self.evaluations += 1
+        return super().evaluate(point)
+
+
+def test_profile_estimate_reads_the_final_value_from_the_trace():
+    # run() evaluates twice per record; picking the best start adds none
+    m = CountingToy(F2, STAR, Y=[1.0, 0.0])
+    cfg = AlternationConfig(max_steps=60, solver_tolerance=1e-13)
+    starts = [ParameterPoint([0.0], [0.0]), ParameterPoint([3.0], [-2.0])]
+    traces = [run(m, s, replace(cfg, max_steps=200)) for s in starts]
+    m.evaluations = 0
+    pt, trace = profile_estimate(m, cfg, starts=starts)
+    assert m.evaluations == sum(2 * len(tr.records) for tr in traces)
+    # the value it ranks by is the one evaluate() gives at the final point
+    assert trace.records[-1].L_kk == m.evaluate(pt)
+    assert [r.L_kk for r in trace.records] in [[r.L_kk for r in tr.records] for tr in traces]

@@ -2,8 +2,9 @@
 
 `reference_grid_init` is the per-point loop that `grid_init` replaced: one
 dense design, one SVD condition number and one LAPACK solve per grid point.
-`reference_design` is the dense design builder that `level_pairs` replaced.
-Both are kept here, independent of the code under test, as oracles.
+`reference_design` is the dense design builder that `level_pairs` replaced,
+with the textbook cubic Hermite formula of `reference_hermite`.  All three
+are kept here, independent of the code under test, as oracles.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from altmax.alternation import SolverError
 from altmax.singleindex import (
     SingleIndexDataset,
+    SingleIndexModel,
     _scan_grid,
     eta_step_closed_form,
     generate,
@@ -19,7 +21,7 @@ from altmax.singleindex import (
     uniform_ball,
 )
 from altmax.statcore import ParameterPoint
-from altmax.wavelet import WaveletBasis, _hermite_eval
+from altmax.wavelet import WaveletBasis
 
 ETA = (1.0, -0.8, 0.9, -0.7, 0.6, 0.8)
 
@@ -63,6 +65,36 @@ def reference_grid_init(dataset, basis, N, noise_scale=1.0):
     return ParameterPoint(best[2], best[3]), tau, best[1]
 
 
+def reference_hermite(y, d, u, j_table, want):
+    """Cubic Hermite interpolation of the dyadic table (y, d) at u in [0, S]."""
+    scale = 2.0**j_table
+    x = u * scale
+    idx = np.minimum(x.astype(int), y.size - 2)
+    s = x - idx
+    h = 1.0 / scale
+    y0 = y[idx]
+    y1 = y[idx + 1]
+    d0 = d[idx]
+    d1 = d[idx + 1]
+    if want == 0:
+        s2 = s * s
+        s3 = s2 * s
+        return (
+            y0 * (2 * s3 - 3 * s2 + 1)
+            + d0 * h * (s3 - 2 * s2 + s)
+            + y1 * (-2 * s3 + 3 * s2)
+            + d1 * h * (s3 - s2)
+        )
+    if want == 1:
+        s2 = s * s
+        return (
+            6 * (s2 - s) * (y0 - y1) / h
+            + d0 * (3 * s2 - 4 * s + 1)
+            + d1 * (3 * s2 - 2 * s)
+        )
+    return ((12 * s - 6) * (y0 - y1) / h + d0 * (6 * s - 4) + d1 * (6 * s - 2)) / h
+
+
 def reference_design(basis, t, want):
     """Dense n x m design (want = derivative order), one level at a time."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -80,7 +112,7 @@ def reference_design(basis, t, want):
         if not np.any(keep):
             continue
         chain = (S / c) ** want
-        vals = basis._norm_scale(j) * chain * _hermite_eval(
+        vals = basis._norm_scale(j) * chain * reference_hermite(
             tab.psi, tab.dpsi, u[keep], basis.j_table, want
         )
         out[np.nonzero(keep)[0], cols[keep]] = vals
@@ -104,13 +136,25 @@ def assert_same_start(ds, basis, N, noise_scale=1.0):
     assert tau == ref_tau
 
 
-@pytest.mark.parametrize("m", [1, 3, 6, 13, 14, 20, 39, 40])
+@pytest.mark.parametrize("m", [1, 3, 6, 13, 14, 20, 39, 40, 100])
 def test_level_pairs_rebuild_design_exactly(m):
     basis = WaveletBasis(m=m, s_X=1.0)
     rng = np.random.default_rng(m)
-    # the interval ends, its centre and points just outside it
-    t = np.concatenate([[-1.0, 1.0, 0.0, -1.02, 1.02], rng.uniform(-1, 1, 300)])
-    T = rng.uniform(-1.0, 1.0, (200, 7))
+    # every cell boundary of every level, one ulp either side of it, the
+    # interval ends one ulp either side, and indices as far out as the
+    # admissible theta norm lets them reach
+    cap = SingleIndexModel.theta_cap
+    bounds = np.concatenate([
+        -1.0 + np.arange(basis.support_len * 2**j + 1) * basis.cell_width(j)
+        for j in range(basis.n_levels)
+    ])
+    t = np.concatenate([
+        [-1.0, 1.0, 0.0, -0.0, -1.02, 1.02, -cap, cap],
+        bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+        np.nextafter([-1.0, 1.0], -np.inf), np.nextafter([-1.0, 1.0], np.inf),
+        rng.uniform(-1, 1, 300), rng.uniform(-cap, cap, 100),
+    ])
+    T = np.concatenate([rng.uniform(-1.0, 1.0, (200, 7)), rng.uniform(-cap, cap, (40, 7))])
     for want, dense in enumerate((basis.design, basis.ddesign, basis.d2design)):
         assert dense(t).tobytes() == reference_design(basis, t, want).tobytes()
         pairs = basis.level_pairs(T, want)

@@ -1,6 +1,7 @@
 import functools
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,16 @@ def test_wilks_fisher_toy_aggregate_consistency():
     assert abs(rep.aggregates["wilks_mean"] - float(np.mean(w))) < 1e-12
     assert abs(rep.aggregates["wilks_ks"] - ks_distance(w, 1)) < 1e-12
     assert rep.aggregates["monotone_violations"] == 0
+
+
+def test_one_replication_gives_nan_spreads_without_warnings():
+    cfg = ExperimentConfig(family="toy", reps=1, master_seed=17, steps=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        agg = run_wilks_fisher(cfg).aggregates
+    spreads = ["wilks_se", "wilks_var"] + [f"fisher_se_{k}" for k in range(5)]
+    assert all(math.isnan(agg[key]) for key in spreads)
+    assert math.isfinite(agg["wilks_mean"])
 
 
 def test_wilks_fisher_thread_determinism(tmp_path):
@@ -134,6 +145,14 @@ def test_probe_delta_propagates_the_model_domain_error():
                            si_n=500, si_m=3, si_eta_star=(1.0, -0.8, 0.9))
     with pytest.raises(ModelDomainError, match="outside"):
         probe_delta(cfg, r_grid=(1e4,), R=2, n_points=1)
+
+
+@pytest.mark.parametrize("bad", [{"R": 1001}, {"n_points": 101}, {"R": 0}])
+def test_probe_delta_rejects_counts_that_would_reuse_dataset_seeds(bad):
+    # seed 10_000_000 + ri*100_000 + j*1000 + rep repeats past these counts
+    cfg = ExperimentConfig(family="toy", reps=1, master_seed=0)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        probe_delta(cfg, r_grid=[0.5], **bad)
 
 
 def test_dimension_sweep_cells_deterministic():
