@@ -76,12 +76,6 @@ def ks_distance(samples, p):
     return float(np.max(np.maximum(F - (i - 1) / n, i / n - F)))
 
 
-def chi2_diagnostics(samples, p):
-    """(mean, variance, KS distance to chi^2_p)."""
-    s = np.asarray(samples, dtype=float)
-    return float(np.mean(s)), float(np.var(s, ddof=1)), ks_distance(s, p)
-
-
 def fit_contraction(distances, floor=None):
     """Geometric rate by log-linear least squares on the tail of a distance sequence.
 
@@ -142,10 +136,13 @@ class ExperimentConfig:
     sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps >= 1 required")
-        if self.threads < 1:
-            raise ValueError("threads >= 1 required")
+        for key in ("reps", "threads", "si_n", "si_p", "si_r_cov"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} >= 1 required")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError("steps >= 1 required")
+        if not self.solver_tolerance > 0:
+            raise ValueError("solver_tolerance > 0 required")
         if self.family not in ("toy", "single-index"):
             raise ValueError(f"unknown family {self.family!r}")
 

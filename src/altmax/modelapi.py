@@ -25,24 +25,18 @@ class UnsupportedCapabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class InformationAtTruth:
-    """Expected-Hessian blocks, gradient-covariance blocks, and the truth.
+    """The information blocks at the truth, and the truth.
 
-    `info` holds -Hessian of E[L] at the truth, `cov` holds Cov of the
-    gradient at the truth; they coincide for correctly specified models but
-    both are exposed for misspecification diagnostics.
+    `info` holds -Hessian of E[L] at the truth: the D^2 blocks whose
+    efficient information standardizes the score.
     """
 
     info: BlockInformation
-    cov: BlockInformation
     upsilon_star: ParameterPoint
 
 
 class Model:
     """Base class; a subclass implements every operation below."""
-
-    @property
-    def dims(self):
-        raise NotImplementedError
 
     def evaluate(self, point: ParameterPoint) -> float:
         raise NotImplementedError

@@ -460,10 +460,6 @@ class SingleIndexModel(Model):
         self.eta_radius = float(eta_radius)
         self._inv2s = 1.0 / (2.0 * self.noise_scale**2)
 
-    @property
-    def dims(self):
-        return (self.dataset.p, self.basis.m)
-
     def _check(self, point: ParameterPoint):
         if point.p != self.dataset.p or point.m != self.basis.m:
             raise ModelDomainError("point dimensions do not match the model")
@@ -558,8 +554,8 @@ class SingleIndexModel(Model):
                 alpha = min(scale * 1.6, 1e3)
         return fit.theta
 
-    def information_at_truth(self, r_datasets=200, seed=None):
-        """Monte Carlo estimate of -Hessian of E L and Cov of the gradient at truth.
+    def information_at_truth(self, r_datasets=200, *, seed):
+        """Monte Carlo estimate of -Hessian of E L at the truth.
 
         Averages analytic quantities over r_datasets fresh datasets of the
         same size; seeded and deterministic.
@@ -569,15 +565,11 @@ class SingleIndexModel(Model):
             raise UnsupportedCapabilityError(
                 "information_at_truth requires a known truth (simulation models only)"
             )
-        if seed is None:
-            seed = (ds.seed or 0) + 7_777_777
         rng = np.random.default_rng(seed)
         n, p, m = ds.n, ds.p, self.basis.m
         D2 = np.zeros((p, p))
         A = np.zeros((p, m))
         H2 = np.zeros((m, m))
-        grads = np.zeros((r_datasets, p + m))
-        sig = ds.sigma if ds.sigma is not None else 0.0
         c = 1.0 / self.noise_scale**2
         for r in range(r_datasets):
             X = uniform_ball(rng, n, p, ds.s_X)
@@ -588,23 +580,16 @@ class SingleIndexModel(Model):
             D2 += c * (Jt.T @ Jt)
             A += c * (Jt.T @ E)
             H2 += c * (E.T @ E)
-            eps = sig * rng.standard_normal(n) if sig > 0 else np.zeros(n)
-            grads[r, :p] = c * (X.T @ (eps * fp))
-            grads[r, p:] = c * (E.T @ eps)
+            if (ds.sigma or 0.0) > 0:
+                # the noise of dataset r is not read, but it is drawn: the
+                # X of every later dataset, and so the blocks, follow it
+                rng.standard_normal(n)
         D2 /= r_datasets
         A /= r_datasets
         H2 /= r_datasets
         info = BlockInformation(D2=0.5 * (D2 + D2.T), A=A, H2=0.5 * (H2 + H2.T))
-        if sig > 0:
-            C = np.cov(grads.T, bias=False)
-            C = np.atleast_2d(C)
-            cov = BlockInformation(D2=C[:p, :p], A=C[:p, p:], H2=C[p:, p:])
-        else:
-            cov = BlockInformation(
-                D2=np.zeros((p, p)), A=np.zeros((p, m)), H2=np.zeros((m, m))
-            )
         star = ParameterPoint(ds.theta_star, ds.eta_star)
-        return InformationAtTruth(info=info, cov=cov, upsilon_star=star)
+        return InformationAtTruth(info=info, upsilon_star=star)
 
     def expected_evaluate(self, point, n_mc=200_000, seed=1234):
         """Monte Carlo E L(point) = -n/(2s^2) (E[(f* - f_point)^2] + sigma^2)."""

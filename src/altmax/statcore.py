@@ -132,11 +132,7 @@ class ParameterPoint:
 
 @dataclass(frozen=True)
 class BlockInformation:
-    """Block matrix [[D2, A], [A.T, H2]] with SPD diagonal blocks.
-
-    Also used for covariance blocks (V2, B, Q2) when built from Cov of the
-    gradient; the algebra is identical.
-    """
+    """Block matrix [[D2, A], [A.T, H2]] with SPD diagonal blocks."""
 
     D2: np.ndarray
     A: np.ndarray

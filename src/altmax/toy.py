@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .modelapi import InformationAtTruth, Model, ModelDomainError
-from .statcore import BlockInformation, ParameterPoint, coupling_norm, efficient_information, sqrt_spd
+from .statcore import BlockInformation, ParameterPoint, efficient_information, sqrt_spd
 
 
 def _pos_solve(M, b):
@@ -43,10 +43,6 @@ class ToyGaussianModel(Model):
             raise ValueError("Y dimension does not match upsilon_star")
         self._full = F2.full()
         self._p = F2.p
-
-    @property
-    def dims(self):
-        return (self.F2.p, self.F2.m)
 
     def _check(self, point):
         v = point.as_vector()
@@ -83,8 +79,8 @@ class ToyGaussianModel(Model):
         return y_th - _pos_solve(self.F2.D2, self.F2.A @ (et - y_et))
 
     def information_at_truth(self):
-        # Cov(grad L(u*)) = F2 inv(F2) F2 = F2: information and covariance coincide.
-        return InformationAtTruth(info=self.F2, cov=self.F2, upsilon_star=self.upsilon_star)
+        # -Hessian of L is F2 at every point, so also of E[L] at the truth
+        return InformationAtTruth(info=self.F2, upsilon_star=self.upsilon_star)
 
     def default_start(self):
         return ParameterPoint(np.zeros(self._p), np.zeros(self.F2.m))
@@ -140,7 +136,3 @@ def exact_profile(model: ToyGaussianModel):
     p = model.F2.p
     point = ParameterPoint(model.Y[:p], model.Y[p:])
     return point, efficient_information(model.F2)
-
-
-def coupling(model: ToyGaussianModel) -> float:
-    return coupling_norm(model.F2)

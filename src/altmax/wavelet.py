@@ -2,9 +2,9 @@
 
 The mother wavelet is a Daubechies wavelet of a given genus N (2N filter
 taps, support length S = 2N-1), evaluated on a dyadic table by cascade
-refinement of the two-scale equation.  First and second derivative tables
-come from differentiating the refinement relation (eigenvector problems at
-the integers, then the same dyadic refinement with factors 2 and 4).
+refinement of the two-scale equation.  The first-derivative table comes
+from differentiating the refinement relation (an eigenvector problem at the
+integers, then the same dyadic refinement with factor 2).
 
 Basis enumeration over the interval [-s_X, s_X]: level-major, translate-
 minor.  Level j holds S*2^j translates r = 0..S*2^j-1 and the flat index is
@@ -120,13 +120,12 @@ def _refine(values, h, deriv_order, levels):
 
 @dataclass(frozen=True)
 class WaveletTables:
-    """Dyadic tables of the mother wavelet psi and its two derivatives on [0, S]."""
+    """Dyadic tables of the mother wavelet psi and its derivative on [0, S]."""
 
     genus: int
     j_table: int
     psi: np.ndarray
     dpsi: np.ndarray
-    d2psi: np.ndarray
     dpsi_h: np.ndarray  # dpsi times the table step 2^-j_table
 
     @property
@@ -167,7 +166,7 @@ def _wavelet_tables(N, J):
 
     dpsi = build(1)
     return WaveletTables(
-        genus=N, j_table=J, psi=build(0), dpsi=dpsi, d2psi=build(2),
+        genus=N, j_table=J, psi=build(0), dpsi=dpsi,
         dpsi_h=dpsi * (1.0 / 2.0**J),
     )
 
@@ -371,9 +370,8 @@ class WaveletBasis:
                 )
         grid = self.tables.grid
         with open(table_path, "w") as f:
-            f.write("u,psi,dpsi,d2psi\n")
+            f.write("u,psi,dpsi\n")
             for i in range(grid.size):
                 f.write(
-                    f"{grid[i]!r},{self.tables.psi[i]!r},"
-                    f"{self.tables.dpsi[i]!r},{self.tables.d2psi[i]!r}\n"
+                    f"{grid[i]!r},{self.tables.psi[i]!r},{self.tables.dpsi[i]!r}\n"
                 )

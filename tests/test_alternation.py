@@ -147,10 +147,6 @@ class QuadNoClosedForm(Model):
         self._full = np.array([[2.0, 1.0], [1.0, 2.0]])
         self.Y = np.array([1.0, 0.0])
 
-    @property
-    def dims(self):
-        return (1, 1)
-
     def evaluate(self, point):
         d = point.as_vector() - self.Y
         return float(-0.5 * d @ self._full @ d)

@@ -11,7 +11,6 @@ from altmax.harness import (
     ExperimentConfig,
     build_context,
     chi2_cdf,
-    chi2_diagnostics,
     derive_seed,
     fit_contraction,
     ks_distance,
@@ -35,7 +34,7 @@ def test_ks_distance_sampling_oracle():
     s = rng.chisquare(2, size=2000)
     assert ks_distance(s, 2) <= 0.06
     assert ks_distance(np.full(100, 2.0), 2) > 0.5
-    mean, var, _ = chi2_diagnostics(s, 2)
+    mean = np.mean(s)
     se = math.sqrt(2.0 * 2.0 * 2.0 / 2000)  # var chi2_p = 2p
     assert abs(mean - 2.0) < 3.0 * se
 
@@ -265,6 +264,16 @@ def test_config_validation():
     for threads in (0, -2):  # constructs the config only; starts no thread
         with pytest.raises(ValueError, match="threads"):
             ExperimentConfig(threads=threads)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("steps", 0), ("solver_tolerance", 0.0), ("solver_tolerance", -1e-9),
+    ("si_r_cov", 0), ("si_n", 0), ("si_p", 0),
+])
+def test_config_rejects_malformed_values(key, value):
+    # constructs the config only; the error names the key
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: value})
 
 
 def test_replication_workers_pickle():

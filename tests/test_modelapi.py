@@ -12,10 +12,6 @@ from altmax.wavelet import WaveletBasis
 
 
 class Bare(Model):
-    @property
-    def dims(self):
-        return (1, 1)
-
     def evaluate(self, point):
         v = point.as_vector()
         return float(-(v @ v))
@@ -29,7 +25,6 @@ def test_base_operations_raise_not_implemented():
     m = Model()
     pt = ParameterPoint([0.0], [0.0])
     for call in (
-        lambda: m.dims,
         lambda: m.evaluate(pt),
         lambda: m.gradient(pt),
         lambda: m.hessian(pt),
@@ -58,7 +53,7 @@ def test_model_without_truth_has_no_information():
     ds = SingleIndexDataset(X=X, y=rng.standard_normal(30), s_X=1.0)
     model = SingleIndexModel(ds, basis)
     with pytest.raises(UnsupportedCapabilityError, match="truth"):
-        model.information_at_truth()
+        model.information_at_truth(seed=0)
     with pytest.raises(UnsupportedCapabilityError):
         model.expected_evaluate(ParameterPoint([1.0, 0.0], [0.0, 0.0]))
 

@@ -231,11 +231,10 @@ def test_model_hessian_fd():
     assert np.abs(H - num).max() / np.abs(H).max() < 1e-4
 
 
-def test_information_at_truth_noiseless_cov_zero():
+def test_information_at_truth_noiseless_is_spd():
     ds, basis = desk(n=300, sigma=0.0, seed=6)
     model = SingleIndexModel(ds, basis)
-    iat = model.information_at_truth(r_datasets=10)
-    assert np.allclose(iat.cov.full(), 0.0)
+    iat = model.information_at_truth(r_datasets=10, seed=6)
     w = np.linalg.eigvalsh(iat.info.full())
     assert w.min() > 0
 
@@ -250,6 +249,35 @@ def test_information_at_truth_replication_oracle():
     scale = np.abs(Dref).max()
     se = 3.0 * scale / np.sqrt(200)
     assert np.abs(D - Dref).max() < 3.0 * se
+
+
+@pytest.mark.parametrize("m, sigma", [(6, 0.5), (20, 0.5), (6, 0.0)])
+def test_information_at_truth_matches_a_textbook_loop(m, sigma):
+    # R datasets drawn one after another from one generator, each as
+    # `generate` draws one (X, then the noise), and the analytic blocks
+    # -Hessian of E L averaged over them
+    eta = np.resize(ETA6, m)
+    basis = WaveletBasis(m=m, s_X=1.0)
+    ds = generate(200, 2, THETA2, eta, sigma, 1.0, seed=4, basis=basis)
+    model = SingleIndexModel(ds, basis)
+    R = 5
+    iat = model.information_at_truth(r_datasets=R, seed=17)
+    rng = np.random.default_rng(17)
+    c = 1.0 / model.noise_scale**2
+    D2, A, H2 = np.zeros((2, 2)), np.zeros((2, m)), np.zeros((m, m))
+    for _ in range(R):
+        X = generate(200, 2, THETA2, eta, sigma, 1.0, seed=rng, basis=basis).X
+        t = X @ THETA2
+        E = basis.design(t)
+        Jt = X * (basis.ddesign(t) @ eta)[:, None]
+        D2 += c * (Jt.T @ Jt)
+        A += c * (Jt.T @ E)
+        H2 += c * (E.T @ E)
+    D2, A, H2 = D2 / R, A / R, H2 / R
+    assert np.array_equal(iat.info.D2, 0.5 * (D2 + D2.T))
+    assert np.array_equal(iat.info.A, A)
+    assert np.array_equal(iat.info.H2, 0.5 * (H2 + H2.T))
+    assert np.array_equal(iat.upsilon_star.as_vector(), np.concatenate([THETA2, eta]))
 
 
 def test_noiseless_identifiability_sphere_alternation():

@@ -52,7 +52,6 @@ def test_information_at_truth_is_F2():
     m = canon_model()
     iat = m.information_at_truth()
     assert np.allclose(iat.info.full(), F2_CANON.full())
-    assert np.allclose(iat.cov.full(), F2_CANON.full())
 
 
 def test_simulate_zero_noise_and_reproducibility():

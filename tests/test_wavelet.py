@@ -101,7 +101,7 @@ def test_basis_dump(tmp_path):
     lines = idx.read_text().strip().split("\n")
     assert lines[0] == "k,level,translate,support_lo,support_hi"
     assert len(lines) == 16
-    assert tabp.read_text().startswith("u,psi,dpsi,d2psi")
+    assert tabp.read_text().startswith("u,psi,dpsi\n")
 
 
 def test_genus8_option():
