@@ -26,6 +26,14 @@ class UnsupportedRegimeError(ValueError):
     """Inputs fall outside the regime the formula is stated for."""
 
 
+class FieldValueError(ValueError):
+    """A configuration field holds a value out of its range; `field` names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ConditionConstants:
     """Scalar and parametric constants of the model-regularity conditions.
@@ -53,12 +61,15 @@ class ConditionConstants:
     z_hess: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.omega <= 0.5) or not (0.0 <= self.omega2 <= 0.5):
-            raise ValueError("omega and omega2 must lie in [0, 1/2]")
+        for key in ("omega", "omega2"):
+            if not 0.0 <= getattr(self, key) <= 0.5:
+                raise FieldValueError(key, f"{key} must lie in [0, 1/2]")
         if self.b <= 0:
-            raise ValueError("b must be > 0")
-        if self.delta_slope < 0 or self.delta_const < 0:
-            raise ValueError("delta map must be non-negative and non-decreasing")
+            raise FieldValueError("b", "b must be > 0")
+        for key in ("delta_slope", "delta_const"):
+            if getattr(self, key) < 0:
+                # the delta map must be non-negative and non-decreasing
+                raise FieldValueError(key, f"{key} must be >= 0")
 
     def delta(self, r):
         return self.delta_const + self.delta_slope * r

@@ -25,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .bounds import ConditionConstants, compute_bound_report
+from .bounds import ConditionConstants, FieldValueError, compute_bound_report
 from .harness import (
     ExperimentConfig,
     run_dimension_sweep,
@@ -110,7 +110,8 @@ KEYS = {
 
 
 def read_config(path, command):
-    """The values of a config file (no file: none) as {class: {field: value}}.
+    """The values of a config file (no file: none) as {class: {field: value}},
+    and {(class, field): where} naming the file, key and raw value of each.
 
     Every key of the file must be one of `KEYS[command]`; any other key is a
     typo or belongs to another subcommand, and raises ValueError, as does a
@@ -126,13 +127,25 @@ def read_config(path, command):
             hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
         raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
     values = {cls: {} for cls, _, _ in table.values()}
+    where = {}
     for key, raw in entries.items():
         cls, name, parse = table[key]
+        where[cls, name] = f"{path}: bad value {raw!r} for config key {key!r}"
         try:
             values[cls][name] = parse(raw)
         except ValueError as exc:
-            raise ValueError(f"{path}: bad value {raw!r} for config key {key!r}: {exc}") from None
-    return values
+            raise ValueError(f"{where[cls, name]}: {exc}") from None
+    return values, where
+
+
+def _build(cls, where, **kwargs):
+    """`cls(**kwargs)`; a value out of range is named as `where` places it."""
+    try:
+        return cls(**kwargs)
+    except FieldValueError as exc:
+        if (cls, exc.field) not in where:
+            raise
+        raise ValueError(f"{where[cls, exc.field]}: {exc}") from None
 
 
 def parse_config(path):
@@ -151,24 +164,27 @@ def parse_config(path):
 
 def experiment_config(args, command) -> ExperimentConfig:
     """The experiment of `args.config`; --seed/--reps/--threads override the file."""
-    values = read_config(args.config, command)
+    values, where = read_config(args.config, command)
     kwargs = values[ExperimentConfig]
     for flag, name in (("seed", "master_seed"), ("reps", "reps"), ("threads", "threads")):
-        if getattr(args, flag) is not None:
-            kwargs[name] = getattr(args, flag)
-    return ExperimentConfig(
+        value = getattr(args, flag)
+        if value is not None:
+            kwargs[name] = value
+            where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
+    return _build(
+        ExperimentConfig, where,
         family="toy" if command == "toy" else "single-index",
-        cc=ConditionConstants(**values[ConditionConstants]),
+        cc=_build(ConditionConstants, where, **values[ConditionConstants]),
         **kwargs,
     )
 
 
 def bounds_inputs(path) -> dict:
     """Keyword arguments of `compute_bound_report` from a config file."""
-    values = read_config(path, "bounds")
+    values, where = read_config(path, "bounds")
     return dict(
         dataclasses.asdict(_BoundsKeys(**values[_BoundsKeys])),
-        cc=ConditionConstants(**values[ConditionConstants]),
+        cc=_build(ConditionConstants, where, **values[ConditionConstants]),
     )
 
 

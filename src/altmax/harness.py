@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-import scipy.special
 
 from .alternation import (
     AlternatingTrace,
@@ -33,6 +32,7 @@ from .alternation import (
 from .bounds import (
     C_nu,
     ConditionConstants,
+    FieldValueError,
     combined_quantile,
     concentration_radius_R0,
     fisher_radius,
@@ -61,6 +61,8 @@ def derive_seed(master_seed, index):
 
 def chi2_cdf(x, k):
     """Exact chi-square CDF via the regularized lower incomplete gamma."""
+    import scipy.special  # on first use: the condition probe never loads it
+
     x = np.asarray(x, dtype=float)
     return scipy.special.gammainc(k / 2.0, np.clip(x, 0.0, None) / 2.0)
 
@@ -138,11 +140,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("reps", "threads", "si_n", "si_p", "si_r_cov"):
             if getattr(self, key) < 1:
-                raise ValueError(f"{key} >= 1 required")
+                raise FieldValueError(key, f"{key} >= 1 required")
         if self.steps is not None and self.steps < 1:
-            raise ValueError("steps >= 1 required")
+            raise FieldValueError("steps", "steps >= 1 required")
         if not self.solver_tolerance > 0:
-            raise ValueError("solver_tolerance > 0 required")
+            raise FieldValueError("solver_tolerance", "solver_tolerance > 0 required")
         if self.family not in ("toy", "single-index"):
             raise ValueError(f"unknown family {self.family!r}")
 

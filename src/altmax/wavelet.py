@@ -157,11 +157,12 @@ def _wavelet_tables(N, J):
         for m in range(n):
             lo = m * 2**J
             # psi^{(q)}(i/2^J) = 2^q sqrt2 sum_m g_m phi^{(q)}(2i/2^J - m):
-            # source index 2i - m*2^J into the level-J phi table.
-            idx_out = np.arange(psi.size)
-            src = 2 * idx_out - lo
-            ok = (src >= 0) & (src < phi.size)
-            psi[ok] += fac * g[m] * phi[src[ok]]
+            # source index 2i - lo into the level-J phi table.  i0 is the
+            # first i with 2i - lo >= 0 (lo is odd for odd m when J = 0); the
+            # strided slice then ends at the last i with 2i - lo < phi.size.
+            i0 = (lo + 1) // 2
+            src = phi[2 * i0 - lo :: 2]
+            psi[i0 : i0 + src.size] += fac * g[m] * src
         return psi
 
     dpsi = build(1)

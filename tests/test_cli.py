@@ -192,6 +192,24 @@ def test_cli_bad_value_names_file_and_key(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
+    # values that parse but that the config classes reject
+    cases = [
+        ("single-index", "n = 0\n", "bad value '0' for config key 'n': si_n >= 1 required"),
+        ("toy", "b = -1\n", "bad value '-1' for config key 'b': b must be > 0"),
+    ]
+    for command, text, message in cases:
+        cfg = write(tmp_path / "bad.kv", text)
+        with pytest.raises(ValueError) as info:
+            main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert str(info.value) == f"{cfg}: {message}"
+    cfg = write(tmp_path / "ok.kv", "reps = 5\n")
+    with pytest.raises(ValueError) as info:
+        main(["toy", "--config", cfg, "--reps", "0", "--out", str(tmp_path / "o")])
+    assert str(info.value) == "bad value 0 for flag '--reps': reps >= 1 required"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_flag_overridden_key_is_known(tmp_path):
     cfg = write(tmp_path / "toy.kv", "reps = 500\nthreads = 3\nsteps = 4\nseed = 2\n")
     c = experiment_config(namespace(cfg, reps=5, threads=1), "toy")

@@ -1,8 +1,12 @@
 import functools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,27 @@ def test_probe_delta_rejects_counts_that_would_reuse_dataset_seeds(bad):
     cfg = ExperimentConfig(family="toy", reps=1, master_seed=0)
     with pytest.raises(ValueError, match=next(iter(bad))):
         probe_delta(cfg, r_grid=[0.5], **bad)
+
+
+def test_import_and_probe_delta_leave_scipy_special_unloaded():
+    # chi2_cdf imports scipy.special on first use, which the probe never makes
+    code = "\n".join([
+        "import sys",
+        "import altmax",
+        "from altmax.harness import ExperimentConfig, ks_distance, probe_delta",
+        "print('scipy.special' in sys.modules)",
+        "cfg = ExperimentConfig(family='single-index', reps=1, si_n=300, si_m=3,",
+        "                       si_eta_star=(1.0, -0.8, 0.9))",
+        "probe_delta(cfg, r_grid=[0.4], R=1, n_points=1)",
+        "print('scipy.special' in sys.modules)",
+        "ks_distance([0.5, 2.0], 1)",
+        "print('scipy.special' in sys.modules)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["False", "False", "True"]
 
 
 def test_dimension_sweep_cells_deterministic():
