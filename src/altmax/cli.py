@@ -59,6 +59,19 @@ class _BoundsKeys:
     norm_Dinv: float = 0.0
     k_max: int = 20
 
+    def __post_init__(self):
+        for key, ok, need in (
+            ("x", self.x > 0, "> 0"), ("p", self.p >= 1, ">= 1"),
+            ("m", self.m >= 1, ">= 1"), ("nu", 0 <= self.nu < 1, "in [0, 1)"),
+            ("k_max", self.k_max >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise FieldValueError(key, f"{key} {need} required")
+        for key in ("eps", "norm_Dinv", "R_K", "K0"):
+            value = getattr(self, key)
+            if value is not None and not value >= 0:
+                raise FieldValueError(key, f"{key} >= 0 required")
+
 
 def _parse_bool(raw):
     """`1`, `true`, `yes`, `on` or `0`, `false`, `no`, `off`, in any case."""
@@ -183,7 +196,7 @@ def bounds_inputs(path) -> dict:
     """Keyword arguments of `compute_bound_report` from a config file."""
     values, where = read_config(path, "bounds")
     return dict(
-        dataclasses.asdict(_BoundsKeys(**values[_BoundsKeys])),
+        dataclasses.asdict(_build(_BoundsKeys, where, **values[_BoundsKeys])),
         cc=_build(ConditionConstants, where, **values[ConditionConstants]),
     )
 

@@ -41,7 +41,7 @@ from .bounds import (
     spread_semiparametric,
     stopping_steps,
 )
-from .singleindex import SingleIndexModel, generate
+from .singleindex import SingleIndexModel, generate, information_at_truth
 from .statcore import BlockInformation, ParameterPoint, coupling_norm, efficient_score
 from .toy import simulate
 from .wavelet import WaveletBasis
@@ -145,6 +145,12 @@ class ExperimentConfig:
             raise FieldValueError("steps", "steps >= 1 required")
         if not self.solver_tolerance > 0:
             raise FieldValueError("solver_tolerance", "solver_tolerance > 0 required")
+        if not self.si_sigma >= 0:
+            raise FieldValueError("si_sigma", "si_sigma >= 0 required")
+        angle = self.si_theta_angle
+        if self.si_p >= 2 and not (math.isfinite(angle) and math.cos(angle) > 0):
+            # theta_star must lie on the half-sphere (first coordinate positive)
+            raise FieldValueError("si_theta_angle", "cos(si_theta_angle) > 0 required")
         if self.family not in ("toy", "single-index"):
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -195,21 +201,14 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
         star = ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
         basis = None
     else:
-        theta_star = si_theta_star(cfg)
-        eta_star = np.asarray(cfg.si_eta_star, dtype=float)
-        if eta_star.size != cfg.si_m:
+        if len(cfg.si_eta_star) != cfg.si_m:
             raise ValueError("si_eta_star length must equal si_m")
         basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x)
-        probe = generate(
-            cfg.si_n, cfg.si_p, theta_star, eta_star, cfg.si_sigma, cfg.si_s_x,
-            seed=derive_seed(cfg.master_seed, 999_983), basis=basis,
-        )
-        model = SingleIndexModel(probe, basis, constrain_theta=cfg.si_constrain)
-        iat = model.information_at_truth(
-            r_datasets=cfg.si_r_cov,
+        star = ParameterPoint(si_theta_star(cfg), cfg.si_eta_star)
+        info = information_at_truth(
+            basis, star, cfg.si_n, cfg.si_s_x, cfg.si_sigma, cfg.si_r_cov,
             seed=derive_seed(cfg.master_seed, 999_979),
         )
-        star, info = iat.upsilon_star, iat.info
     ctx = ExperimentContext(
         cfg=cfg, upsilon_star=star, info=info, nu=coupling_norm(info),
         D_full=info.full_sqrt(), basis=basis,

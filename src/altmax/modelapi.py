@@ -8,11 +8,9 @@ them and has no generic ascent to fall back on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .statcore import BlockInformation, ParameterPoint
+from .statcore import ParameterPoint
 
 
 class ModelDomainError(ValueError):
@@ -21,18 +19,6 @@ class ModelDomainError(ValueError):
 
 class UnsupportedCapabilityError(RuntimeError):
     """The operation needs a known truth, and the model's dataset has none."""
-
-
-@dataclass(frozen=True)
-class InformationAtTruth:
-    """The information blocks at the truth, and the truth.
-
-    `info` holds -Hessian of E[L] at the truth: the D^2 blocks whose
-    efficient information standardizes the score.
-    """
-
-    info: BlockInformation
-    upsilon_star: ParameterPoint
 
 
 class Model:
@@ -57,9 +43,6 @@ class Model:
         raise NotImplementedError
 
     def expected_evaluate(self, point: ParameterPoint):
-        raise NotImplementedError
-
-    def information_at_truth(self) -> InformationAtTruth:
         raise NotImplementedError
 
     def default_start(self) -> ParameterPoint:

@@ -30,12 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .alternation import SolverError
-from .modelapi import (
-    InformationAtTruth,
-    Model,
-    ModelDomainError,
-    UnsupportedCapabilityError,
-)
+from .modelapi import Model, ModelDomainError, UnsupportedCapabilityError
 from .statcore import BlockInformation, ParameterPoint
 from .wavelet import WaveletBasis
 
@@ -48,7 +43,6 @@ class SingleIndexDataset:
     theta_star: np.ndarray | None = None
     eta_star: np.ndarray | None = None
     sigma: float | None = None
-    seed: int | None = None
 
     @property
     def n(self):
@@ -97,8 +91,44 @@ def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None) -> Single
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
     return SingleIndexDataset(
         X=X, y=f + eps, s_X=float(s_X), theta_star=theta_star,
-        eta_star=eta_star, sigma=float(sigma), seed=seed,
+        eta_star=eta_star, sigma=float(sigma),
     )
+
+
+def _noise_scale(sigma):
+    """The noise scale of L: sigma when known and positive, else 1."""
+    return float(sigma) if sigma is not None and sigma > 0 else 1.0
+
+
+def information_at_truth(basis, star, n, s_X, sigma, r_datasets, *, seed):
+    """Monte Carlo estimate of -Hessian of E L at the truth `star`.
+
+    Averages the analytic blocks over r_datasets datasets of n points, each
+    drawn as `generate` draws one from the truth; seeded and deterministic.
+    """
+    rng = np.random.default_rng(seed)
+    p, m = star.p, basis.m
+    D2 = np.zeros((p, p))
+    A = np.zeros((p, m))
+    H2 = np.zeros((m, m))
+    c = 1.0 / _noise_scale(sigma)**2
+    for _ in range(r_datasets):
+        X = uniform_ball(rng, n, p, s_X)
+        t = X @ star.theta
+        E = basis.design(t)
+        fp = basis.ddesign(t) @ star.eta
+        Jt = X * fp[:, None]
+        D2 += c * (Jt.T @ Jt)
+        A += c * (Jt.T @ E)
+        H2 += c * (E.T @ E)
+        if sigma > 0:
+            # the noise of dataset r is not read, but it is drawn: the
+            # X of every later dataset, and so the blocks, follow it
+            rng.standard_normal(n)
+    D2 /= r_datasets
+    A /= r_datasets
+    H2 /= r_datasets
+    return BlockInformation(D2=0.5 * (D2 + D2.T), A=A, H2=0.5 * (H2 + H2.T))
 
 
 def eta_step_closed_form(dataset, basis, theta):
@@ -450,8 +480,7 @@ class SingleIndexModel(Model):
         self.dataset = dataset
         self.basis = basis
         self.constrain_theta = bool(constrain_theta)
-        sigma = dataset.sigma
-        self.noise_scale = float(sigma) if sigma is not None and sigma > 0 else 1.0
+        self.noise_scale = _noise_scale(dataset.sigma)
         if eta_radius is None:
             if dataset.eta_star is not None:
                 eta_radius = max(10.0 * float(np.linalg.norm(dataset.eta_star)), 1.0)
@@ -553,43 +582,6 @@ class SingleIndexModel(Model):
             if not use_newton:
                 alpha = min(scale * 1.6, 1e3)
         return fit.theta
-
-    def information_at_truth(self, r_datasets=200, *, seed):
-        """Monte Carlo estimate of -Hessian of E L at the truth.
-
-        Averages analytic quantities over r_datasets fresh datasets of the
-        same size; seeded and deterministic.
-        """
-        ds = self.dataset
-        if ds.theta_star is None or ds.eta_star is None:
-            raise UnsupportedCapabilityError(
-                "information_at_truth requires a known truth (simulation models only)"
-            )
-        rng = np.random.default_rng(seed)
-        n, p, m = ds.n, ds.p, self.basis.m
-        D2 = np.zeros((p, p))
-        A = np.zeros((p, m))
-        H2 = np.zeros((m, m))
-        c = 1.0 / self.noise_scale**2
-        for r in range(r_datasets):
-            X = uniform_ball(rng, n, p, ds.s_X)
-            t = X @ ds.theta_star
-            E = self.basis.design(t)
-            fp = self.basis.ddesign(t) @ ds.eta_star
-            Jt = X * fp[:, None]
-            D2 += c * (Jt.T @ Jt)
-            A += c * (Jt.T @ E)
-            H2 += c * (E.T @ E)
-            if (ds.sigma or 0.0) > 0:
-                # the noise of dataset r is not read, but it is drawn: the
-                # X of every later dataset, and so the blocks, follow it
-                rng.standard_normal(n)
-        D2 /= r_datasets
-        A /= r_datasets
-        H2 /= r_datasets
-        info = BlockInformation(D2=0.5 * (D2 + D2.T), A=A, H2=0.5 * (H2 + H2.T))
-        star = ParameterPoint(ds.theta_star, ds.eta_star)
-        return InformationAtTruth(info=info, upsilon_star=star)
 
     def expected_evaluate(self, point, n_mc=200_000, seed=1234):
         """Monte Carlo E L(point) = -n/(2s^2) (E[(f* - f_point)^2] + sigma^2)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .modelapi import InformationAtTruth, Model, ModelDomainError
+from .modelapi import Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint, efficient_information, sqrt_spd
 
 
@@ -33,12 +33,11 @@ def _pos_solve(M, b):
 
 
 class ToyGaussianModel(Model):
-    def __init__(self, F2: BlockInformation, upsilon_star: ParameterPoint, Y, seed=None):
+    def __init__(self, F2: BlockInformation, upsilon_star: ParameterPoint, Y):
         F2.validate()
         self.F2 = F2
         self.upsilon_star = upsilon_star
         self.Y = np.asarray(Y, dtype=float).copy()
-        self.seed = seed
         if self.Y.size != upsilon_star.p_star:
             raise ValueError("Y dimension does not match upsilon_star")
         self._full = F2.full()
@@ -78,10 +77,6 @@ class ToyGaussianModel(Model):
         y_th, y_et = self.Y[: self._p], self.Y[self._p :]
         return y_th - _pos_solve(self.F2.D2, self.F2.A @ (et - y_et))
 
-    def information_at_truth(self):
-        # -Hessian of L is F2 at every point, so also of E[L] at the truth
-        return InformationAtTruth(info=self.F2, upsilon_star=self.upsilon_star)
-
     def default_start(self):
         return ParameterPoint(np.zeros(self._p), np.zeros(self.F2.m))
 
@@ -91,11 +86,11 @@ def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed, zero_nois
     F2.validate()
     star = upsilon_star.as_vector()
     if zero_noise:
-        return ToyGaussianModel(F2, upsilon_star, star, seed=seed)
+        return ToyGaussianModel(F2, upsilon_star, star)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(star.size)
     Y = star + np.linalg.solve(F2.full_sqrt(), z)
-    return ToyGaussianModel(F2, upsilon_star, Y, seed=seed)
+    return ToyGaussianModel(F2, upsilon_star, Y)
 
 
 def contraction_matrix(F2: BlockInformation):

@@ -139,7 +139,14 @@ class WaveletTables:
 
 
 def wavelet_tables(genus=7, j_table=12) -> WaveletTables:
-    """The tables of `genus` on the dyadic grid of step 2^-j_table, built once per pair."""
+    """The tables of `genus` on the dyadic grid of step 2^-j_table, built once per pair.
+
+    genus 1 (Haar) is rejected: `_integer_values` zeroes the two ends of
+    the support, which are Haar's only integers, so its tables would be all
+    zeros.
+    """
+    if int(genus) < 2:
+        raise ValueError("genus >= 2 required")
     return _wavelet_tables(int(genus), int(j_table))
 
 

@@ -197,6 +197,23 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
     cases = [
         ("single-index", "n = 0\n", "bad value '0' for config key 'n': si_n >= 1 required"),
         ("toy", "b = -1\n", "bad value '-1' for config key 'b': b must be > 0"),
+        ("single-index", "sigma = -0.5\n",
+         "bad value '-0.5' for config key 'sigma': si_sigma >= 0 required"),
+        ("single-index", "theta_angle = 2.0\n",
+         "bad value '2.0' for config key 'theta_angle': cos(si_theta_angle) > 0 required"),
+        ("bounds", "x = 0\n", "bad value '0' for config key 'x': x > 0 required"),
+        ("bounds", "p = 0\n", "bad value '0' for config key 'p': p >= 1 required"),
+        ("bounds", "m = 0\n", "bad value '0' for config key 'm': m >= 1 required"),
+        ("bounds", "nu = 2\n", "bad value '2' for config key 'nu': nu in [0, 1) required"),
+        ("bounds", "k_max = -1\n",
+         "bad value '-1' for config key 'k_max': k_max >= 0 required"),
+        ("bounds", "eps = -1e-4\n",
+         "bad value '-1e-4' for config key 'eps': eps >= 0 required"),
+        ("bounds", "norm_dinv = -0.01\n",
+         "bad value '-0.01' for config key 'norm_dinv': norm_Dinv >= 0 required"),
+        ("bounds", "r_k_init = -1\n",
+         "bad value '-1' for config key 'r_k_init': R_K >= 0 required"),
+        ("bounds", "k0 = -1\n", "bad value '-1' for config key 'k0': K0 >= 0 required"),
     ]
     for command, text, message in cases:
         cfg = write(tmp_path / "bad.kv", text)

@@ -195,6 +195,25 @@ def test_build_context_toy():
     assert ctx.K == 4
 
 
+def test_build_context_single_index_draws_only_the_pilot_dataset(monkeypatch):
+    # the information blocks come from the truth alone; the one dataset
+    # set-up draws is the pilot replication that sizes R0
+    import altmax.harness as hz
+
+    seeds, real = [], hz.generate
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"].spawn_key)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "generate", counting)
+    cfg = ExperimentConfig(family="single-index", reps=1, master_seed=0,
+                           si_n=300, si_r_cov=5, si_grid_n=64)
+    ctx = build_context(cfg)
+    assert 0.0 < ctx.nu < 1.0 and ctx.R0 is not None
+    assert seeds == [(999_931,)]
+
+
 def test_failure_budget(monkeypatch):
     import altmax.harness as hz
     from altmax.harness import HarnessError
@@ -289,6 +308,8 @@ def test_config_validation():
     for threads in (0, -2):  # constructs the config only; starts no thread
         with pytest.raises(ValueError, match="threads"):
             ExperimentConfig(threads=threads)
+    # theta_angle must put theta* on the half-sphere only when p >= 2
+    assert ExperimentConfig(si_p=1, si_theta_angle=2.0).si_theta_angle == 2.0
 
 
 @pytest.mark.parametrize("key, value", [

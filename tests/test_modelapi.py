@@ -31,7 +31,6 @@ def test_base_operations_raise_not_implemented():
         lambda: m.eta_argmax([0.0]),
         lambda: m.theta_argmax([0.0]),
         lambda: m.expected_evaluate(pt),
-        lambda: m.information_at_truth(),
         lambda: m.default_start(),
     ):
         with pytest.raises(NotImplementedError):
@@ -52,8 +51,6 @@ def test_model_without_truth_has_no_information():
     X = 0.5 * rng.standard_normal((30, 2))
     ds = SingleIndexDataset(X=X, y=rng.standard_normal(30), s_X=1.0)
     model = SingleIndexModel(ds, basis)
-    with pytest.raises(UnsupportedCapabilityError, match="truth"):
-        model.information_at_truth(seed=0)
     with pytest.raises(UnsupportedCapabilityError):
         model.expected_evaluate(ParameterPoint([1.0, 0.0], [0.0, 0.0]))
 

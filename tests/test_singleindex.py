@@ -15,6 +15,7 @@ from altmax.singleindex import (
     eta_step_closed_form,
     generate,
     grid_init,
+    information_at_truth,
     theta_step,
 )
 from altmax.statcore import ParameterPoint
@@ -22,6 +23,7 @@ from altmax.wavelet import WaveletBasis
 
 THETA2 = np.array([np.cos(0.3), np.sin(0.3)])
 ETA6 = np.array([1.0, -0.8, 0.9, -0.7, 0.6, 0.8])
+STAR = ParameterPoint(THETA2, ETA6)
 
 
 def desk(n=600, sigma=0.5, seed=0, m=6):
@@ -232,20 +234,18 @@ def test_model_hessian_fd():
 
 
 def test_information_at_truth_noiseless_is_spd():
-    ds, basis = desk(n=300, sigma=0.0, seed=6)
-    model = SingleIndexModel(ds, basis)
-    iat = model.information_at_truth(r_datasets=10, seed=6)
-    w = np.linalg.eigvalsh(iat.info.full())
+    basis = WaveletBasis(m=6, s_X=1.0)
+    info = information_at_truth(basis, STAR, 300, 1.0, 0.0, 10, seed=6)
+    w = np.linalg.eigvalsh(info.full())
     assert w.min() > 0
 
 
 def test_information_at_truth_replication_oracle():
-    ds, basis = desk(n=400, seed=10)
-    model = SingleIndexModel(ds, basis)
-    iat = model.information_at_truth(r_datasets=200, seed=100)
-    ref = model.information_at_truth(r_datasets=2000, seed=999)
+    basis = WaveletBasis(m=6, s_X=1.0)
+    info = information_at_truth(basis, STAR, 400, 1.0, 0.5, 200, seed=100)
+    ref = information_at_truth(basis, STAR, 400, 1.0, 0.5, 2000, seed=999)
     # each entry within 3 standard errors of the long-run estimate
-    D, Dref = iat.info.full(), ref.info.full()
+    D, Dref = info.full(), ref.full()
     scale = np.abs(Dref).max()
     se = 3.0 * scale / np.sqrt(200)
     assert np.abs(D - Dref).max() < 3.0 * se
@@ -258,12 +258,12 @@ def test_information_at_truth_matches_a_textbook_loop(m, sigma):
     # -Hessian of E L averaged over them
     eta = np.resize(ETA6, m)
     basis = WaveletBasis(m=m, s_X=1.0)
-    ds = generate(200, 2, THETA2, eta, sigma, 1.0, seed=4, basis=basis)
-    model = SingleIndexModel(ds, basis)
     R = 5
-    iat = model.information_at_truth(r_datasets=R, seed=17)
+    info = information_at_truth(
+        basis, ParameterPoint(THETA2, eta), 200, 1.0, sigma, R, seed=17
+    )
     rng = np.random.default_rng(17)
-    c = 1.0 / model.noise_scale**2
+    c = 1.0 / (sigma if sigma > 0 else 1.0)**2
     D2, A, H2 = np.zeros((2, 2)), np.zeros((2, m)), np.zeros((m, m))
     for _ in range(R):
         X = generate(200, 2, THETA2, eta, sigma, 1.0, seed=rng, basis=basis).X
@@ -274,10 +274,9 @@ def test_information_at_truth_matches_a_textbook_loop(m, sigma):
         A += c * (Jt.T @ E)
         H2 += c * (E.T @ E)
     D2, A, H2 = D2 / R, A / R, H2 / R
-    assert np.array_equal(iat.info.D2, 0.5 * (D2 + D2.T))
-    assert np.array_equal(iat.info.A, A)
-    assert np.array_equal(iat.info.H2, 0.5 * (H2 + H2.T))
-    assert np.array_equal(iat.upsilon_star.as_vector(), np.concatenate([THETA2, eta]))
+    assert np.array_equal(info.D2, 0.5 * (D2 + D2.T))
+    assert np.array_equal(info.A, A)
+    assert np.array_equal(info.H2, 0.5 * (H2 + H2.T))
 
 
 def test_noiseless_identifiability_sphere_alternation():

@@ -48,12 +48,6 @@ def test_gradient_example_and_fd():
     assert gradient_check(m, pts, h=1e-6) <= 1e-6
 
 
-def test_information_at_truth_is_F2():
-    m = canon_model()
-    iat = m.information_at_truth()
-    assert np.allclose(iat.info.full(), F2_CANON.full())
-
-
 def test_simulate_zero_noise_and_reproducibility():
     star = ParameterPoint([0.3], [0.7])
     m0 = simulate(F2_CANON, star, seed=5, zero_noise=True)

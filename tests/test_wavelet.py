@@ -184,3 +184,9 @@ def test_bad_args():
         WaveletBasis(m=0, s_X=1.0)
     with pytest.raises(ValueError):
         WaveletBasis(m=3, s_X=-1.0)
+    # genus 1 (Haar) would build all-zero tables after a division by zero
+    for genus in (0, 1):
+        with pytest.raises(ValueError, match="genus >= 2"):
+            wavelet_tables(genus)
+        with pytest.raises(ValueError, match="genus >= 2"):
+            WaveletBasis(m=3, s_X=1.0, genus=genus)
