@@ -151,10 +151,13 @@ def read_config(path, command):
     return values, where
 
 
-def _build(cls, where, **kwargs):
-    """`cls(**kwargs)`; a value out of range is named as `where` places it."""
+def _build(cls, where, *checks, **kwargs):
+    """`cls(**kwargs)` that passes `checks`; a value out of range is named as `where` places it."""
     try:
-        return cls(**kwargs)
+        built = cls(**kwargs)
+        for check in checks:
+            check(built)
+        return built
     except FieldValueError as exc:
         if (cls, exc.field) not in where:
             raise
@@ -184,8 +187,13 @@ def experiment_config(args, command) -> ExperimentConfig:
         if value is not None:
             kwargs[name] = value
             where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
+    checks = []
+    if command == "single-index":  # the sweep reads eta_star as a pool of any length
+        checks.append(ExperimentConfig.check_eta_star)
+        if (ExperimentConfig, "si_m") in where:  # with eta_star left at its default, m is off
+            where.setdefault((ExperimentConfig, "si_eta_star"), where[ExperimentConfig, "si_m"])
     return _build(
-        ExperimentConfig, where,
+        ExperimentConfig, where, *checks,
         family="toy" if command == "toy" else "single-index",
         cc=_build(ConditionConstants, where, **values[ConditionConstants]),
         **kwargs,
@@ -296,6 +304,10 @@ COMMANDS = {
 }
 
 
+THREADS_HELP = ("worker processes for the replications (default 1; forked where the "
+                "platform can); records are byte-identical at any count")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="altmax", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -304,7 +316,8 @@ def build_parser():
         for flag, kind in (("--config", str), ("--seed", int), ("--out", str),
                            ("--reps", int), ("--threads", int)):
             if name != "bounds" or flag in ("--config", "--out"):
-                sp.add_argument(flag, type=kind, default=None)
+                sp.add_argument(flag, type=kind, default=None,
+                                help=THREADS_HELP if flag == "--threads" else None)
         if name in ("toy", "single-index"):
             sp.add_argument("--experiment", choices=("wilks", "me"), default="wilks")
         sp.add_argument("--assert", dest="do_assert", action="store_true")

@@ -4,18 +4,18 @@ sweeps.
 
 Replication r of an experiment draws its generator from
 SeedSequence(master_seed, spawn_key=(r,)), so results are independent of
-execution order and thread count; aggregation sorts by replication index.
+execution order and worker count; aggregation sorts by replication index.
 Each experiment is a module-level worker of (context, replication index),
 which pickles, run by the one `_run_replications`: a failed replication,
 whatever error it raises, is recorded and excluded from aggregates, up to a
-5% budget, beyond which the run aborts.
+5% budget, beyond which the run aborts.  The replications and the shell
+points of `probe_delta` run through one runner, `_map`, on `threads` processes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -138,21 +138,33 @@ class ExperimentConfig:
     sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
-        for key in ("reps", "threads", "si_n", "si_p", "si_r_cov"):
+        for key in ("reps", "threads", "si_n", "si_p", "si_m", "si_grid_n", "si_r_cov"):
             if getattr(self, key) < 1:
                 raise FieldValueError(key, f"{key} >= 1 required")
+        for key in ("sweep_n", "sweep_m"):
+            if min(getattr(self, key), default=1) < 1:
+                raise FieldValueError(key, f"{key} entries >= 1 required")
         if self.steps is not None and self.steps < 1:
             raise FieldValueError("steps", "steps >= 1 required")
         if not self.solver_tolerance > 0:
             raise FieldValueError("solver_tolerance", "solver_tolerance > 0 required")
         if not self.si_sigma >= 0:
             raise FieldValueError("si_sigma", "si_sigma >= 0 required")
+        if not self.si_s_x > 0:
+            raise FieldValueError("si_s_x", "si_s_x > 0 required")
         angle = self.si_theta_angle
         if self.si_p >= 2 and not (math.isfinite(angle) and math.cos(angle) > 0):
             # theta_star must lie on the half-sphere (first coordinate positive)
             raise FieldValueError("si_theta_angle", "cos(si_theta_angle) > 0 required")
         if self.family not in ("toy", "single-index"):
             raise ValueError(f"unknown family {self.family!r}")
+
+    def check_eta_star(self):
+        """A single-index run needs one eta_star value per sieve function; the sweep
+        reads eta_star as a pool of any length, so construction does not check it."""
+        if len(self.si_eta_star) != self.si_m:
+            raise FieldValueError("si_eta_star",
+                                  f"si_eta_star length must equal si_m = {self.si_m}")
 
 
 def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
@@ -201,8 +213,7 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
         star = ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
         basis = None
     else:
-        if len(cfg.si_eta_star) != cfg.si_m:
-            raise ValueError("si_eta_star length must equal si_m")
+        cfg.check_eta_star()
         basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x)
         star = ParameterPoint(si_theta_star(cfg), cfg.si_eta_star)
         info = information_at_truth(
@@ -309,15 +320,27 @@ def _attempt(replicate, ctx, rep_index):
         return {"rep": rep_index, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _map(fn, ctx, items, workers):
+    """[fn(ctx, x) for x in items], in order: here at 1 worker; else in contiguous
+    chunks of ceil(len(items) / (4 * workers)) items, each pickled with `fn` and `ctx`,
+    on a pool of `workers` processes, forked where the platform has fork (else its
+    default start method).  An error of `fn` reaches the caller; a dead worker fails
+    the map with BrokenProcessPool."""
+    if workers == 1 or len(items) < 2:
+        return [fn(ctx, x) for x in items]
+    import multiprocessing  # here: a 1-worker run loads no process-pool module
+    from concurrent.futures import ProcessPoolExecutor
+    size = math.ceil(len(items) / (4 * workers))
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(min(workers, len(chunks)), multiprocessing.get_context(start)) as ex:
+        return [y for part in ex.map(partial(_map, fn, ctx, workers=1), chunks) for y in part]
+
+
 def _run_replications(ctx, replicate, kind, aggregate, **meta):
     """Run `replicate(ctx, i)` for every replication; report `aggregate(ok, ctx)` and `meta`."""
     cfg = ctx.cfg
-    attempt = partial(_attempt, replicate, ctx)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            records = list(ex.map(attempt, range(cfg.reps)))
-    else:
-        records = [attempt(i) for i in range(cfg.reps)]
+    records = _map(partial(_attempt, replicate), ctx, range(cfg.reps), cfg.threads)
     ok = [r for r in records if r["status"] == "ok"]
     failures = [r for r in records if r["status"] != "ok"]
     if len(failures) > 0.05 * cfg.reps:
@@ -489,27 +512,25 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
         raise ValueError(f"n_points must be in 1..100, got {n_points!r}")
     ctx = build_context(config)
     star_v = ctx.upsilon_star.as_vector()
-    D0 = ctx.D_full
-    p = ctx.upsilon_star.p
-    out = {}
+    points = []  # one task per shell point: its first dataset seed, R and the point
     for ri, r in enumerate(r_grid):
-        worst = 0.0
         rng = np.random.default_rng(derive_seed(seed, ri))
         for j in range(n_points):
             u = rng.standard_normal(star_v.size)
-            u /= np.linalg.norm(u)
-            v = star_v + r * np.linalg.solve(D0, u)
-            point = ParameterPoint.from_vector(v, p)
-            Hbar = np.zeros((star_v.size, star_v.size))
-            for rep in range(R):
-                model = _make_model(ctx, 10_000_000 + ri * 100_000 + j * 1000 + rep)
-                Hbar += model.hessian(point)
-            Hbar /= R
-            M = np.linalg.solve(D0, np.linalg.solve(D0, -Hbar).T)
-            dev = float(np.linalg.norm(0.5 * (M + M.T) - np.eye(star_v.size), 2))
-            worst = max(worst, dev)
-        out[float(r)] = worst
-    return out
+            v = star_v + r * np.linalg.solve(ctx.D_full, u / np.linalg.norm(u))
+            points.append((10_000_000 + ri * 100_000 + j * 1000, R, v))
+    devs = _map(_shell_deviation, ctx, points, config.threads)
+    return {float(r): max([0.0, *devs[ri * n_points:(ri + 1) * n_points]])
+            for ri, r in enumerate(r_grid)}
+
+
+def _shell_deviation(ctx, task):
+    """The deviation from the identity of the normalized mean Hessian at a shell point."""
+    seed0, R, v = task
+    point, D0 = ParameterPoint.from_vector(v, ctx.upsilon_star.p), ctx.D_full
+    Hbar = sum(_make_model(ctx, seed0 + rep).hessian(point) for rep in range(R)) / R
+    M = np.linalg.solve(D0, np.linalg.solve(D0, -Hbar).T)
+    return float(np.linalg.norm(0.5 * (M + M.T) - np.eye(v.size), 2))
 
 
 # ---------------------------------------------------------------------------

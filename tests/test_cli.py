@@ -214,6 +214,22 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         ("bounds", "r_k_init = -1\n",
          "bad value '-1' for config key 'r_k_init': R_K >= 0 required"),
         ("bounds", "k0 = -1\n", "bad value '-1' for config key 'k0': K0 >= 0 required"),
+        ("single-index", "s_x = 0\n", "bad value '0' for config key 's_x': si_s_x > 0 required"),
+        ("single-index", "m = 0\n", "bad value '0' for config key 'm': si_m >= 1 required"),
+        ("single-index", "grid_n = 0\n",
+         "bad value '0' for config key 'grid_n': si_grid_n >= 1 required"),
+        ("single-index", "m = 3\neta_star = 1.0, -0.8\n",
+         "bad value '1.0, -0.8' for config key 'eta_star': si_eta_star length must equal si_m = 3"),
+        ("single-index", "eta_star = 1.0, -0.8, 0.9\n",
+         "bad value '1.0, -0.8, 0.9' for config key 'eta_star': "
+         "si_eta_star length must equal si_m = 6"),
+        # with eta_star left at its default (6 values), the mismatch is m's
+        ("single-index", "m = 4\n",
+         "bad value '4' for config key 'm': si_eta_star length must equal si_m = 4"),
+        ("sweep", "sweep_n = 0, 250\n",
+         "bad value '0, 250' for config key 'sweep_n': sweep_n entries >= 1 required"),
+        ("sweep", "sweep_m = 3, -1\n",
+         "bad value '3, -1' for config key 'sweep_m': sweep_m entries >= 1 required"),
     ]
     for command, text, message in cases:
         cfg = write(tmp_path / "bad.kv", text)
@@ -225,6 +241,9 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         main(["toy", "--config", cfg, "--reps", "0", "--out", str(tmp_path / "o")])
     assert str(info.value) == "bad value 0 for flag '--reps': reps >= 1 required"
     assert not (tmp_path / "o").exists()
+    # the sweep repeats or cuts an eta_star pool of any length to each m
+    cfg = write(tmp_path / "pool.kv", "eta_star = 1.0, -0.8, 0.9\nsweep_m = 2, 6\n")
+    assert experiment_config(namespace(cfg), "sweep").si_eta_star == (1.0, -0.8, 0.9)
 
 
 def test_cli_flag_overridden_key_is_known(tmp_path):

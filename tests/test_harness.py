@@ -13,6 +13,8 @@ import pytest
 
 from altmax.harness import (
     ExperimentConfig,
+    HarnessError,
+    _wilks_replication,
     build_context,
     chi2_cdf,
     derive_seed,
@@ -99,6 +101,52 @@ def test_wilks_fisher_thread_determinism(tmp_path):
     assert f1 == f8
 
 
+def _wilks_replication_with_pid(ctx, i):
+    return {**_wilks_replication(ctx, i), "pid": os.getpid()}
+
+
+def test_replications_run_in_worker_processes(monkeypatch):
+    import altmax.harness as hz
+
+    monkeypatch.setattr(hz, "_wilks_replication", _wilks_replication_with_pid)
+    base = dict(family="toy", reps=16, master_seed=5, steps=4)
+    one = run_wilks_fisher(ExperimentConfig(**base, threads=1)).records
+    two = run_wilks_fisher(ExperimentConfig(**base, threads=2)).records
+    assert {r["pid"] for r in one} == {os.getpid()}
+    assert os.getpid() not in {r["pid"] for r in two}
+    strip = [{k: v for k, v in r.items() if k != "pid"} for r in one + two]
+    assert repr(strip[:16]) == repr(strip[16:])
+
+
+def _fail_on(bad, ctx, i):
+    if i in bad:
+        raise ModelDomainError(f"rigged domain error {i}")
+    return _wilks_replication(ctx, i)
+
+
+def test_failures_cross_the_process_boundary(monkeypatch):
+    import altmax.harness as hz
+
+    base = dict(family="toy", reps=20, master_seed=1, steps=4)
+    monkeypatch.setattr(hz, "_wilks_replication", functools.partial(_fail_on, {3}))
+    failed = [
+        [r for r in run_wilks_fisher(ExperimentConfig(**base, threads=w)).records
+         if r["status"] != "ok"]
+        for w in (1, 2)
+    ]
+    assert failed[0] == failed[1] == [
+        {"rep": 3, "status": "failed", "error": "ModelDomainError: rigged domain error 3"}
+    ]
+    monkeypatch.setattr(hz, "_wilks_replication", functools.partial(_fail_on, {3, 7, 11}))
+    messages = []
+    for w in (1, 2):
+        with pytest.raises(HarnessError) as info:
+            run_wilks_fisher(ExperimentConfig(**base, threads=w))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("3 of 20 replications failed (>5% budget): rep 3: ")
+
+
 def test_wilks_fisher_toy_residual_hits_target():
     # K from the stopping rule with the accuracy level z = sqrt(1e-8)
     cfg = ExperimentConfig(family="toy", reps=50, master_seed=23, z_target=1e-4)
@@ -139,6 +187,21 @@ def test_probe_delta_single_index_monotone_and_scaling():
     for r in grid:
         ratio = (d_small[r] * math.sqrt(500)) / (d_big[r] * math.sqrt(2000))
         assert 0.5 <= ratio <= 2.0
+
+
+def test_probe_delta_at_two_workers():
+    cfg = dict(family="single-index", reps=1, master_seed=0, si_n=300, si_m=3,
+               si_eta_star=(1.0, -0.8, 0.9))
+    outs = [probe_delta(ExperimentConfig(**cfg, threads=w), r_grid=(0.4, 1.2), R=2, n_points=3)
+            for w in (1, 2)]
+    assert repr(outs[0]) == repr(outs[1])
+
+
+def test_probe_delta_propagates_the_model_domain_error_from_a_worker():
+    cfg = ExperimentConfig(family="single-index", reps=1, master_seed=0, threads=2,
+                           si_n=500, si_m=3, si_eta_star=(1.0, -0.8, 0.9))
+    with pytest.raises(ModelDomainError, match="outside"):
+        probe_delta(cfg, r_grid=(1e4,), R=2, n_points=4)
 
 
 def test_probe_delta_propagates_the_model_domain_error():
@@ -305,7 +368,7 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(family="nope")
-    for threads in (0, -2):  # constructs the config only; starts no thread
+    for threads in (0, -2):  # constructs the config only; starts no process
         with pytest.raises(ValueError, match="threads"):
             ExperimentConfig(threads=threads)
     # theta_angle must put theta* on the half-sphere only when p >= 2
