@@ -64,8 +64,9 @@ class ConditionConstants:
         for key in ("omega", "omega2"):
             if not 0.0 <= getattr(self, key) <= 0.5:
                 raise FieldValueError(key, f"{key} must lie in [0, 1/2]")
-        if self.b <= 0:
-            raise FieldValueError("b", "b must be > 0")
+        for key in ("nu0", "g", "g0", "b"):
+            if not getattr(self, key) > 0:
+                raise FieldValueError(key, f"{key} must be > 0")
         for key in ("delta_slope", "delta_const"):
             if getattr(self, key) < 0:
                 # the delta map must be non-negative and non-decreasing

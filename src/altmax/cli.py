@@ -71,6 +71,12 @@ class _BoundsKeys:
             value = getattr(self, key)
             if value is not None and not value >= 0:
                 raise FieldValueError(key, f"{key} >= 0 required")
+        eigs = self.b_eigenvalues
+        if eigs is not None and len(eigs) != self.p + self.m:
+            raise FieldValueError("b_eigenvalues",
+                                  f"b_eigenvalues must have p + m = {self.p + self.m} entries")
+        if eigs is not None and not all(v >= 0 for v in eigs):
+            raise FieldValueError("b_eigenvalues", "b_eigenvalues entries >= 0 required")
 
 
 def _parse_bool(raw):
@@ -117,7 +123,8 @@ def _experiment_keys(*families):
 KEYS = {
     "toy": _experiment_keys("toy_"),
     "single-index": _experiment_keys("si_"),
-    "sweep": _experiment_keys("si_", "sweep_"),
+    "sweep": {key: entry for key, entry in _experiment_keys("si_", "sweep_").items()
+              if key not in ("n", "m")},  # each sweep cell sets its own n and m
     "bounds": {**_keys(ConditionConstants), **_keys(_BoundsKeys)},
 }
 
@@ -187,6 +194,9 @@ def experiment_config(args, command) -> ExperimentConfig:
         if value is not None:
             kwargs[name] = value
             where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
+    for name in ("toy_d2", "toy_h2"):  # with toy_a at its default, the coupling bound is theirs
+        if (ExperimentConfig, name) in where:
+            where.setdefault((ExperimentConfig, "toy_a"), where[ExperimentConfig, name])
     checks = []
     if command == "single-index":  # the sweep reads eta_star as a pool of any length
         checks.append(ExperimentConfig.check_eta_star)

@@ -138,20 +138,24 @@ class ExperimentConfig:
     sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
-        for key in ("reps", "threads", "si_n", "si_p", "si_m", "si_grid_n", "si_r_cov"):
-            if getattr(self, key) < 1:
+        for key in ("reps", "threads", "steps", "toy_p", "toy_m", "si_n", "si_p", "si_m",
+                    "si_grid_n", "si_r_cov"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
                 raise FieldValueError(key, f"{key} >= 1 required")
+        for key in ("x", "z_target", "solver_tolerance", "toy_d2", "toy_h2", "si_s_x"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise FieldValueError(key, f"{key} > 0 required")
+        for key in ("master_seed", "si_sigma"):
+            if not getattr(self, key) >= 0:
+                raise FieldValueError(key, f"{key} >= 0 required")
         for key in ("sweep_n", "sweep_m"):
             if min(getattr(self, key), default=1) < 1:
                 raise FieldValueError(key, f"{key} entries >= 1 required")
-        if self.steps is not None and self.steps < 1:
-            raise FieldValueError("steps", "steps >= 1 required")
-        if not self.solver_tolerance > 0:
-            raise FieldValueError("solver_tolerance", "solver_tolerance > 0 required")
-        if not self.si_sigma >= 0:
-            raise FieldValueError("si_sigma", "si_sigma >= 0 required")
-        if not self.si_s_x > 0:
-            raise FieldValueError("si_s_x", "si_s_x > 0 required")
+        if not self.toy_a**2 < self.toy_d2 * self.toy_h2:
+            # the toy blocks are SPD exactly when the coupling nu is below one
+            raise FieldValueError("toy_a", "toy_a**2 < toy_d2 * toy_h2 required")
         angle = self.si_theta_angle
         if self.si_p >= 2 and not (math.isfinite(angle) and math.cos(angle) > 0):
             # theta_star must lie on the half-sphere (first coordinate positive)

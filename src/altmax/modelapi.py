@@ -1,9 +1,11 @@
 """Contract a statistical model must satisfy to be driven by the alternator.
 
 A model wraps one realized dataset and exposes the random functional L, its
-split gradient and Hessian, and its two partial maximizers, `eta_argmax` and
-`theta_argmax`.  A model provides both maximizers: the engine alternates
-them and has no generic ascent to fall back on.
+split gradient and Hessian, its two partial maximizers, `eta_argmax` and
+`theta_argmax`, and a `default_start`.  A model provides both maximizers:
+the engine alternates them and has no generic ascent to fall back on.  The
+contract needs no truth: the experiments build the information at the
+truth from the truth itself.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from .statcore import ParameterPoint
 
 class ModelDomainError(ValueError):
     """A point lies outside the model's admissible set; message names the constraint."""
-
-
-class UnsupportedCapabilityError(RuntimeError):
-    """The operation needs a known truth, and the model's dataset has none."""
 
 
 class Model:
@@ -40,9 +38,6 @@ class Model:
 
     def theta_argmax(self, eta, theta_init=None):
         """argmax over theta of L(., eta); theta_init is the previous theta."""
-        raise NotImplementedError
-
-    def expected_evaluate(self, point: ParameterPoint):
         raise NotImplementedError
 
     def default_start(self) -> ParameterPoint:

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .alternation import SolverError
-from .modelapi import Model, ModelDomainError, UnsupportedCapabilityError
+from .modelapi import Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint
 from .wavelet import WaveletBasis
 
@@ -40,7 +40,6 @@ class SingleIndexDataset:
     X: np.ndarray  # n x p, rows inside the ball of radius s_X
     y: np.ndarray
     s_X: float
-    theta_star: np.ndarray | None = None
     eta_star: np.ndarray | None = None
     sigma: float | None = None
 
@@ -51,12 +50,6 @@ class SingleIndexDataset:
     @property
     def p(self):
         return self.X.shape[1]
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write(",".join([f"X_{j+1}" for j in range(self.p)] + ["y"]) + "\n")
-            for i in range(self.n):
-                f.write(",".join(repr(v) for v in self.X[i]) + f",{self.y[i]!r}\n")
 
 
 def _check_half_sphere(theta, name="theta_star"):
@@ -90,8 +83,7 @@ def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None) -> Single
     f = basis.synth(X @ theta_star, eta_star)
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
     return SingleIndexDataset(
-        X=X, y=f + eps, s_X=float(s_X), theta_star=theta_star,
-        eta_star=eta_star, sigma=float(sigma),
+        X=X, y=f + eps, s_X=float(s_X), eta_star=eta_star, sigma=float(sigma),
     )
 
 
@@ -582,18 +574,6 @@ class SingleIndexModel(Model):
             if not use_newton:
                 alpha = min(scale * 1.6, 1e3)
         return fit.theta
-
-    def expected_evaluate(self, point, n_mc=200_000, seed=1234):
-        """Monte Carlo E L(point) = -n/(2s^2) (E[(f* - f_point)^2] + sigma^2)."""
-        ds = self.dataset
-        if ds.theta_star is None:
-            raise UnsupportedCapabilityError("expected functional requires a known truth")
-        rng = np.random.default_rng(seed)
-        X = uniform_ball(rng, n_mc, ds.p, ds.s_X)
-        fstar = self.basis.synth(X @ ds.theta_star, ds.eta_star)
-        fhat = self.basis.synth(X @ point.theta, point.eta)
-        sig2 = (ds.sigma or 0.0) ** 2
-        return -ds.n * self._inv2s * (float(np.mean((fstar - fhat) ** 2)) + sig2)
 
     def default_start(self, N=64):
         """The start of `grid_init` on N grid points, inside the eta ball.

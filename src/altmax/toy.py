@@ -2,8 +2,7 @@
 
 Observation Y = upsilon_star + eps with eps ~ N(0, inv(F2)), functional
 L(u) = -||F (u - Y)||^2 / 2.  Both partial maximizers are linear maps, so
-every alternation iterate has a closed form and the contraction matrix and
-its norm are exact.
+every alternation iterate has a closed form, `exact_alternation`.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from .modelapi import Model, ModelDomainError
-from .statcore import BlockInformation, ParameterPoint, efficient_information, sqrt_spd
+from .statcore import BlockInformation, ParameterPoint
 
 
 def _pos_solve(M, b):
@@ -36,7 +35,6 @@ class ToyGaussianModel(Model):
     def __init__(self, F2: BlockInformation, upsilon_star: ParameterPoint, Y):
         F2.validate()
         self.F2 = F2
-        self.upsilon_star = upsilon_star
         self.Y = np.asarray(Y, dtype=float).copy()
         if self.Y.size != upsilon_star.p_star:
             raise ValueError("Y dimension does not match upsilon_star")
@@ -54,11 +52,6 @@ class ToyGaussianModel(Model):
     def evaluate(self, point):
         d = self._check(point) - self.Y
         return float(-0.5 * d @ (self._full @ d))
-
-    def expected_evaluate(self, point):
-        # E over eps: -||F(u - u*)||^2/2 - p*/2
-        d = self._check(point) - self.upsilon_star.as_vector()
-        return float(-0.5 * d @ (self._full @ d) - 0.5 * d.size)
 
     def gradient(self, point):
         g = -self._full @ (self._check(point) - self.Y)
@@ -81,26 +74,14 @@ class ToyGaussianModel(Model):
         return ParameterPoint(np.zeros(self._p), np.zeros(self.F2.m))
 
 
-def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed, zero_noise=False):
+def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed):
     """Draw Y = upsilon_star + inv(F) z with z standard normal; deterministic per seed."""
     F2.validate()
     star = upsilon_star.as_vector()
-    if zero_noise:
-        return ToyGaussianModel(F2, upsilon_star, star)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(star.size)
     Y = star + np.linalg.solve(F2.full_sqrt(), z)
     return ToyGaussianModel(F2, upsilon_star, Y)
-
-
-def contraction_matrix(F2: BlockInformation):
-    """M0 = Ftheta^{-1} A Feta^{-2} A.T Ftheta^{-1} and its spectral norm (= nu)."""
-    F2.validate()
-    Fth = sqrt_spd(F2.D2)
-    inner = F2.A @ _pos_solve(F2.H2, F2.A.T)
-    M0 = np.linalg.solve(Fth, np.linalg.solve(Fth, inner).T)
-    M0 = 0.5 * (M0 + M0.T)
-    return M0, float(np.linalg.norm(M0, 2))
 
 
 def exact_alternation(model: ToyGaussianModel, start: ParameterPoint, k: int) -> ParameterPoint:
@@ -124,10 +105,3 @@ def exact_alternation(model: ToyGaussianModel, start: ParameterPoint, k: int) ->
     theta_k = y_th + err
     eta_k = model.eta_argmax(y_th + prev)
     return ParameterPoint(theta_k, eta_k)
-
-
-def exact_profile(model: ToyGaussianModel):
-    """Joint maximizer (= Y) and the profile curvature D2_eff of the F2 blocks."""
-    p = model.F2.p
-    point = ParameterPoint(model.Y[:p], model.Y[p:])
-    return point, efficient_information(model.F2)

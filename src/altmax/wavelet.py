@@ -243,8 +243,7 @@ class WaveletBasis:
 
     Evaluation of the model surface uses a C^1 cubic Hermite interpolant
     built from the (psi, psi') refinement tables, so analytic gradients and
-    finite differences of the same surface agree; `eval_linear` exposes the
-    plain linear table lookup.
+    finite differences of the same surface agree.
     """
 
     def __init__(self, m, s_X, genus=7):
@@ -279,21 +278,6 @@ class WaveletBasis:
     def _norm_scale(self, j):
         # gamma_j with ||e_k||_2 = 1: e_k = gamma_j * psi(S (t - t0)/c_j)
         return np.sqrt(self.support_len / self.cell_width(j))
-
-    def eval_linear(self, k, t):
-        """Single basis function by linear table lookup; 0 outside its support."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        j = int(self.levels[k])
-        lo, hi = self.cell_bounds(k)
-        c = self.cell_width(j)
-        u = self.support_len * (t - lo) / c
-        out = np.zeros_like(t)
-        inside = (u >= 0.0) & (u <= self.support_len)
-        grid = self.tables.grid
-        out[inside] = self._norm_scale(j) * np.interp(u[inside], grid, self.tables.psi)
-        return float(out[0]) if scalar else out
 
     def level_pairs(self, t, want=0):
         """Sparse form of the design (want=0) or of its derivatives (1, 2).

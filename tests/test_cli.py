@@ -147,7 +147,8 @@ def test_cli_rejects_keys_of_another_family(tmp_path):
     rejected = {
         "toy": ("grid_n = 7", "constrain_theta = 1", "sweep_m = 3"),
         "single-index": ("toy_a = 0.9", "sweep_n = 250"),
-        "sweep": ("toy_p = 2",),
+        # each sweep cell sets its own n and m
+        "sweep": ("toy_p = 2", "n = 5", "m = 3"),
     }
     for command, lines in rejected.items():
         for line in lines:
@@ -230,6 +231,32 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
          "bad value '0, 250' for config key 'sweep_n': sweep_n entries >= 1 required"),
         ("sweep", "sweep_m = 3, -1\n",
          "bad value '3, -1' for config key 'sweep_m': sweep_m entries >= 1 required"),
+        ("toy", "x = 0\n", "bad value '0' for config key 'x': x > 0 required"),
+        ("toy", "z_target = 0\n",
+         "bad value '0' for config key 'z_target': z_target > 0 required"),
+        ("toy", "seed = -1\n",
+         "bad value '-1' for config key 'seed': master_seed >= 0 required"),
+        ("toy", "toy_p = 0\n", "bad value '0' for config key 'toy_p': toy_p >= 1 required"),
+        ("toy", "toy_m = 0\n", "bad value '0' for config key 'toy_m': toy_m >= 1 required"),
+        ("toy", "toy_d2 = 0\n", "bad value '0' for config key 'toy_d2': toy_d2 > 0 required"),
+        ("toy", "toy_h2 = -1\n", "bad value '-1' for config key 'toy_h2': toy_h2 > 0 required"),
+        ("toy", "toy_a = 5\n",
+         "bad value '5' for config key 'toy_a': toy_a**2 < toy_d2 * toy_h2 required"),
+        # with toy_a left at its default (1), the coupling bound is named by the block
+        ("toy", "toy_d2 = 0.4\n",
+         "bad value '0.4' for config key 'toy_d2': toy_a**2 < toy_d2 * toy_h2 required"),
+        ("toy", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
+        ("single-index", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
+        ("bounds", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
+        ("bounds", "g = 0\n", "bad value '0' for config key 'g': g must be > 0"),
+        ("bounds", "g0 = 0\n", "bad value '0' for config key 'g0': g0 must be > 0"),
+        # at p = m = 1 the form has p* = 2 eigenvalues
+        ("bounds", "b_eigenvalues = 1\n",
+         "bad value '1' for config key 'b_eigenvalues': b_eigenvalues must have p + m = 2 "
+         "entries"),
+        ("bounds", "b_eigenvalues = 1, -1\n",
+         "bad value '1, -1' for config key 'b_eigenvalues': b_eigenvalues entries >= 0 "
+         "required"),
     ]
     for command, text, message in cases:
         cfg = write(tmp_path / "bad.kv", text)
@@ -240,6 +267,9 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
     with pytest.raises(ValueError) as info:
         main(["toy", "--config", cfg, "--reps", "0", "--out", str(tmp_path / "o")])
     assert str(info.value) == "bad value 0 for flag '--reps': reps >= 1 required"
+    with pytest.raises(ValueError) as info:
+        main(["toy", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert str(info.value) == "bad value -1 for flag '--seed': master_seed >= 0 required"
     assert not (tmp_path / "o").exists()
     # the sweep repeats or cuts an eta_star pool of any length to each m
     cfg = write(tmp_path / "pool.kv", "eta_star = 1.0, -0.8, 0.9\nsweep_m = 2, 6\n")
@@ -306,7 +336,9 @@ def test_every_documented_key_parses(tmp_path):
             "toy_start_offset = 1.5\n"
         ),
         "single-index": COMMON_KEYS + CONDITION_KEYS + SINGLE_INDEX_KEYS,
-        "sweep": COMMON_KEYS + CONDITION_KEYS + SINGLE_INDEX_KEYS
+        # each sweep cell sets its own n and m
+        "sweep": COMMON_KEYS + CONDITION_KEYS
+        + SINGLE_INDEX_KEYS.replace("n = 500\n", "").replace("m = 3\n", "")
         + "sweep_n = 200, 400, 800\nsweep_m = 3,\n",
         "bounds": CONDITION_KEYS + (
             "x = 1.5\np = 2\nm = 3\nnu = 0.4\nb_eigenvalues = 1.0, 0.8, 0.5, 1.2, 0.9\n"
@@ -326,7 +358,8 @@ def test_every_documented_key_parses(tmp_path):
         ExperimentConfig(**SINGLE_INDEX)
     )
     assert experiment_config(namespace(paths["sweep"]), "sweep") == ExperimentConfig(
-        **SINGLE_INDEX, sweep_n=(200, 400, 800), sweep_m=(3,)
+        **dict(SINGLE_INDEX, si_n=ExperimentConfig.si_n, si_m=ExperimentConfig.si_m),
+        sweep_n=(200, 400, 800), sweep_m=(3,),
     )
     assert bounds_inputs(paths["bounds"]) == dict(
         x=1.5, p=2, m=3, nu=0.4, cc=CONDITIONS, b_eigenvalues=(1.0, 0.8, 0.5, 1.2, 0.9),

@@ -59,21 +59,6 @@ def test_generate_noise_variance():
     assert abs(v - sigma**2) < 3.0 * se
 
 
-def test_dataset_csv(tmp_path):
-    ds, _ = desk(n=50)
-    path = tmp_path / "data.csv"
-    ds.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "X_1,X_2,y"
-    assert len(lines) == 51
-
-
-def test_basis_eval_outside_support():
-    _, basis = desk()
-    assert basis.eval_linear(0, 5.0) == 0.0
-    assert basis.eval_linear(3, -2.0) == 0.0
-
-
 def test_eta_step_scalar_least_squares():
     basis = WaveletBasis(m=1, s_X=1.0)
     ds = generate(400, 2, THETA2, [1.3], 0.4, 1.0, seed=5, basis=basis)

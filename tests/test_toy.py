@@ -11,14 +11,7 @@ from altmax.statcore import (
     efficient_information,
     sqrt_spd,
 )
-from altmax.toy import (
-    ToyGaussianModel,
-    _pos_solve,
-    contraction_matrix,
-    exact_alternation,
-    exact_profile,
-    simulate,
-)
+from altmax.toy import ToyGaussianModel, _pos_solve, exact_alternation, simulate
 
 F2_CANON = BlockInformation(D2=[[2.0]], A=[[1.0]], H2=[[2.0]])
 STAR = ParameterPoint([0.0], [0.0])
@@ -26,6 +19,23 @@ STAR = ParameterPoint([0.0], [0.0])
 
 def canon_model():
     return ToyGaussianModel(F2_CANON, STAR, Y=[1.0, 0.0])
+
+
+def expected_evaluate(model, star, point):
+    """E over the noise of L(point), for data drawn from the truth `star`:
+    -||F(u - u*)||^2/2 - p*/2."""
+    d = point.as_vector() - star.as_vector()
+    return float(-0.5 * d @ (model.F2.full() @ d) - 0.5 * d.size)
+
+
+def contraction_matrix(F2):
+    """M0 = Ftheta^{-1} A Feta^{-2} A.T Ftheta^{-1} and its spectral norm (= nu)."""
+    F2.validate()
+    Fth = sqrt_spd(F2.D2)
+    inner = F2.A @ _pos_solve(F2.H2, F2.A.T)
+    M0 = np.linalg.solve(Fth, np.linalg.solve(Fth, inner).T)
+    M0 = 0.5 * (M0 + M0.T)
+    return M0, float(np.linalg.norm(M0, 2))
 
 
 def test_evaluate_examples():
@@ -50,9 +60,14 @@ def test_gradient_example_and_fd():
 
 def test_simulate_zero_noise_and_reproducibility():
     star = ParameterPoint([0.3], [0.7])
-    m0 = simulate(F2_CANON, star, seed=5, zero_noise=True)
-    assert np.allclose(m0.Y, star.as_vector())
+    # with no noise (Y = upsilon_star) the functional peaks at the truth
+    m0 = ToyGaussianModel(F2_CANON, star, star.as_vector())
+    assert m0.evaluate(star) == 0.0
+    assert not np.concatenate(m0.gradient(star)).any()
     m1 = simulate(F2_CANON, star, seed=5)
+    # the noise is inv(F) z, with z the seed's standard normal draw
+    z = np.random.default_rng(5).standard_normal(2)
+    assert np.allclose(F2_CANON.full_sqrt() @ (m1.Y - star.as_vector()), z)
     m2 = simulate(F2_CANON, star, seed=5)
     assert np.array_equal(m1.Y, m2.Y)
     assert not np.allclose(simulate(F2_CANON, star, seed=6).Y, m1.Y)
@@ -139,10 +154,12 @@ def test_error_ratio_invariant_isotropic_blocks():
 
 
 def test_exact_profile_and_efficient_information():
+    # the joint maximizer is Y, and the profile curvature of the blocks is
+    # D2 - A H2^{-1} A.T = 2 - 1/2
     m = canon_model()
-    pt, curv = exact_profile(m)
-    assert np.allclose(pt.as_vector(), m.Y)
-    assert np.allclose(curv, efficient_information(F2_CANON))
+    gt, ge = m.gradient(ParameterPoint(m.Y[:1], m.Y[1:]))
+    assert not gt.any() and not ge.any()
+    assert np.allclose(efficient_information(F2_CANON), [[1.5]])
 
 
 def test_standardized_estimator_is_standard_normal():
@@ -162,11 +179,11 @@ def test_standardized_estimator_is_standard_normal():
 
 def test_expected_functional_maximized_at_truth():
     m = canon_model()
-    star_val = m.expected_evaluate(STAR)
+    star_val = expected_evaluate(m, STAR, STAR)
     rng = np.random.default_rng(4)
     for _ in range(50):
         v = 2.0 * rng.standard_normal(2)
-        assert m.expected_evaluate(ParameterPoint(v[:1], v[1:])) <= star_val + 1e-12
+        assert expected_evaluate(m, STAR, ParameterPoint(v[:1], v[1:])) <= star_val + 1e-12
 
 
 def test_dimension_mismatch_rejected():
