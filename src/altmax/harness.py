@@ -138,6 +138,11 @@ class ExperimentConfig:
     sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
+        for key in ("x", "z_target", "toy_d2", "toy_h2", "toy_a", "toy_start_offset",
+                    "si_sigma", "si_s_x"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise FieldValueError(key, f"{key} must be finite")
         for key in ("reps", "threads", "steps", "toy_p", "toy_m", "si_n", "si_p", "si_m",
                     "si_grid_n", "si_r_cov"):
             value = getattr(self, key)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .alternation import SolverError
 from .modelapi import Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint
@@ -138,8 +138,8 @@ def eta_step_closed_form(dataset, basis, theta):
         try:
             if np.linalg.cond(Gl) > 1e12:
                 raise np.linalg.LinAlgError("condition estimate above 1e12")
-            return scipy.linalg.solve(Gl, b, assume_a="pos")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+            return _lapack.solve(Gl, b)
+        except (np.linalg.LinAlgError, ValueError) as exc:
             last_exc = exc
     raise SolverError(f"eta step singular even after ridge fallback: {last_exc}")
 

@@ -19,7 +19,9 @@ is computed once per instance, on first use, and kept read-only: the blocks
 cannot change, so it never goes stale.  A failed computation raises and is
 not kept, so it raises again on the next use.  A pickled or copied point or
 BlockInformation is rebuilt from its fields, so its arrays are read-only
-too and its geometry is computed afresh.
+too and its geometry is computed afresh.  The H2 Cholesky factor and its
+solves are scipy.linalg's `cho_factor` and `cho_solve`, called through
+`_lapack` on the LAPACK that scipy bundles, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+
+from . import _lapack
 
 
 class NotSPDError(ValueError):
@@ -187,8 +190,8 @@ class BlockInformation:
 
     @cached_property
     def h2_cho_factor(self):
-        """`scipy.linalg.cho_factor(H2)`, for `cho_solve` against H2."""
-        c, low = scipy.linalg.cho_factor(self.H2)
+        """`cho_factor(H2)`, for `cho_solve` against H2."""
+        c, low = _lapack.cho_factor(self.H2)
         return _read_only(c), low
 
     @cached_property
@@ -229,7 +232,7 @@ def efficient_information(blocks: BlockInformation) -> np.ndarray:
     nu = coupling_norm(blocks)
     if nu >= 1.0:
         raise CouplingError(f"coupling nu = {nu:.6g} >= 1; efficient information undefined")
-    X = scipy.linalg.cho_solve(blocks.h2_cho_factor, blocks.A.T)
+    X = _lapack.cho_solve(blocks.h2_cho_factor, blocks.A.T)
     Deff2 = blocks.D2 - blocks.A @ X
     Deff2 = 0.5 * (Deff2 + Deff2.T)
     wmin = float(np.linalg.eigvalsh(Deff2).min())
@@ -250,6 +253,6 @@ def efficient_score(blocks: BlockInformation, grad_theta, grad_eta) -> Efficient
         raise ValueError(
             f"gradient dims ({gt.size},{ge.size}) do not match blocks ({blocks.p},{blocks.m})"
         )
-    breve = gt - blocks.A @ scipy.linalg.cho_solve(blocks.h2_cho_factor, ge)
+    breve = gt - blocks.A @ _lapack.cho_solve(blocks.h2_cho_factor, ge)
     xi = np.linalg.solve(blocks.efficient_root, breve)
     return EfficientScore(breve_grad=breve, xi=xi)

@@ -2,33 +2,18 @@
 
 Observation Y = upsilon_star + eps with eps ~ N(0, inv(F2)), functional
 L(u) = -||F (u - Y)||^2 / 2.  Both partial maximizers are linear maps, so
-every alternation iterate has a closed form, `exact_alternation`.
+every alternation iterate has a closed form, `exact_alternation`.  Their
+solves are scipy's SPD solve, through `_lapack.solve`: for the 1x1 blocks of
+every shipped config that is scipy's scalar quotient, with no LAPACK call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .modelapi import Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint
-
-
-def _pos_solve(M, b):
-    """`scipy.linalg.solve(M, b, assume_a="pos")`, with scipy's 1x1 branch taken directly.
-
-    For a 1x1 M scipy computes `b / a` after input handling that costs far
-    more than the division; here the same quotient follows the same two
-    checks (non-finite input, zero pivot).  Every other shape goes to scipy.
-    """
-    if M.shape != (1, 1):
-        return scipy.linalg.solve(M, b, assume_a="pos")
-    a = M[0, 0]
-    if not (np.isfinite(a) and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if a == 0:
-        raise np.linalg.LinAlgError("A singular matrix detected.")
-    return b / a
 
 
 class ToyGaussianModel(Model):
@@ -63,12 +48,12 @@ class ToyGaussianModel(Model):
     def eta_argmax(self, theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         y_th, y_et = self.Y[: self._p], self.Y[self._p :]
-        return y_et - _pos_solve(self.F2.H2, self.F2.A.T @ (th - y_th))
+        return y_et - _lapack.solve(self.F2.H2, self.F2.A.T @ (th - y_th))
 
     def theta_argmax(self, eta, theta_init=None):
         et = np.atleast_1d(np.asarray(eta, dtype=float))
         y_th, y_et = self.Y[: self._p], self.Y[self._p :]
-        return y_th - _pos_solve(self.F2.D2, self.F2.A @ (et - y_et))
+        return y_th - _lapack.solve(self.F2.D2, self.F2.A @ (et - y_et))
 
     def default_start(self):
         return ParameterPoint(np.zeros(self._p), np.zeros(self.F2.m))
@@ -96,7 +81,7 @@ def exact_alternation(model: ToyGaussianModel, start: ParameterPoint, k: int) ->
         return start
     p = model.F2.p
     y_th = model.Y[:p]
-    M = _pos_solve(model.F2.D2, model.F2.A @ _pos_solve(model.F2.H2, model.F2.A.T))
+    M = _lapack.solve(model.F2.D2, model.F2.A @ _lapack.solve(model.F2.H2, model.F2.A.T))
     err = start.theta - y_th
     prev = err
     for _ in range(k):

@@ -245,6 +245,19 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         # with toy_a left at its default (1), the coupling bound is named by the block
         ("toy", "toy_d2 = 0.4\n",
          "bad value '0.4' for config key 'toy_d2': toy_a**2 < toy_d2 * toy_h2 required"),
+        # a non-finite value, which the range checks above let through or misname
+        ("toy", "x = inf\n", "bad value 'inf' for config key 'x': x must be finite"),
+        ("toy", "z_target = inf\n",
+         "bad value 'inf' for config key 'z_target': z_target must be finite"),
+        ("toy", "toy_d2 = inf\n", "bad value 'inf' for config key 'toy_d2': toy_d2 must be finite"),
+        ("toy", "toy_h2 = nan\n", "bad value 'nan' for config key 'toy_h2': toy_h2 must be finite"),
+        ("toy", "toy_a = -inf\n", "bad value '-inf' for config key 'toy_a': toy_a must be finite"),
+        ("toy", "toy_start_offset = nan\n",
+         "bad value 'nan' for config key 'toy_start_offset': toy_start_offset must be finite"),
+        ("single-index", "sigma = inf\n",
+         "bad value 'inf' for config key 'sigma': si_sigma must be finite"),
+        ("single-index", "s_x = nan\n", "bad value 'nan' for config key 's_x': si_s_x must be finite"),
+        ("single-index", "x = nan\n", "bad value 'nan' for config key 'x': x must be finite"),
         ("toy", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
         ("single-index", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
         ("bounds", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
