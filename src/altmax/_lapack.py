@@ -39,11 +39,19 @@ _SIGNATURES = {
 }
 
 
+def scipy_dir():
+    """scipy's package directory, found without running scipy's `__init__`.
+
+    Raises AttributeError or TypeError where scipy is not a package directory.
+    """
+    return Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+
+
 @functools.cache
 def _routines():
     """{name: routine} of scipy's bundled OpenBLAS for `_SIGNATURES`, or None."""
     try:
-        libs = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]).parent
+        libs = scipy_dir().parent
         lib = ctypes.CDLL(str(next((libs / "scipy.libs").glob("libscipy_openblas*.so"))))
         routines = {name: getattr(lib, f"scipy_{name}_") for name in _SIGNATURES}
     except (AttributeError, OSError, StopIteration, TypeError):

@@ -31,6 +31,7 @@ from .harness import (
     run_dimension_sweep,
     run_me_convergence,
     run_wilks_fisher,
+    toy_blocks,
 )
 
 
@@ -194,10 +195,12 @@ def experiment_config(args, command) -> ExperimentConfig:
         if value is not None:
             kwargs[name] = value
             where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
+    if (ExperimentConfig, "toy_h2") in where:  # with toy_d2 at its default, a singular root is h2's
+        where.setdefault((ExperimentConfig, "toy_d2"), where[ExperimentConfig, "toy_h2"])
     for name in ("toy_d2", "toy_h2"):  # with toy_a at its default, the coupling bound is theirs
         if (ExperimentConfig, name) in where:
             where.setdefault((ExperimentConfig, "toy_a"), where[ExperimentConfig, name])
-    checks = []
+    checks = [toy_blocks] if command == "toy" else []  # it rejects a singular root
     if command == "single-index":  # the sweep reads eta_star as a pool of any length
         checks.append(ExperimentConfig.check_eta_star)
         if (ExperimentConfig, "si_m") in where:  # with eta_star left at its default, m is off

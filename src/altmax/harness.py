@@ -14,13 +14,16 @@ points of `probe_delta` run through one runner, `_map`, on `threads` processes.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
+from ._lapack import scipy_dir
 from .alternation import (
     AlternatingTrace,
     AlternationConfig,
@@ -59,12 +62,31 @@ def derive_seed(master_seed, index):
 # chi-square diagnostics
 # ---------------------------------------------------------------------------
 
+@cache
+def _gammainc():
+    """`scipy.special.gammainc`, loaded on first use from the extension module
+    that defines it, `scipy/special/_special_ufuncs`.
+
+    That module imports nothing from Python, so loading it alone skips
+    `scipy/__init__.py`, `scipy/special/__init__.py` and the array-API shim
+    they run; the ufunc is the same object `import scipy.special` gives.
+    Where the module or its `gammainc` is not found, import scipy.special.
+    """
+    try:
+        spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.special._special_ufuncs", [str(scipy_dir() / "special")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.gammainc
+    except (AttributeError, ImportError, TypeError):
+        import scipy.special
+        return scipy.special.gammainc
+
+
 def chi2_cdf(x, k):
     """Exact chi-square CDF via the regularized lower incomplete gamma."""
-    import scipy.special  # on first use: the condition probe never loads it
-
     x = np.asarray(x, dtype=float)
-    return scipy.special.gammainc(k / 2.0, np.clip(x, 0.0, None) / 2.0)
+    return _gammainc()(k / 2.0, np.clip(x, 0.0, None) / 2.0)
 
 
 def ks_distance(samples, p):
@@ -177,13 +199,27 @@ class ExperimentConfig:
 
 
 def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
+    """The toy's information blocks.
+
+    Raises FieldValueError (`toy_d2`) where the SPD root of the full
+    information, which `toy.simulate` solves with and `build_context` keeps as
+    `D_full`, is singular: with block scales far apart (`toy_d2 = 1e-300`,
+    `toy_h2 = 1e300`) the eigendecomposition rounds the small eigenvalues to 0.
+    """
     p, m = cfg.toy_p, cfg.toy_m
     A = np.zeros((p, m))
     for i in range(min(p, m)):
         A[i, i] = cfg.toy_a
-    return BlockInformation(
+    info = BlockInformation(
         D2=cfg.toy_d2 * np.eye(p), A=A, H2=cfg.toy_h2 * np.eye(m)
     )
+    try:
+        np.linalg.solve(info.full_sqrt(), np.zeros(p + m))
+    except np.linalg.LinAlgError:
+        raise FieldValueError(
+            "toy_d2", "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"
+        ) from None
+    return info
 
 
 def si_theta_star(cfg: ExperimentConfig):

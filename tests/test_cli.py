@@ -245,6 +245,15 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         # with toy_a left at its default (1), the coupling bound is named by the block
         ("toy", "toy_d2 = 0.4\n",
          "bad value '0.4' for config key 'toy_d2': toy_a**2 < toy_d2 * toy_h2 required"),
+        # blocks whose scales are too far apart for float64: the root of the
+        # information, which every replication solves with, is singular
+        ("toy", "toy_p = 2\ntoy_d2 = 1e-300\ntoy_h2 = 1e300\ntoy_a = 0\n",
+         "bad value '1e-300' for config key 'toy_d2': "
+         "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"),
+        # with toy_d2 left at its default, the singular root is named by toy_h2
+        ("toy", "toy_p = 2\ntoy_h2 = 1e-308\ntoy_a = 1e-200\n",
+         "bad value '1e-308' for config key 'toy_h2': "
+         "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"),
         # a non-finite value, which the range checks above let through or misname
         ("toy", "x = inf\n", "bad value 'inf' for config key 'x': x must be finite"),
         ("toy", "z_target = inf\n",

@@ -45,6 +45,95 @@ def test_ks_distance_sampling_oracle():
     assert abs(mean - 2.0) < 3.0 * se
 
 
+def _ufunc_module_found():
+    """Whether scipy ships `gammainc`'s extension module where `_gammainc` looks."""
+    import importlib.machinery
+
+    from altmax._lapack import scipy_dir
+    try:
+        where = [str(scipy_dir() / "special")]
+    except (AttributeError, TypeError):
+        return False
+    return importlib.machinery.PathFinder.find_spec("scipy.special._special_ufuncs",
+                                                    where) is not None
+
+
+@pytest.fixture
+def no_ufunc_module(monkeypatch):
+    """scipy's directory is not found, so `_gammainc` imports scipy.special."""
+    import importlib.util
+
+    import altmax.harness as hz
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
+    hz._gammainc.cache_clear()
+    yield
+    hz._gammainc.cache_clear()
+
+
+def _chi2_cases():
+    """(x, k): chi-square draws for k = 1..60, and the edges of the domain."""
+    rng = np.random.default_rng(3)
+    edges = np.array([0.0, -1.0, 1e-300, 1e300, np.inf, np.nan])
+    for k in range(1, 61):
+        yield np.concatenate([rng.chisquare(k, size=200), edges]), k
+
+
+@pytest.mark.parametrize("path", ["extension", "fallback"])
+def test_chi2_cdf_is_scipy_gammainc_bit_for_bit(path, request):
+    import scipy.special
+    if path == "fallback":
+        request.getfixturevalue("no_ufunc_module")
+    for x, k in _chi2_cases():
+        want = scipy.special.gammainc(k / 2.0, np.clip(x, 0.0, None) / 2.0)
+        assert chi2_cdf(x, k).tobytes() == want.tobytes(), k
+
+
+def test_chi2_cdf_ufunc_is_scipy_specials_own():
+    import scipy.special
+
+    import altmax.harness as hz
+    if not _ufunc_module_found():
+        pytest.skip("this scipy has no scipy/special/_special_ufuncs extension")
+    assert hz._gammainc() is scipy.special.gammainc
+
+
+def test_chi2_cdf_falls_back_where_the_extension_is_missing(monkeypatch, tmp_path):
+    # a scipy directory without the extension module: the spec is None
+    import scipy.special
+
+    import altmax.harness as hz
+    monkeypatch.setattr(hz, "scipy_dir", lambda: tmp_path)
+    hz._gammainc.cache_clear()
+    try:
+        assert hz._gammainc() is scipy.special.gammainc
+    finally:
+        hz._gammainc.cache_clear()
+
+
+def test_chi2_cdf_ufunc_loaded_first_is_the_one_scipy_imports_later():
+    # loading the extension alone, before scipy, must leave scipy.special,
+    # its submodule import and scipy.linalg working, with no warning
+    code = "\n".join([
+        "import sys",
+        "from altmax import harness",
+        "ufunc = harness._gammainc()",
+        "print('scipy' in sys.modules, 'scipy.special' in sys.modules)",
+        "import scipy.special",
+        "from scipy.special import _special_ufuncs",
+        "import scipy.linalg",
+        "print(scipy.special.gammainc is ufunc, _special_ufuncs.gammainc is ufunc)",
+        "print(float(scipy.linalg.solve([[2.0]], [1.0])[0]))",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    if _ufunc_module_found():
+        assert out.split() == ["False", "False", "True", "True", "0.5"]
+    else:
+        assert out.split()[2:] == ["True", "True", "0.5"]
+
+
 def test_fit_contraction():
     d = 3.0 * 0.25 ** np.arange(20)
     assert abs(fit_contraction(d, floor=1e-30) - 0.25) < 1e-10
@@ -222,11 +311,12 @@ def test_probe_delta_rejects_counts_that_would_reuse_dataset_seeds(bad):
 
 
 def test_import_and_probe_delta_leave_scipy_special_unloaded():
-    # chi2_cdf imports scipy.special on first use, which the probe never makes
+    # chi2_cdf loads only gammainc's extension module, on first use, which the
+    # probe never makes; a toy Wilks run then loads no scipy package at all
     code = "\n".join([
         "import sys",
         "import altmax",
-        "from altmax.harness import ExperimentConfig, ks_distance, probe_delta",
+        "from altmax.harness import ExperimentConfig, ks_distance, probe_delta, run_wilks_fisher",
         "print('scipy.special' in sys.modules)",
         "cfg = ExperimentConfig(family='single-index', reps=1, si_n=300, si_m=3,",
         "                       si_eta_star=(1.0, -0.8, 0.9))",
@@ -234,12 +324,17 @@ def test_import_and_probe_delta_leave_scipy_special_unloaded():
         "print('scipy.special' in sys.modules)",
         "ks_distance([0.5, 2.0], 1)",
         "print('scipy.special' in sys.modules)",
+        "run_wilks_fisher(ExperimentConfig(reps=5))",
+        "print(*(name in sys.modules for name in ('scipy', 'scipy.special', 'scipy.linalg')))",
     ])
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.split() == ["False", "False", "True"]
+    if _ufunc_module_found():
+        assert out.split() == ["False", "False", "False", "False", "False", "False"]
+    else:  # chi2_cdf imports scipy.special
+        assert out.split()[:3] == ["False", "False", "True"]
 
 
 def test_dimension_sweep_cells_deterministic():
@@ -256,6 +351,17 @@ def test_build_context_toy():
     ctx = build_context(cfg)
     assert abs(ctx.nu - 0.25) < 1e-12
     assert ctx.K == 4
+
+
+def test_build_context_rejects_a_toy_whose_root_is_singular():
+    # toy.simulate solves with this root: unchecked, every replication fails
+    # with LinAlgError and the run aborts naming no key
+    from altmax.bounds import FieldValueError
+    cfg = ExperimentConfig(family="toy", reps=5, toy_p=2, toy_d2=1e-300, toy_h2=1e300,
+                           toy_a=0.0)
+    with pytest.raises(FieldValueError, match="root of the toy information is singular") as info:
+        build_context(cfg)
+    assert info.value.field == "toy_d2"
 
 
 def test_build_context_single_index_draws_only_the_pilot_dataset(monkeypatch):
