@@ -64,9 +64,12 @@ class ConditionConstants:
         for key in ("omega", "omega2"):
             if not 0.0 <= getattr(self, key) <= 0.5:
                 raise FieldValueError(key, f"{key} must lie in [0, 1/2]")
-        for key in ("nu0", "g", "g0", "b"):
+        for key in ("nu0", "nu1", "nu2", "nu_r", "g", "g0", "g_r_value", "b"):
             if not getattr(self, key) > 0:
                 raise FieldValueError(key, f"{key} must be > 0")
+        for key in ("delta_slope", "delta_const", "z_hess", "beta_A_value"):
+            if not math.isfinite(getattr(self, key)):
+                raise FieldValueError(key, f"{key} must be finite")
         for key in ("delta_slope", "delta_const"):
             if getattr(self, key) < 0:
                 # the delta map must be non-negative and non-decreasing

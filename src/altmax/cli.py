@@ -200,6 +200,10 @@ def experiment_config(args, command) -> ExperimentConfig:
     for name in ("toy_d2", "toy_h2"):  # with toy_a at its default, the coupling bound is theirs
         if (ExperimentConfig, name) in where:
             where.setdefault((ExperimentConfig, "toy_a"), where[ExperimentConfig, name])
+    # with the blocks at their defaults, an overflowing start norm is the offset's
+    for name in ("toy_d2", "toy_h2"):
+        if (ExperimentConfig, "toy_start_offset") in where:
+            where.setdefault((ExperimentConfig, name), where[ExperimentConfig, "toy_start_offset"])
     checks = [toy_blocks] if command == "toy" else []  # it rejects a singular root
     if command == "single-index":  # the sweep reads eta_star as a pool of any length
         checks.append(ExperimentConfig.check_eta_star)

@@ -14,16 +14,14 @@ points of `probe_delta` run through one runner, `_map`, on `threads` processes.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
-from ._lapack import scipy_dir
+from ._lapack import extension
 from .alternation import (
     AlternatingTrace,
     AlternationConfig,
@@ -62,31 +60,18 @@ def derive_seed(master_seed, index):
 # chi-square diagnostics
 # ---------------------------------------------------------------------------
 
-@cache
-def _gammainc():
-    """`scipy.special.gammainc`, loaded on first use from the extension module
-    that defines it, `scipy/special/_special_ufuncs`.
+def chi2_cdf(x, k):
+    """Exact chi-square CDF via the regularized lower incomplete gamma.
 
-    That module imports nothing from Python, so loading it alone skips
-    `scipy/__init__.py`, `scipy/special/__init__.py` and the array-API shim
-    they run; the ufunc is the same object `import scipy.special` gives.
-    Where the module or its `gammainc` is not found, import scipy.special.
+    That is scipy's `gammainc`, the object `scipy.special.gammainc` is, from
+    the extension module that defines it, loaded alone by `extension`.
     """
     try:
-        spec = importlib.machinery.PathFinder.find_spec(
-            "scipy.special._special_ufuncs", [str(scipy_dir() / "special")])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.gammainc
-    except (AttributeError, ImportError, TypeError):
-        import scipy.special
-        return scipy.special.gammainc
-
-
-def chi2_cdf(x, k):
-    """Exact chi-square CDF via the regularized lower incomplete gamma."""
+        gammainc = extension("scipy.special._special_ufuncs").gammainc
+    except (AttributeError, ImportError):  # a scipy that predates that module
+        from scipy.special import gammainc
     x = np.asarray(x, dtype=float)
-    return _gammainc()(k / 2.0, np.clip(x, 0.0, None) / 2.0)
+    return gammainc(k / 2.0, np.clip(x, 0.0, None) / 2.0)
 
 
 def ks_distance(samples, p):
@@ -180,6 +165,8 @@ class ExperimentConfig:
         for key in ("sweep_n", "sweep_m"):
             if min(getattr(self, key), default=1) < 1:
                 raise FieldValueError(key, f"{key} entries >= 1 required")
+        if not all(math.isfinite(v) for v in self.si_eta_star):
+            raise FieldValueError("si_eta_star", "si_eta_star entries must be finite")
         if not self.toy_a**2 < self.toy_d2 * self.toy_h2:
             # the toy blocks are SPD exactly when the coupling nu is below one
             raise FieldValueError("toy_a", "toy_a**2 < toy_d2 * toy_h2 required")
@@ -205,6 +192,10 @@ def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
     information, which `toy.simulate` solves with and `build_context` keeps as
     `D_full`, is singular: with block scales far apart (`toy_d2 = 1e-300`,
     `toy_h2 = 1e300`) the eigendecomposition rounds the small eigenvalues to 0.
+    Raises it (the larger of `toy_d2` and `toy_h2`) where the norm in that root
+    of the start offset, which the engine and the toy's functional compute,
+    overflows (`toy_h2 = 5e307` at the default offset, or `toy_start_offset =
+    1e200` at the default blocks).
     """
     p, m = cfg.toy_p, cfg.toy_m
     A = np.zeros((p, m))
@@ -219,6 +210,12 @@ def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
         raise FieldValueError(
             "toy_d2", "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"
         ) from None
+    with np.errstate(over="ignore"):
+        start_norm = np.linalg.norm(info.full_sqrt() @ np.full(p + m, cfg.toy_start_offset))
+    if not np.isfinite(start_norm):
+        key = "toy_h2" if cfg.toy_h2 >= cfg.toy_d2 else "toy_d2"
+        raise FieldValueError(key, "toy_d2, toy_h2 and toy_start_offset too large: "
+                                   "the norm of the start offset overflows")
     return info
 
 

@@ -21,7 +21,7 @@ not kept, so it raises again on the next use.  A pickled or copied point or
 BlockInformation is rebuilt from its fields, so its arrays are read-only
 too and its geometry is computed afresh.  The H2 Cholesky factor and its
 solves are scipy.linalg's `cho_factor` and `cho_solve`, called through
-`_lapack` on the LAPACK that scipy bundles, with the same bits.
+`_lapack` on scipy's own `_flapack` routines, with the same bits.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ def sqrt_spd(M):
         raise ValueError(f"square matrix required, got shape {M.shape}")
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(M).max())):
         raise NotSPDError("matrix is not symmetric")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    if M.tobytes() != M.T.tobytes():
+        # the average of an M that is symmetric bit for bit is M, but it can overflow
+        M = 0.5 * (M + M.T)
+    w, V = np.linalg.eigh(M)
     scale = max(1.0, float(np.abs(w).max()))
     if w.min() < -1e-10 * scale:
         raise NotSPDError(

@@ -157,7 +157,7 @@ def test_check_A3():
 
 def test_check_B1():
     assert check_B1(1.0, 4, ConditionConstants(g_r_value=math.inf))
-    assert not check_B1(1.0, 4, ConditionConstants(g_r_value=0.0))
+    assert not check_B1(1.0, 4, ConditionConstants(g_r_value=1e-3))  # g_r = 0 is rejected
     # boundary equality passes (<= convention)
     x, p_star = 1.0, 4
     lhs = 1.0 + math.sqrt(x + 4.0 * p_star)

@@ -272,6 +272,36 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         ("bounds", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
         ("bounds", "g = 0\n", "bad value '0' for config key 'g': g must be > 0"),
         ("bounds", "g0 = 0\n", "bad value '0' for config key 'g0': g0 must be > 0"),
+        # the other condition constants the bound formulas divide by or scale with
+        ("toy", "nu1 = -1\n", "bad value '-1' for config key 'nu1': nu1 must be > 0"),
+        ("single-index", "nu1 = -1\n", "bad value '-1' for config key 'nu1': nu1 must be > 0"),
+        ("bounds", "nu2 = 0\n", "bad value '0' for config key 'nu2': nu2 must be > 0"),
+        ("bounds", "nu_r = nan\n", "bad value 'nan' for config key 'nu_r': nu_r must be > 0"),
+        ("bounds", "g_r = 0\n", "bad value '0' for config key 'g_r': g_r_value must be > 0"),
+        ("toy", "delta_slope = nan\n",
+         "bad value 'nan' for config key 'delta_slope': delta_slope must be finite"),
+        ("bounds", "delta_const = inf\n",
+         "bad value 'inf' for config key 'delta_const': delta_const must be finite"),
+        ("bounds", "z_hess = nan\n", "bad value 'nan' for config key 'z_hess': z_hess must be finite"),
+        ("bounds", "beta_a = -inf\n",
+         "bad value '-inf' for config key 'beta_a': beta_A_value must be finite"),
+        # a non-finite eta_star entry, which ended in a bare NotSPDError
+        ("single-index", "eta_star = 1.0, nan, 0.9, -0.7, 0.6, 0.8\n",
+         "bad value '1.0, nan, 0.9, -0.7, 0.6, 0.8' for config key 'eta_star': "
+         "si_eta_star entries must be finite"),
+        ("sweep", "eta_star = 1.0, inf\n",
+         "bad value '1.0, inf' for config key 'eta_star': si_eta_star entries must be finite"),
+        # blocks whose start offset has an information norm beyond float64
+        ("toy", "toy_h2 = 5e307\ntoy_a = 0\n",
+         "bad value '5e307' for config key 'toy_h2': toy_d2, toy_h2 and toy_start_offset "
+         "too large: the norm of the start offset overflows"),
+        ("toy", "toy_d2 = 1e308\ntoy_a = 0\n",
+         "bad value '1e308' for config key 'toy_d2': toy_d2, toy_h2 and toy_start_offset "
+         "too large: the norm of the start offset overflows"),
+        # with the blocks left at their defaults, the overflow is named by the offset
+        ("toy", "toy_start_offset = 1e200\n",
+         "bad value '1e200' for config key 'toy_start_offset': toy_d2, toy_h2 and "
+         "toy_start_offset too large: the norm of the start offset overflows"),
         # at p = m = 1 the form has p* = 2 eigenvalues
         ("bounds", "b_eigenvalues = 1\n",
          "bad value '1' for config key 'b_eigenvalues': b_eigenvalues must have p + m = 2 "

@@ -45,29 +45,30 @@ def test_ks_distance_sampling_oracle():
     assert abs(mean - 2.0) < 3.0 * se
 
 
-def _ufunc_module_found():
-    """Whether scipy ships `gammainc`'s extension module where `_gammainc` looks."""
-    import importlib.machinery
+UFUNCS = "scipy.special._special_ufuncs"
 
-    from altmax._lapack import scipy_dir
-    try:
-        where = [str(scipy_dir() / "special")]
-    except (AttributeError, TypeError):
-        return False
-    return importlib.machinery.PathFinder.find_spec("scipy.special._special_ufuncs",
-                                                    where) is not None
+
+def _ufunc_module_found():
+    """Whether scipy ships `gammainc`'s extension module where `extension` looks."""
+    import importlib.machinery
+    import importlib.util
+
+    where = importlib.util.find_spec("scipy").submodule_search_locations
+    return where is not None and importlib.machinery.PathFinder.find_spec(
+        UFUNCS, [os.path.join(where[0], "special")]) is not None
 
 
 @pytest.fixture
 def no_ufunc_module(monkeypatch):
-    """scipy's directory is not found, so `_gammainc` imports scipy.special."""
+    """scipy's directory is not found, so `extension` imports the module."""
     import importlib.util
 
-    import altmax.harness as hz
+    from altmax._lapack import extension
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
-    hz._gammainc.cache_clear()
+    monkeypatch.delitem(sys.modules, UFUNCS, raising=False)
+    extension.cache_clear()
     yield
-    hz._gammainc.cache_clear()
+    extension.cache_clear()
 
 
 def _chi2_cases():
@@ -88,26 +89,31 @@ def test_chi2_cdf_is_scipy_gammainc_bit_for_bit(path, request):
         assert chi2_cdf(x, k).tobytes() == want.tobytes(), k
 
 
-def test_chi2_cdf_ufunc_is_scipy_specials_own():
+def test_chi2_cdf_ufunc_is_scipy_specials_own(monkeypatch):
     import scipy.special
 
-    import altmax.harness as hz
+    from altmax._lapack import extension
     if not _ufunc_module_found():
         pytest.skip("this scipy has no scipy/special/_special_ufuncs extension")
-    assert hz._gammainc() is scipy.special.gammainc
+    monkeypatch.delitem(sys.modules, UFUNCS)  # loaded by path, not looked up
+    extension.cache_clear()
+    try:
+        assert extension(UFUNCS).gammainc is scipy.special.gammainc
+    finally:
+        extension.cache_clear()
 
 
-def test_chi2_cdf_falls_back_where_the_extension_is_missing(monkeypatch, tmp_path):
-    # a scipy directory without the extension module: the spec is None
+def test_chi2_cdf_falls_back_where_the_extension_is_missing(monkeypatch):
+    # a scipy that predates the extension module: chi2_cdf imports scipy.special
     import scipy.special
 
     import altmax.harness as hz
-    monkeypatch.setattr(hz, "scipy_dir", lambda: tmp_path)
-    hz._gammainc.cache_clear()
-    try:
-        assert hz._gammainc() is scipy.special.gammainc
-    finally:
-        hz._gammainc.cache_clear()
+
+    def missing(name):
+        raise ModuleNotFoundError(name)
+    monkeypatch.setattr(hz, "extension", missing)
+    x = np.array([0.5, 2.0, 7.0])
+    assert chi2_cdf(x, 3).tobytes() == scipy.special.gammainc(1.5, x / 2).tobytes()
 
 
 def test_chi2_cdf_ufunc_loaded_first_is_the_one_scipy_imports_later():
@@ -115,8 +121,9 @@ def test_chi2_cdf_ufunc_loaded_first_is_the_one_scipy_imports_later():
     # its submodule import and scipy.linalg working, with no warning
     code = "\n".join([
         "import sys",
-        "from altmax import harness",
-        "ufunc = harness._gammainc()",
+        "from altmax import _lapack, harness",
+        "harness.chi2_cdf(1.0, 2)",
+        "ufunc = _lapack.extension('scipy.special._special_ufuncs').gammainc",
         "print('scipy' in sys.modules, 'scipy.special' in sys.modules)",
         "import scipy.special",
         "from scipy.special import _special_ufuncs",

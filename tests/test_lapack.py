@@ -1,3 +1,5 @@
+import importlib
+import importlib.machinery
 import importlib.util
 import os
 import subprocess
@@ -42,30 +44,36 @@ def spd_systems(seed, count):
         yield X.T @ X / 200, b
 
 
-@pytest.fixture
-def no_library(monkeypatch):
-    """The library lookup fails, as where scipy bundles no OpenBLAS."""
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
-    _lapack._routines.cache_clear()
-    yield
-    _lapack._routines.cache_clear()
+FLAPACK = "scipy.linalg._flapack"
 
 
-def test_bundled_library_is_found():
-    # the wheel layout this platform's scipy ships; without it every call
-    # takes the scipy.linalg fallback, which the tests below cover too
-    if importlib.util.find_spec("scipy").submodule_search_locations is None:
-        pytest.skip("scipy is not a package directory")
-    libs = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]).parent
-    if not list((libs / "scipy.libs").glob("libscipy_openblas*.so")):
-        pytest.skip("this scipy bundles no OpenBLAS")
-    assert _lapack._routines() is not None
+@pytest.fixture(params=[False, True])
+def fallback(request, monkeypatch):
+    """`_flapack` loaded afresh: by path, or (fallback) the usual way, as where
+    scipy's directory is not found."""
+    monkeypatch.delitem(sys.modules, FLAPACK)
+    if request.param:
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
+    elif not _loads_by_path():
+        pytest.skip("_flapack's file is not where the loader looks for it")
+    else:
+        def no_import(name, *args):
+            raise AssertionError(f"{name} imported, not loaded by path")
+        monkeypatch.setattr(importlib, "import_module", no_import)
+    _lapack.extension.cache_clear()
+    yield request.param
+    _lapack.extension.cache_clear()
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_bits_equal_scipy_on_random_spd_systems(fallback, request):
-    if fallback:
-        request.getfixturevalue("no_library")
+def test_routines_are_scipys_own(fallback):
+    # the very functions scipy.linalg.lapack re-exports, so no bit can move
+    flapack = _lapack.extension(FLAPACK)
+    assert flapack is sys.modules[FLAPACK]
+    for name in ("dpotrf", "dpotrs", "dpocon", "dlange"):
+        assert getattr(flapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_bits_equal_scipy_on_random_spd_systems(fallback):
     for G, b in spd_systems(5, 300):
         want = scipy_solve(G, b)
         got = _lapack.solve(G, b)
@@ -75,6 +83,7 @@ def test_bits_equal_scipy_on_random_spd_systems(fallback, request):
         factor = _lapack.cho_factor(G)
         assert factor[1] is lower is False
         assert np.array_equal(factor[0], c)
+        assert factor[0].flags.f_contiguous == c.flags.f_contiguous
         _assert_same(scipy.linalg.cho_solve((c, lower), b), _lapack.cho_solve(factor, b), G.shape)
 
 
@@ -100,10 +109,7 @@ def test_solve_1x1_is_scipys_scalar_branch():
             _assert_same(_outcome(scipy_solve, M, b), _outcome(_lapack.solve, M, b), (M, b))
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_errors_are_scipys(fallback, request):
-    if fallback:
-        request.getfixturevalue("no_library")
+def test_errors_are_scipys(fallback):
     G = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
     b = np.array([1.0, -2.0, 0.5])
     cases = [
@@ -130,12 +136,9 @@ def test_errors_are_scipys(fallback, request):
     assert _outcome(scipy.linalg.cho_solve, c, [1.0, np.inf, 0.0]) is ValueError
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_ill_conditioning_warns_as_scipy_does(fallback, request):
+def test_ill_conditioning_warns_as_scipy_does(fallback):
     # a block of subnormal scale: scipy's solve warns (rcond = 0) and returns
     # non-finite entries; a well-scaled block does not warn
-    if fallback:
-        request.getfixturevalue("no_library")
     for scale in (1e-310, 5e-324):
         M, b = scale * np.eye(2), np.ones(2)
         with warnings.catch_warnings(record=True) as want_w:
@@ -153,23 +156,53 @@ def test_ill_conditioning_warns_as_scipy_does(fallback, request):
         _lapack.solve(1e-300 * np.eye(3), np.ones(3))
 
 
+def _loads_by_path():
+    """Whether `_flapack`'s file is where `extension` looks for it."""
+    where = importlib.util.find_spec("scipy").submodule_search_locations
+    return where is not None and importlib.machinery.PathFinder.find_spec(
+        FLAPACK, [os.path.join(where[0], "linalg")]) is not None
+
+
+def _run(*lines, flags=()):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *flags, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout.splitlines()
+
+
 def test_import_and_probe_delta_leave_scipy_linalg_unloaded():
-    code = "\n".join([
+    out = _run(
         "import sys",
         "import altmax",
-        "from altmax import _lapack",
         "from altmax.harness import ExperimentConfig, probe_delta",
         "print('scipy.linalg' in sys.modules)",
         "cfg = ExperimentConfig(family='single-index', reps=1, si_n=300, si_m=3,",
         "                       si_eta_star=(1.0, -0.8, 0.9))",
         "probe_delta(cfg, r_grid=[0.4], R=1, n_points=1)",
-        "print(_lapack._routines() is not None)",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-    ])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout.splitlines()
+    )
     assert out[0] == "False"
-    if out[1] == "True":  # the bundled library is found: the run loads no scipy at all
-        assert out[2] == "[]"
+    if _loads_by_path():  # the run loads _flapack alone and no scipy package
+        assert out[1] == "['scipy.linalg._flapack']"
+
+
+def test_flapack_loaded_first_is_the_one_scipy_imports_later():
+    # loading _flapack alone, before scipy, must leave scipy.linalg, its
+    # submodule import and cho_factor working, with no warning
+    out = _run(
+        "import sys",
+        "from altmax import _lapack",
+        "x = _lapack.solve([[4.0, 1.0], [1.0, 3.0]], [1.0, 2.0])",
+        "flapack = sys.modules['scipy.linalg._flapack']",
+        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)",
+        "import scipy.linalg",
+        "from scipy.linalg import _flapack",
+        "print(_flapack is flapack, scipy.linalg.lapack.dpotrf is flapack.dpotrf)",
+        "print(scipy.linalg.cho_factor([[4.0, 0.0], [0.0, 9.0]])[0].tolist())",
+        "print((scipy.linalg.solve([[4.0, 1.0], [1.0, 3.0]], [1.0, 2.0]) == x).all())",
+        flags=("-W", "error"),
+    )
+    if _loads_by_path():
+        assert out[0] == "False False"
+    assert out[1:] == ["True True", "[[2.0, 0.0], [0.0, 3.0]]", "True"]

@@ -129,6 +129,22 @@ def test_sqrt_spd_clips_tiny_negative_eigenvalues():
     assert np.allclose(S, np.diag([1.0, 0.0]), atol=1e-6)
 
 
+def test_sqrt_spd_of_a_symmetric_matrix_skips_the_average():
+    # 0.5 * (M + M.T) is M bit for bit where M is symmetric, but overflows
+    # for entries near the float64 maximum
+    with np.errstate(all="raise"):
+        S = sqrt_spd(np.diag([2.0, 1e308]))
+    assert np.array_equal(S, np.diag(np.sqrt([2.0, 1e308])))
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        M = rand_spd(rng, 5)  # the rounding of (Q * eigs) @ Q.T leaves it asymmetric
+        w, V = np.linalg.eigh(0.5 * (M + M.T))
+        assert np.array_equal(sqrt_spd(M), (V * np.sqrt(w)) @ V.T)
+        sym = 0.5 * (M + M.T)
+        w, V = np.linalg.eigh(sym)
+        assert np.array_equal(sqrt_spd(sym), (V * np.sqrt(w)) @ V.T)
+
+
 def test_block_information_shape_validation():
     with pytest.raises(ValueError, match="A must be"):
         BlockInformation(D2=np.eye(2), A=np.zeros((3, 1)), H2=np.eye(1))
