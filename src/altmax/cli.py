@@ -25,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .bounds import ConditionConstants, FieldValueError, compute_bound_report
+from .bounds import ConditionConstants, FieldValueError, _require, compute_bound_report
 from .harness import (
     ExperimentConfig,
     run_dimension_sweep,
@@ -61,23 +61,18 @@ class _BoundsKeys:
     k_max: int = 20
 
     def __post_init__(self):
-        for key, ok, need in (
-            ("x", self.x > 0, "> 0"), ("p", self.p >= 1, ">= 1"),
-            ("m", self.m >= 1, ">= 1"), ("nu", 0 <= self.nu < 1, "in [0, 1)"),
-            ("k_max", self.k_max >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise FieldValueError(key, f"{key} {need} required")
-        for key in ("eps", "norm_Dinv", "R_K", "K0"):
-            value = getattr(self, key)
-            if value is not None and not value >= 0:
-                raise FieldValueError(key, f"{key} >= 0 required")
+        _require(self, "x eps norm_Dinv R_K K0", math.isfinite, "must be finite")
+        _require(self, "b_eigenvalues", lambda v: all(map(math.isfinite, v)),
+                 "entries must be finite")
+        _require(self, "x", lambda v: v > 0, "> 0 required")
+        _require(self, "p m", lambda v: v >= 1, ">= 1 required")
+        _require(self, "nu", lambda v: 0 <= v < 1, "in [0, 1) required")
+        _require(self, "k_max eps norm_Dinv R_K K0", lambda v: v >= 0, ">= 0 required")
         eigs = self.b_eigenvalues
         if eigs is not None and len(eigs) != self.p + self.m:
             raise FieldValueError("b_eigenvalues",
                                   f"b_eigenvalues must have p + m = {self.p + self.m} entries")
-        if eigs is not None and not all(v >= 0 for v in eigs):
-            raise FieldValueError("b_eigenvalues", "b_eigenvalues entries >= 0 required")
+        _require(self, "b_eigenvalues", lambda v: all(x >= 0 for x in v), "entries >= 0 required")
 
 
 def _parse_bool(raw):
@@ -160,16 +155,18 @@ def read_config(path, command):
 
 
 def _build(cls, where, *checks, **kwargs):
-    """`cls(**kwargs)` that passes `checks`; a value out of range is named as `where` places it."""
+    """`cls(**kwargs)` that passes `checks`; a value out of range is named by the
+    first of the error's fields that `where` places (the file or a flag set it)."""
     try:
         built = cls(**kwargs)
         for check in checks:
             check(built)
         return built
     except FieldValueError as exc:
-        if (cls, exc.field) not in where:
+        named = [where[cls, key] for key in exc.fields if (cls, key) in where]
+        if not named:
             raise
-        raise ValueError(f"{where[cls, exc.field]}: {exc}") from None
+        raise ValueError(f"{named[0]}: {exc}") from None
 
 
 def parse_config(path):
@@ -195,20 +192,9 @@ def experiment_config(args, command) -> ExperimentConfig:
         if value is not None:
             kwargs[name] = value
             where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
-    if (ExperimentConfig, "toy_h2") in where:  # with toy_d2 at its default, a singular root is h2's
-        where.setdefault((ExperimentConfig, "toy_d2"), where[ExperimentConfig, "toy_h2"])
-    for name in ("toy_d2", "toy_h2"):  # with toy_a at its default, the coupling bound is theirs
-        if (ExperimentConfig, name) in where:
-            where.setdefault((ExperimentConfig, "toy_a"), where[ExperimentConfig, name])
-    # with the blocks at their defaults, an overflowing start norm is the offset's
-    for name in ("toy_d2", "toy_h2"):
-        if (ExperimentConfig, "toy_start_offset") in where:
-            where.setdefault((ExperimentConfig, name), where[ExperimentConfig, "toy_start_offset"])
     checks = [toy_blocks] if command == "toy" else []  # it rejects a singular root
     if command == "single-index":  # the sweep reads eta_star as a pool of any length
         checks.append(ExperimentConfig.check_eta_star)
-        if (ExperimentConfig, "si_m") in where:  # with eta_star left at its default, m is off
-            where.setdefault((ExperimentConfig, "si_eta_star"), where[ExperimentConfig, "si_m"])
     return _build(
         ExperimentConfig, where, *checks,
         family="toy" if command == "toy" else "single-index",

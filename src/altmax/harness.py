@@ -34,6 +34,7 @@ from .bounds import (
     C_nu,
     ConditionConstants,
     FieldValueError,
+    _require,
     combined_quantile,
     concentration_radius_R0,
     fisher_radius,
@@ -145,31 +146,23 @@ class ExperimentConfig:
     sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
-        for key in ("x", "z_target", "toy_d2", "toy_h2", "toy_a", "toy_start_offset",
-                    "si_sigma", "si_s_x"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise FieldValueError(key, f"{key} must be finite")
-        for key in ("reps", "threads", "steps", "toy_p", "toy_m", "si_n", "si_p", "si_m",
-                    "si_grid_n", "si_r_cov"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise FieldValueError(key, f"{key} >= 1 required")
-        for key in ("x", "z_target", "solver_tolerance", "toy_d2", "toy_h2", "si_s_x"):
-            value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise FieldValueError(key, f"{key} > 0 required")
-        for key in ("master_seed", "si_sigma"):
-            if not getattr(self, key) >= 0:
-                raise FieldValueError(key, f"{key} >= 0 required")
-        for key in ("sweep_n", "sweep_m"):
-            if min(getattr(self, key), default=1) < 1:
-                raise FieldValueError(key, f"{key} entries >= 1 required")
-        if not all(math.isfinite(v) for v in self.si_eta_star):
-            raise FieldValueError("si_eta_star", "si_eta_star entries must be finite")
+        _require(self, "x z_target toy_d2 toy_h2 toy_a toy_start_offset si_sigma si_s_x",
+                 math.isfinite, "must be finite")
+        _require(self, "reps threads steps toy_p toy_m si_n si_p si_m si_grid_n si_r_cov",
+                 lambda v: v >= 1, ">= 1 required")
+        _require(self, "x z_target solver_tolerance toy_d2 toy_h2 si_s_x", lambda v: v > 0,
+                 "> 0 required")
+        _require(self, "master_seed si_sigma", lambda v: v >= 0, ">= 0 required")
+        # an empty pool or list runs nothing; a repeated entry reruns its cell
+        _require(self, "sweep_n sweep_m si_eta_star", len, "must not be empty")
+        _require(self, "sweep_n sweep_m", lambda v: min(v) >= 1, "entries >= 1 required")
+        _require(self, "sweep_n sweep_m", lambda v: len(set(v)) == len(v),
+                 "entries must be distinct")
+        _require(self, "si_eta_star", lambda v: all(map(math.isfinite, v)),
+                 "entries must be finite")
         if not self.toy_a**2 < self.toy_d2 * self.toy_h2:
             # the toy blocks are SPD exactly when the coupling nu is below one
-            raise FieldValueError("toy_a", "toy_a**2 < toy_d2 * toy_h2 required")
+            raise FieldValueError("toy_a toy_d2 toy_h2", "toy_a**2 < toy_d2 * toy_h2 required")
         angle = self.si_theta_angle
         if self.si_p >= 2 and not (math.isfinite(angle) and math.cos(angle) > 0):
             # theta_star must lie on the half-sphere (first coordinate positive)
@@ -181,21 +174,22 @@ class ExperimentConfig:
         """A single-index run needs one eta_star value per sieve function; the sweep
         reads eta_star as a pool of any length, so construction does not check it."""
         if len(self.si_eta_star) != self.si_m:
-            raise FieldValueError("si_eta_star",
+            raise FieldValueError("si_eta_star si_m",
                                   f"si_eta_star length must equal si_m = {self.si_m}")
 
 
 def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
     """The toy's information blocks.
 
-    Raises FieldValueError (`toy_d2`) where the SPD root of the full
-    information, which `toy.simulate` solves with and `build_context` keeps as
-    `D_full`, is singular: with block scales far apart (`toy_d2 = 1e-300`,
-    `toy_h2 = 1e300`) the eigendecomposition rounds the small eigenvalues to 0.
-    Raises it (the larger of `toy_d2` and `toy_h2`) where the norm in that root
-    of the start offset, which the engine and the toy's functional compute,
-    overflows (`toy_h2 = 5e307` at the default offset, or `toy_start_offset =
-    1e200` at the default blocks).
+    Raises FieldValueError (blaming `toy_d2`, then `toy_h2`) where the SPD
+    root of the full information, which `toy.simulate` solves with and
+    `build_context` keeps as `D_full`, is singular: with block scales far apart
+    (`toy_d2 = 1e-300`, `toy_h2 = 1e300`) the eigendecomposition rounds the
+    small eigenvalues to 0.  Raises it (blaming the larger of `toy_d2` and
+    `toy_h2`, then `toy_start_offset`) where the norm in that root of the start
+    offset, which the engine and the toy's functional compute, overflows
+    (`toy_h2 = 5e307` at the default offset, or `toy_start_offset = 1e200` at
+    the default blocks).
     """
     p, m = cfg.toy_p, cfg.toy_m
     A = np.zeros((p, m))
@@ -208,14 +202,15 @@ def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
         np.linalg.solve(info.full_sqrt(), np.zeros(p + m))
     except np.linalg.LinAlgError:
         raise FieldValueError(
-            "toy_d2", "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"
+            "toy_d2 toy_h2",
+            "toy_d2 and toy_h2 too far apart: the root of the toy information is singular",
         ) from None
     with np.errstate(over="ignore"):
         start_norm = np.linalg.norm(info.full_sqrt() @ np.full(p + m, cfg.toy_start_offset))
     if not np.isfinite(start_norm):
         key = "toy_h2" if cfg.toy_h2 >= cfg.toy_d2 else "toy_d2"
-        raise FieldValueError(key, "toy_d2, toy_h2 and toy_start_offset too large: "
-                                   "the norm of the start offset overflows")
+        raise FieldValueError(f"{key} toy_start_offset", "toy_d2, toy_h2 and toy_start_offset "
+                              "too large: the norm of the start offset overflows")
     return info
 
 
@@ -506,7 +501,7 @@ def run_me_convergence(config: ExperimentConfig) -> ExperimentReport:
 def _me_replication(ctx, i):
     """The distance of every step to the replication's maximizer."""
     acfg = _alternation_config(ctx)
-    profile_cfg = replace(acfg, max_steps=max(4 * ctx.K, 120))
+    profile_cfg = replace(acfg, max_steps=4 * ctx.K)  # profile_estimate runs >= 200
     model, start = _make_replication(ctx, i)
     me, profile = profile_estimate(model, profile_cfg, starts=[start])
     me_v = me.as_vector()

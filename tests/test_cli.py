@@ -309,6 +309,35 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         ("bounds", "b_eigenvalues = 1, -1\n",
          "bad value '1, -1' for config key 'b_eigenvalues': b_eigenvalues entries >= 0 "
          "required"),
+        # a non-finite bounds value, which ended in a bare ValueError or
+        # OverflowError, or ran to a report with K0 or kappa NaN
+        ("bounds", "x = inf\n", "bad value 'inf' for config key 'x': x must be finite"),
+        ("bounds", "b_eigenvalues = 1, inf\n",
+         "bad value '1, inf' for config key 'b_eigenvalues': b_eigenvalues entries must be "
+         "finite"),
+        ("bounds", "k0 = inf\n", "bad value 'inf' for config key 'k0': K0 must be finite"),
+        ("bounds", "r_k_init = inf\n",
+         "bad value 'inf' for config key 'r_k_init': R_K must be finite"),
+        ("bounds", "norm_dinv = inf\n",
+         "bad value 'inf' for config key 'norm_dinv': norm_Dinv must be finite"),
+        ("bounds", "eps = inf\n", "bad value 'inf' for config key 'eps': eps must be finite"),
+        # a repeated sweep entry reruns its cell; an empty list or pool runs nothing
+        ("sweep", "sweep_m = 3, 3\n",
+         "bad value '3, 3' for config key 'sweep_m': sweep_m entries must be distinct"),
+        ("sweep", "sweep_n = 250, 250\n",
+         "bad value '250, 250' for config key 'sweep_n': sweep_n entries must be distinct"),
+        ("sweep", "sweep_n =\n",
+         "bad value '' for config key 'sweep_n': sweep_n must not be empty"),
+        ("sweep", "eta_star =\n",
+         "bad value '' for config key 'eta_star': si_eta_star must not be empty"),
+        # an error names the first of its keys that the file sets
+        ("toy", "toy_d2 = 0.4\ntoy_h2 = 0.4\n",
+         "bad value '0.4' for config key 'toy_d2': toy_a**2 < toy_d2 * toy_h2 required"),
+        ("toy", "toy_h2 = 0.4\n",
+         "bad value '0.4' for config key 'toy_h2': toy_a**2 < toy_d2 * toy_h2 required"),
+        ("toy", "toy_h2 = 5e307\ntoy_a = 0\ntoy_start_offset = 3\n",
+         "bad value '5e307' for config key 'toy_h2': toy_d2, toy_h2 and toy_start_offset "
+         "too large: the norm of the start offset overflows"),
     ]
     for command, text, message in cases:
         cfg = write(tmp_path / "bad.kv", text)

@@ -553,7 +553,7 @@ def test_me_replication_reads_the_k_step_run_from_the_profile_trace(cfg):
         acfg = _alternation_config(ctx)
         model, start = _make_replication(ctx, i)
         me_v = profile_estimate(
-            model, replace(acfg, max_steps=max(4 * ctx.K, 120)), starts=[start]
+            model, replace(acfg, max_steps=4 * ctx.K), starts=[start]
         )[0].as_vector()
         trace = run(model, start, acfg)
         dists = [float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
