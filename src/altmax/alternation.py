@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._files import write_csv
 from .modelapi import Model
 from .statcore import BlockInformation, EfficientScore, ParameterPoint
 
@@ -88,24 +89,14 @@ class AlternatingTrace:
         return worst
 
     def to_csv(self, path):
-        rec0 = self.records[0]
-        p, m = rec0.point_kk.p, rec0.point_kk.m
-        cols = (
-            ["k"]
-            + [f"theta_{i}" for i in range(p)]
-            + [f"eta_{i}" for i in range(m)]
-            + ["L_kk", "L_kk1", "step_norm"]
-        )
-        with open(path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            for rec in self.records:
-                row = (
-                    [str(rec.k)]
-                    + [repr(x) for x in rec.point_kk.theta]
-                    + [repr(x) for x in rec.point_kk.eta]
-                    + [repr(rec.L_kk), repr(rec.L_kk1), repr(rec.step_norm)]
-                )
-                f.write(",".join(row) + "\n")
+        point = self.records[0].point_kk
+        header = ("k", *(f"theta_{i}" for i in range(point.p)),
+                  *(f"eta_{i}" for i in range(point.m)), "L_kk", "L_kk1", "step_norm")
+        write_csv(path, header, (
+            (rec.k, *rec.point_kk.theta.tolist(), *rec.point_kk.eta.tolist(),
+             rec.L_kk, rec.L_kk1, rec.step_norm)
+            for rec in self.records
+        ))
 
 
 def eta_update(model: Model, theta):

@@ -15,7 +15,7 @@ in x and k holds as stated, but branch continuity is not asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -356,121 +356,53 @@ def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf):
     return out
 
 
-@dataclass
-class BoundReport:
-    """All computed finite-sample quantities for one configuration."""
-
-    x: float
-    p: int
-    m: int
-    nu: float
-    z_quad: float
-    z0_sq: float
-    z_entropy: float
-    z_x: float
-    K0: float
-    R0: float
-    r_ups: float
-    spread_Q: float
-    spread_semi: float
-    spread_semi_plain: float
-    r_k: list
-    r_k_refined: list | None
-    K_stop: int
-    kappa: float
-    r_star_k: list
-    tau_x: float | None
-    L_k: int | None
-    p_B: float
-    v_B: float
-    lambda_star: float
-    x_c: float
-    y_c: float
-    g_c: float
-    mu_c: float
-    C_nu: float
-    prob_level: float
-    checks: dict = field(default_factory=dict)
-
-    def to_kv(self):
-        skip = {"r_k", "r_k_refined", "r_star_k", "checks"}
-        items = []
-        for name, val in self.__dict__.items():
-            if name in skip:
-                continue
-            items.append((name, val))
-        for name, val in self.checks.items():
-            items.append((f"check_{name}", val))
-        return items
-
-    def write_kv(self, path):
-        with open(path, "w") as f:
-            for name, val in self.to_kv():
-                f.write(f"{name} = {val!r}\n")
-
-    def write_csv(self, path, radii_path=None):
-        kv = self.to_kv()
-        with open(path, "w") as f:
-            f.write("key,value\n")
-            for name, val in kv:
-                f.write(f"{name},{val!r}\n")
-        if radii_path is not None:
-            with open(radii_path, "w") as f:
-                f.write("k,r_k,r_k_refined,r_star_k\n")
-                for i in range(len(self.r_k)):
-                    ref = self.r_k_refined[i] if self.r_k_refined is not None else ""
-                    star = self.r_star_k[i] if i < len(self.r_star_k) else ""
-                    f.write(f"{i},{self.r_k[i]!r},{ref!r},{star!r}\n")
-
-
 def compute_bound_report(x, p, m, nu, cc: ConditionConstants, b_eigenvalues=None,
-                         R_K=None, K0=None, eps=0.0, norm_Dinv=0.0,
-                         k_max=20) -> BoundReport:
-    """Evaluate the whole chain of bound formulas for one configuration."""
+                         R_K=None, K0=None, eps=0.0, norm_Dinv=0.0, k_max=20):
+    """Evaluate the whole chain of bound formulas for one configuration.
+
+    Returns (values, radii).  `values` maps each scalar, then each `check_*`
+    flag, to its value, in the order of the report files.  `radii` maps
+    `r_k`, `r_k_refined` and `r_star_k` to their lists over k = 0..k_max;
+    `r_k_refined` is None unless eps > 0 passes the smallness check, and
+    `r_star_k` is empty unless kappa < 1 - nu.
+    """
     p_star = p + m
     B = np.diag(b_eigenvalues) if b_eigenvalues is not None else np.eye(p_star)
-    z_quad = quad_form_quantile(x, B, cc.g)
-    z0sq = entropy_quantile_sq(x, 4.0 * p_star, cc.g0)
-    z_x = max(z_quad, math.sqrt(z0sq))
-    p_B, v_B, lam_star, x_c, y_c, g_c = quad_form_constants(B, cc.g)
+    v = {"x": x, "p": p, "m": m, "nu": nu}
+    v["z_quad"] = quad_form_quantile(x, B, cc.g)
+    v["z0_sq"] = entropy_quantile_sq(x, 4.0 * p_star, cc.g0)
+    v["z_entropy"] = entropy_quantile(x, 2.0 * p_star + 2.0 * p, cc.g0)
+    z_x = v["z_x"] = max(v["z_quad"], math.sqrt(v["z0_sq"]))
     if K0 is None:
-        if R_K is None:
-            R_K = z_x
-        K0 = initial_level_K0(R_K, x, cc, z_x)
-    R0 = concentration_radius_R0(x, K0, p_star, cc, nu, z_x)
-    r_ups = concentration_radius_R0(x, 0.0, p_star, cc, nu, z_x)
-    sp_Q = spread_parametric(R0, x, p_star, cc)
-    sp_semi = spread_semiparametric(R0, x, p_star, p, cc, nu)
-    sp_plain = spread_semiparametric_plain(R0, x, p_star, p, cc, nu)
-    r_k = [fisher_radius(k, x, nu, R0, z_x, sp_Q) for k in range(k_max + 1)]
+        K0 = initial_level_K0(z_x if R_K is None else R_K, x, cc, z_x)
+    v["K0"] = K0
+    R0 = v["R0"] = concentration_radius_R0(x, K0, p_star, cc, nu, z_x)
+    v["r_ups"] = concentration_radius_R0(x, 0.0, p_star, cc, nu, z_x)
+    v["spread_Q"] = spread_parametric(R0, x, p_star, cc)
+    v["spread_semi"] = spread_semiparametric(R0, x, p_star, p, cc, nu)
+    v["spread_semi_plain"] = spread_semiparametric_plain(R0, x, p_star, p, cc, nu)
+    steps = range(k_max + 1)
+    radii = {"r_k": [fisher_radius(k, x, nu, R0, z_x, v["spread_Q"]) for k in steps],
+             "r_k_refined": None, "r_star_k": []}
     c1, c2, a3_ok = check_A3(eps, z_x, R0, nu)
-    r_k_ref = None
     if eps > 0.0 and a3_ok:
-        r_k_ref = [fisher_radius_refined(k, x, nu, R0, z_x, eps) for k in range(k_max + 1)]
-    K_stop = stopping_steps(z_x, R0, nu) if 0.0 < nu < 1.0 else 0
+        radii["r_k_refined"] = [fisher_radius_refined(k, x, nu, R0, z_x, eps) for k in steps]
+    v["K_stop"] = stopping_steps(z_x, R0, nu) if 0.0 < nu < 1.0 else 0
     z6 = entropy_quantile(x, 6.0 * p_star, cc.g0)
-    kap = kappa(R0, cc, nu, norm_Dinv, z6, cc.z_hess)
-    R_tilde0 = R0 + r_ups
-    r_star = []
-    tau_x = None
-    L_k = None
+    kap = v["kappa"] = kappa(R0, cc, nu, norm_Dinv, z6, cc.z_hess)
+    v["tau_x"] = v["L_k"] = None
     if kap < 1.0 - nu:
-        for k in range(k_max + 1):
+        R_tilde0 = R0 + v["r_ups"]
+        for k in steps:
             val, tau, L = me_radius(k, kap, nu, R_tilde0, with_aux=True)
-            r_star.append(val)
+            radii["r_star_k"].append(val)
             if tau is not None:
-                tau_x, L_k = tau, L
-    b1_ok = check_B1(x, p_star, cc)
-    return BoundReport(
-        x=x, p=p, m=m, nu=nu,
-        z_quad=z_quad, z0_sq=z0sq, z_entropy=entropy_quantile(x, 2.0 * p_star + 2.0 * p, cc.g0),
-        z_x=z_x, K0=K0, R0=R0, r_ups=r_ups,
-        spread_Q=sp_Q, spread_semi=sp_semi, spread_semi_plain=sp_plain,
-        r_k=r_k, r_k_refined=r_k_ref, K_stop=K_stop,
-        kappa=kap, r_star_k=r_star, tau_x=tau_x, L_k=L_k,
-        p_B=p_B, v_B=v_B, lambda_star=lam_star, x_c=x_c, y_c=y_c, g_c=g_c,
-        mu_c=MU_C, C_nu=C_nu(nu),
-        prob_level=1.0 - 8.0 * math.exp(-x) - cc.beta_A(x),
-        checks={"A3_c1": c1, "A3_c2": c2, "A3_ok": a3_ok, "B1_ok": b1_ok,
-                "kappa_lt_1mn": kap < 1.0 - nu},
-    )
+                v["tau_x"], v["L_k"] = tau, L
+    names = ("p_B", "v_B", "lambda_star", "x_c", "y_c", "g_c")
+    v.update(zip(names, quad_form_constants(B, cc.g)))
+    v["mu_c"] = MU_C
+    v["C_nu"] = C_nu(nu)
+    v["prob_level"] = 1.0 - 8.0 * math.exp(-x) - cc.beta_A(x)
+    v.update(check_A3_c1=c1, check_A3_c2=c2, check_A3_ok=a3_ok,
+             check_B1_ok=check_B1(x, p_star, cc), check_kappa_lt_1mn=kap < 1.0 - nu)
+    return v, radii

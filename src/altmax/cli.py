@@ -25,6 +25,7 @@ import typing
 
 import numpy as np
 
+from ._files import write_csv, write_kv, write_kv_csv
 from .bounds import ConditionConstants, FieldValueError, _require, compute_bound_report
 from .harness import (
     ExperimentConfig,
@@ -261,28 +262,27 @@ def cmd_experiment(args):
 
 
 def cmd_bounds(args):
-    report = compute_bound_report(**bounds_inputs(args.config))
+    values, radii = compute_bound_report(**bounds_inputs(args.config))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    report.write_kv(os.path.join(outdir, "bounds_report.kv"))
-    report.write_csv(
-        os.path.join(outdir, "bounds_report.csv"),
-        radii_path=os.path.join(outdir, "bounds_radii.csv"),
-    )
-    for key, val in report.to_kv():
+    write_kv(os.path.join(outdir, "bounds_report.kv"), values.items())
+    write_kv_csv(os.path.join(outdir, "bounds_report.csv"), values.items())
+    refined, star = radii["r_k_refined"], radii["r_star_k"]
+    write_csv(os.path.join(outdir, "bounds_radii.csv"), ("k", *radii), (
+        (k, r, "" if refined is None else refined[k], star[k] if k < len(star) else "")
+        for k, r in enumerate(radii["r_k"])
+    ))
+    for key, val in values.items():
         print(f"{key} = {val!r}")
-    nonneg = all(
-        v >= 0.0
-        for v in (report.z_quad, report.z0_sq, report.z_x, report.K0,
-                  report.R0, report.spread_Q, report.spread_semi,
-                  report.spread_semi_plain, report.kappa)
-    )
+    nonneg = all(values[key] >= 0.0 for key in (
+        "z_quad", "z0_sq", "z_x", "K0", "R0", "spread_Q", "spread_semi",
+        "spread_semi_plain", "kappa"))
     checks = [
-        ("r_k_nonincreasing", bool(np.all(np.diff(np.array(report.r_k)) <= 1e-12))),
+        ("r_k_nonincreasing", bool(np.all(np.diff(np.array(radii["r_k"])) <= 1e-12))),
         ("quantiles_nonnegative", nonneg),
     ]
-    if report.r_star_k:
-        checks.append(("r_star_tail_small", report.r_star_k[-1] <= report.r_star_k[0] + 1e-12))
+    if star:
+        checks.append(("r_star_tail_small", star[-1] <= star[0] + 1e-12))
     return checks
 
 

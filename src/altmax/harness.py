@@ -18,9 +18,11 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
+from ._files import write_csv, write_kv
 from ._lapack import extension
 from .alternation import (
     AlternatingTrace,
@@ -336,18 +338,13 @@ class ExperimentReport:
 
     def write(self, outdir):
         os.makedirs(outdir, exist_ok=True)
-        rec_path = os.path.join(outdir, "records.csv")
         cols = sorted({k for r in self.records for k in r})
-        with open(rec_path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            for r in sorted(self.records, key=lambda d: d["rep"]):
-                f.write(",".join(repr(r.get(c, "")) for c in cols) + "\n")
-        with open(os.path.join(outdir, "summary.kv"), "w") as f:
-            for k in sorted(self.meta):
-                f.write(f"meta_{k} = {self.meta[k]!r}\n")
-            for k in sorted(self.aggregates):
-                f.write(f"{k} = {self.aggregates[k]!r}\n")
-        return rec_path
+        rows = ([r.get(c, "") for c in cols] for r in sorted(self.records, key=lambda d: d["rep"]))
+        write_csv(os.path.join(outdir, "records.csv"), cols, rows)
+        write_kv(os.path.join(outdir, "summary.kv"), chain(
+            ((f"meta_{k}", self.meta[k]) for k in sorted(self.meta)),
+            ((k, self.aggregates[k]) for k in sorted(self.aggregates)),
+        ))
 
 
 def _attempt(replicate, ctx, rep_index):
@@ -444,6 +441,18 @@ def _ddof1(spread, x):
     return float(spread(x, ddof=1)) if len(x) > 1 else math.nan
 
 
+def _spread_or_inf(spread, r, *args):
+    """spread(r, *args), or inf where a term overflows float64: `r**2` then
+    raises OverflowError, or a zero constant times an infinite term gives NaN
+    (the other inputs are finite).  A bound that overflows says nothing, and
+    every residual meets it."""
+    try:
+        value = spread(r, *args)
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(value) else value
+
+
 def aggregate_wilks_fisher(ok, ctx):
     """The Wilks, Fisher-residual and bound summaries of the successful records `ok`.
 
@@ -466,7 +475,7 @@ def aggregate_wilks_fisher(ok, ctx):
     if bounds_on:
         cc = ctx.cc_eff
         p_star = ctx.upsilon_star.p_star
-        sp_R0 = spread_parametric(ctx.R0, ctx.cfg.x, p_star, cc)
+        sp_R0 = _spread_or_inf(spread_parametric, ctx.R0, ctx.cfg.x, p_star, cc)
         tau_budget = C_nu(ctx.nu) * ctx.cfg.solver_tolerance
     for k in range(K + 1):
         fk = np.array([r[f"fisher_{k}"] for r in ok])
@@ -477,10 +486,8 @@ def aggregate_wilks_fisher(ok, ctx):
         agg[f"wilks_err_median_{k}"] = float(np.median(np.abs(wk - xi2)))
         if bounds_on:
             r_k = fisher_radius(k, ctx.cfg.x, ctx.nu, ctx.R0, ctx.z_x, sp_R0)
-            bound = (
-                spread_semiparametric(r_k, ctx.cfg.x, p_star, p, cc, ctx.nu)
-                + tau_budget
-            )
+            spread = _spread_or_inf(spread_semiparametric, r_k, ctx.cfg.x, p_star, p, cc, ctx.nu)
+            bound = spread + tau_budget
             agg[f"fisher_bound_{k}"] = bound
             agg[f"fisher_coverage_{k}"] = float(np.mean(fk <= bound))
     return agg

@@ -132,11 +132,6 @@ class WaveletTables:
     def support_len(self):
         return 2 * self.genus - 1
 
-    @property
-    def grid(self):
-        S = self.support_len
-        return np.linspace(0.0, S, S * 2**self.j_table + 1)
-
 
 def wavelet_tables(genus=7, j_table=12) -> WaveletTables:
     """The tables of `genus` on the dyadic grid of step 2^-j_table, built once per pair.
@@ -258,22 +253,10 @@ class WaveletBasis:
         self.j_table = self.tables.j_table
         S = self.tables.support_len
         self.support_len = S
-        self.levels = np.empty(self.m, dtype=int)
-        self.translates = np.empty(self.m, dtype=int)
-        for k in range(self.m):
-            j, r = level_of_index(k, S)
-            self.levels[k] = j
-            self.translates[k] = r
-        self.n_levels = int(self.levels.max()) + 1
+        self.n_levels = max(level_of_index(k, S)[0] for k in range(self.m)) + 1
 
     def cell_width(self, j):
         return 2.0 * self.s_X / (self.support_len * 2**j)
-
-    def cell_bounds(self, k):
-        j, r = int(self.levels[k]), int(self.translates[k])
-        c = self.cell_width(j)
-        lo = -self.s_X + r * c
-        return lo, lo + c
 
     def _norm_scale(self, j):
         # gamma_j with ||e_k||_2 = 1: e_k = gamma_j * psi(S (t - t0)/c_j)
@@ -350,20 +333,3 @@ class WaveletBasis:
     def synth(self, t, eta):
         """f(t) = sum_k eta_k e_k(t)."""
         return self.design(t) @ np.asarray(eta, dtype=float)
-
-    def dump(self, index_path, table_path):
-        """Write the index map and the mother tables as CSV for inspection."""
-        with open(index_path, "w") as f:
-            f.write("k,level,translate,support_lo,support_hi\n")
-            for k in range(self.m):
-                lo, hi = self.cell_bounds(k)
-                f.write(
-                    f"{k},{int(self.levels[k])},{int(self.translates[k])},{lo!r},{hi!r}\n"
-                )
-        grid = self.tables.grid
-        with open(table_path, "w") as f:
-            f.write("u,psi,dpsi\n")
-            for i in range(grid.size):
-                f.write(
-                    f"{grid[i]!r},{self.tables.psi[i]!r},{self.tables.dpsi[i]!r}\n"
-                )

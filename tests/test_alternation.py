@@ -73,6 +73,11 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "k,theta_0,eta_0,L_kk,L_kk1,step_norm"
     assert len(lines) == len(tr.records) + 1
+    # every cell reads back as a number (no `np.float64(...)` text)
+    for line, rec in zip(lines[1:], tr.records):
+        cells = [float(cell) for cell in line.split(",")]
+        assert cells[0] == rec.k
+        assert cells[1:3] == [*rec.point_kk.theta, *rec.point_kk.eta]
 
 
 def test_profile_estimate_toy_exact():

@@ -349,16 +349,18 @@ def test_validate_quad_tail():
 
 def test_compute_bound_report_smoke():
     cc = ConditionConstants(omega=0.05, delta_slope=0.005, z_hess=0.1)
-    rep = compute_bound_report(2.0, 1, 2, 0.25, cc, eps=1e-4, norm_Dinv=0.01, k_max=10)
-    rk = np.array(rep.r_k)
+    rep, radii = compute_bound_report(2.0, 1, 2, 0.25, cc, eps=1e-4, norm_Dinv=0.01, k_max=10)
+    rk = np.array(radii["r_k"])
     assert np.all(np.diff(rk) <= 1e-12)
-    assert rep.K_stop >= 0
-    assert rep.z_x == max(rep.z_quad, math.sqrt(rep.z0_sq))
-    assert rep.prob_level <= 1.0
-    if rep.r_star_k:
-        assert rep.r_star_k[0] >= rep.r_star_k[-1] or len(rep.r_star_k) < 3
-    kv = dict(rep.to_kv())
-    assert "R0" in kv and "kappa" in kv
+    assert rep["K_stop"] >= 0
+    assert rep["z_x"] == max(rep["z_quad"], math.sqrt(rep["z0_sq"]))
+    assert rep["prob_level"] <= 1.0
+    r_star = radii["r_star_k"]
+    if r_star:
+        assert r_star[0] >= r_star[-1] or len(r_star) < 3
+    assert "R0" in rep and "kappa" in rep
+    assert list(rep)[-5:] == ["check_A3_c1", "check_A3_c2", "check_A3_ok", "check_B1_ok",
+                              "check_kappa_lt_1mn"]
 
 
 def test_combined_quantile_order():

@@ -71,11 +71,34 @@ def test_cli_bounds(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert rc == 0
     assert "check r_k_nonincreasing: PASS" in captured
-    assert (out / "bounds_report.kv").exists()
-    assert (out / "bounds_report.csv").exists()
-    radii = (out / "bounds_radii.csv").read_text().strip().split("\n")
-    assert radii[0] == "k,r_k,r_k_refined,r_star_k"
-    assert len(radii) == 14
+    kv, radii = check_bounds_files(out, k_max=12)
+    # stdout prints the kv file's lines, then the --assert checks
+    lines = captured.splitlines()
+    assert lines[: len(kv)] == kv
+    assert all(line.startswith("check ") for line in lines[len(kv):])
+    assert "''" not in radii["r_k_refined"]  # eps > 0 passes the smallness check
+    assert set(radii["r_star_k"]) == {"''"}  # kappa >= 1 - nu
+
+
+def check_bounds_files(out, k_max):
+    """Check the three `altmax bounds` files in `out` against each other;
+    return the kv file's lines and the radii file's columns by name."""
+    kv = (out / "bounds_report.kv").read_text().splitlines()
+    csv = (out / "bounds_report.csv").read_text().splitlines()
+    assert csv[0] == "key,value"
+    assert [line.split(" = ", 1) for line in kv] == [row.split(",", 1) for row in csv[1:]]
+    rows = [row.split(",") for row in (out / "bounds_radii.csv").read_text().splitlines()]
+    assert rows[0] == ["k", "r_k", "r_k_refined", "r_star_k"]
+    assert len(rows) == k_max + 2
+    radii = dict(zip(rows[0], zip(*rows[1:])))
+    assert radii["k"] == tuple(map(str, range(k_max + 1)))
+    assert all(float(r) > 0 for r in radii["r_k"])
+    # a missing radius is the empty string's repr, in every row of its column
+    for name in ("r_k_refined", "r_star_k"):
+        assert set(radii[name]) == {"''"} or all(float(r) > 0 for r in radii[name])
+    kappa_ok = dict(line.split(" = ", 1) for line in kv)["check_kappa_lt_1mn"]
+    assert (set(radii["r_star_k"]) == {"''"}) == (kappa_ok == "False")
+    return kv, radii
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -127,8 +150,10 @@ def test_cli_bounds_extended_schema(tmp_path):
     out = tmp_path / "out"
     rc = main(["bounds", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    kv = (out / "bounds_report.kv").read_text()
-    assert "z_quad" in kv and "K_stop" in kv
+    kv, radii = check_bounds_files(out, k_max=20)
+    assert "z_quad" in "".join(kv) and "K_stop" in "".join(kv)
+    assert set(radii["r_k_refined"]) == {"''"}  # eps = 0
+    assert "''" not in radii["r_star_k"]
 
 
 def test_cli_rejects_unknown_keys(tmp_path):

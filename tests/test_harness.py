@@ -180,6 +180,20 @@ def test_one_replication_gives_nan_spreads_without_warnings():
     assert math.isfinite(agg["wilks_mean"])
 
 
+@pytest.mark.parametrize("h2", [1e307, 4e307])
+def test_a_fisher_bound_that_overflows_is_inf(h2, tmp_path):
+    # at 1e307 r_0**2 overflows in the spread at r_0; at 4e307 R0**2 already
+    # overflows in the spread at R0, so every r_k is infinite
+    cfg = ExperimentConfig(family="toy", reps=5, master_seed=101, z_target=1e-4, toy_h2=h2)
+    rep = run_wilks_fisher(cfg)
+    agg = rep.aggregates
+    overflowed = [k for k in range(rep.meta["K"] + 1) if agg[f"fisher_bound_{k}"] == math.inf]
+    assert overflowed == ([0] if h2 == 1e307 else list(range(rep.meta["K"] + 1)))
+    assert all(agg[f"fisher_coverage_{k}"] == 1.0 for k in overflowed)
+    rep.write(tmp_path)
+    assert "fisher_bound_0 = inf\n" in (tmp_path / "summary.kv").read_text()
+
+
 def test_wilks_fisher_thread_determinism(tmp_path):
     base = dict(family="toy", reps=40, master_seed=5, steps=6)
     rep1 = run_wilks_fisher(ExperimentConfig(**base, threads=1))

@@ -37,9 +37,15 @@ def test_filter_matches_published_db7():
     assert np.abs(h - WAVELAB_DB7).max() < 1e-9
 
 
+def table_grid(tab):
+    """The nodes u of the dyadic tables of `tab` on [0, S]."""
+    S = tab.support_len
+    return np.linspace(0.0, S, S * 2**tab.j_table + 1)
+
+
 def test_mother_tables_zero_mean_unit_norm():
     tab = wavelet_tables(7, 12)
-    g = tab.grid
+    g = table_grid(tab)
     assert abs(np.trapezoid(tab.psi, g)) < 1e-8
     assert abs(np.trapezoid(tab.psi**2, g) - 1.0) < 1e-6
     # derivative table consistent with the value table
@@ -107,22 +113,30 @@ def test_index_decomposition_roundtrip():
     assert level_of_index(39, S) == (2, 0)
 
 
+def cell_bounds(b, k):
+    """The support [lo, hi] of basis function k of `b`: cell r of level j."""
+    j, r = level_of_index(k, b.support_len)
+    c = b.cell_width(j)
+    lo = -b.s_X + r * c
+    return lo, lo + c
+
+
 def eval_linear(b, k, t):
     """Basis function k of `b` by linear table lookup; 0 outside its support."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    j = int(b.levels[k])
-    lo, _ = b.cell_bounds(k)
+    j = level_of_index(k, b.support_len)[0]
+    lo, _ = cell_bounds(b, k)
     u = b.support_len * (t - lo) / b.cell_width(j)
     out = np.zeros_like(t)
     inside = (u >= 0.0) & (u <= b.support_len)
-    out[inside] = b._norm_scale(j) * np.interp(u[inside], b.tables.grid, b.tables.psi)
+    out[inside] = b._norm_scale(j) * np.interp(u[inside], table_grid(b.tables), b.tables.psi)
     return out
 
 
 def test_basis_zero_outside_support():
     b = WaveletBasis(m=6, s_X=1.0)
     for k in range(6):
-        lo, hi = b.cell_bounds(k)
+        lo, hi = cell_bounds(b, k)
         t = np.array([lo - 1e-9, hi + 1e-9, 0.5 * (lo + hi)])
         for values in (eval_linear(b, k, t), b.design(t)[:, k]):
             assert values[0] == 0.0 and values[1] == 0.0
@@ -158,17 +172,6 @@ def test_design_derivative_consistency():
     dana = b.ddesign(t)
     scale = np.abs(dana).max()
     assert np.abs(dnum - dana).max() / scale < 1e-5
-
-
-def test_basis_dump(tmp_path):
-    b = WaveletBasis(m=15, s_X=1.0)
-    idx = tmp_path / "index.csv"
-    tabp = tmp_path / "table.csv"
-    b.dump(idx, tabp)
-    lines = idx.read_text().strip().split("\n")
-    assert lines[0] == "k,level,translate,support_lo,support_hi"
-    assert len(lines) == 16
-    assert tabp.read_text().startswith("u,psi,dpsi\n")
 
 
 def test_genus8_option():
