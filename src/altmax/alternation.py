@@ -31,9 +31,7 @@ class MonotoneViolationError(RuntimeError):
 
 
 class ProfileEstimateError(RuntimeError):
-    def __init__(self, message, diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """The profile run did not become stationary."""
 
 
 @dataclass(frozen=True)
@@ -150,39 +148,25 @@ def run(model: Model, start: ParameterPoint, cfg: AlternationConfig) -> Alternat
     return trace
 
 
-def profile_estimate(model: Model, cfg: AlternationConfig, starts=None):
-    """Joint maximizer by running the alternation to stationarity from multi-start.
+def profile_estimate(model: Model, cfg: AlternationConfig, start=None):
+    """Joint maximizer: the alternation from `start` (None: the model's default
+    start) run to stationarity, for at least 200 steps.
 
-    Each start runs for at least 200 steps.  A start whose run raises, or
-    stops at max_steps without becoming stationary, counts as failed.
-    Returns (point, trace) for the best stationary start; selection is
-    lexicographic by (value, start index), so the result is
-    schedule-independent.  Raises ProfileEstimateError, with one diagnostic
-    per start, when no start becomes stationary.
+    Returns (point, trace).  Raises ProfileEstimateError when the run raises
+    or stops at max_steps without becoming stationary.
     """
-    if starts is None:
-        starts = [model.default_start()]
-    long_cfg = replace(cfg, max_steps=max(cfg.max_steps, 200))
-    best = None
-    diagnostics = []
-    for i, s in enumerate(starts):
-        try:
-            trace = run(model, s, long_cfg)
-        except (SolverError, MonotoneViolationError) as exc:
-            diagnostics.append((i, f"failed: {exc}", None))
-            continue
-        if trace.stop_reason != "stationary":
-            steps = len(trace.records) - 1
-            diagnostics.append((i, f"failed: not stationary after {steps} steps", None))
-            continue
-        val = trace.records[-1].L_kk  # the value of trace.final()
-        diagnostics.append((i, "ok", val))
-        if best is None or val > best[0]:
-            best = (val, i, trace)
-    if best is None:
-        listing = "; ".join(f"start {i} {msg}" for i, msg, _ in diagnostics)
-        raise ProfileEstimateError(f"no start became stationary: {listing}", diagnostics)
-    return best[2].final(), best[2]
+    if start is None:
+        start = model.default_start()
+    # a failed ME replication records this text in records.csv, "start 0" and all
+    failed = "no start became stationary: start 0 failed"
+    try:
+        trace = run(model, start, replace(cfg, max_steps=max(cfg.max_steps, 200)))
+    except (SolverError, MonotoneViolationError) as exc:
+        raise ProfileEstimateError(f"{failed}: {exc}") from exc
+    if trace.stop_reason != "stationary":
+        steps = len(trace.records) - 1
+        raise ProfileEstimateError(f"{failed}: not stationary after {steps} steps")
+    return trace.final(), trace
 
 
 def wilks_statistic(model: Model, theta_k, theta_star):

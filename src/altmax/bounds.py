@@ -302,7 +302,7 @@ def me_tau_L(k, kappa_val, nu):
     return tau, L
 
 
-def me_radius(k, kappa_val, nu, R_tilde0, with_aux=False):
+def me_radius(k, kappa_val, nu, R_tilde0):
     """Distance-to-maximizer radius r_k* of the nearly-linear convergence result."""
     if not kappa_val < 1.0 - nu:
         raise UnsupportedRegimeError(
@@ -311,11 +311,9 @@ def me_radius(k, kappa_val, nu, R_tilde0, with_aux=False):
     if k < 0:
         raise ValueError("k must be >= 0")
     if kappa_val * k <= 1.0:
-        val = nu**k * 2.0 * math.sqrt(2.0) * R_tilde0 / (1.0 - kappa_val * k)
-        return (val, None, None) if with_aux else val
-    tau, L = me_tau_L(k, kappa_val, nu)
-    val = 2.0 * (1.0 - nu) / kappa_val * tau ** (k / math.log(k)) * R_tilde0
-    return (val, tau, L) if with_aux else val
+        return nu**k * 2.0 * math.sqrt(2.0) * R_tilde0 / (1.0 - kappa_val * k)
+    tau, _ = me_tau_L(k, kappa_val, nu)
+    return 2.0 * (1.0 - nu) / kappa_val * tau ** (k / math.log(k)) * R_tilde0
 
 
 def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf):
@@ -392,12 +390,9 @@ def compute_bound_report(x, p, m, nu, cc: ConditionConstants, b_eigenvalues=None
     kap = v["kappa"] = kappa(R0, cc, nu, norm_Dinv, z6, cc.z_hess)
     v["tau_x"] = v["L_k"] = None
     if kap < 1.0 - nu:
-        R_tilde0 = R0 + v["r_ups"]
-        for k in steps:
-            val, tau, L = me_radius(k, kap, nu, R_tilde0, with_aux=True)
-            radii["r_star_k"].append(val)
-            if tau is not None:
-                v["tau_x"], v["L_k"] = tau, L
+        radii["r_star_k"] = [me_radius(k, kap, nu, R0 + v["r_ups"]) for k in steps]
+        if kap * k_max > 1.0:  # the nearly-linear branch, at its last k
+            v["tau_x"], v["L_k"] = me_tau_L(k_max, kap, nu)
     names = ("p_B", "v_B", "lambda_star", "x_c", "y_c", "g_c")
     v.update(zip(names, quad_form_constants(B, cc.g)))
     v["mu_c"] = MU_C

@@ -32,7 +32,6 @@ from .harness import (
     run_dimension_sweep,
     run_me_convergence,
     run_wilks_fisher,
-    toy_blocks,
 )
 
 
@@ -155,14 +154,11 @@ def read_config(path, command):
     return values, where
 
 
-def _build(cls, where, *checks, **kwargs):
-    """`cls(**kwargs)` that passes `checks`; a value out of range is named by the
-    first of the error's fields that `where` places (the file or a flag set it)."""
+def _build(cls, where, **kwargs):
+    """`cls(**kwargs)`; a value out of range is named by the first of the
+    error's fields that `where` places (the file or a flag set it)."""
     try:
-        built = cls(**kwargs)
-        for check in checks:
-            check(built)
-        return built
+        return cls(**kwargs)
     except FieldValueError as exc:
         named = [where[cls, key] for key in exc.fields if (cls, key) in where]
         if not named:
@@ -171,16 +167,20 @@ def _build(cls, where, *checks, **kwargs):
 
 
 def parse_config(path):
-    out = {}
+    """{key: raw value} of a config file; a key set on two lines raises ValueError."""
+    out, lines = {}, {}
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line (expected key = value): {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}: config key {key!r} is set twice, "
+                                 f"on lines {lines[key]} and {number}")
+            out[key], lines[key] = val, number
     return out
 
 
@@ -193,12 +193,8 @@ def experiment_config(args, command) -> ExperimentConfig:
         if value is not None:
             kwargs[name] = value
             where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
-    checks = [toy_blocks] if command == "toy" else []  # it rejects a singular root
-    if command == "single-index":  # the sweep reads eta_star as a pool of any length
-        checks.append(ExperimentConfig.check_eta_star)
     return _build(
-        ExperimentConfig, where, *checks,
-        family="toy" if command == "toy" else "single-index",
+        ExperimentConfig, where, family=command,
         cc=_build(ConditionConstants, where, **values[ConditionConstants]),
         **kwargs,
     )

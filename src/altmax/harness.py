@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -162,28 +162,31 @@ class ExperimentConfig:
                  "entries must be distinct")
         _require(self, "si_eta_star", lambda v: all(map(math.isfinite, v)),
                  "entries must be finite")
-        if not self.toy_a**2 < self.toy_d2 * self.toy_h2:
-            # the toy blocks are SPD exactly when the coupling nu is below one
-            raise FieldValueError("toy_a toy_d2 toy_h2", "toy_a**2 < toy_d2 * toy_h2 required")
         angle = self.si_theta_angle
         if self.si_p >= 2 and not (math.isfinite(angle) and math.cos(angle) > 0):
             # theta_star must lie on the half-sphere (first coordinate positive)
             raise FieldValueError("si_theta_angle", "cos(si_theta_angle) > 0 required")
-        if self.family not in ("toy", "single-index"):
+        if self.family not in ("toy", "single-index", "sweep"):
             raise ValueError(f"unknown family {self.family!r}")
-
-    def check_eta_star(self):
-        """A single-index run needs one eta_star value per sieve function; the sweep
-        reads eta_star as a pool of any length, so construction does not check it."""
-        if len(self.si_eta_star) != self.si_m:
+        if self.family == "toy":
+            self.toy_info  # builds and checks the blocks
+        elif self.family == "single-index" and len(self.si_eta_star) != self.si_m:
+            # one value per sieve function; the sweep reads eta_star as a pool of any length
             raise FieldValueError("si_eta_star si_m",
                                   f"si_eta_star length must equal si_m = {self.si_m}")
 
+    @cached_property
+    def toy_info(self) -> BlockInformation:
+        """The toy's information blocks, built once per config by `toy_blocks`."""
+        return toy_blocks(self)
+
 
 def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
-    """The toy's information blocks.
+    """The toy's information blocks, checked.
 
-    Raises FieldValueError (blaming `toy_d2`, then `toy_h2`) where the SPD
+    Raises FieldValueError (blaming `toy_a`, `toy_d2`, `toy_h2`) unless
+    toy_a**2 < toy_d2 * toy_h2: the blocks are SPD exactly when the coupling
+    nu is below one.  Raises it (blaming `toy_d2`, then `toy_h2`) where the SPD
     root of the full information, which `toy.simulate` solves with and
     `build_context` keeps as `D_full`, is singular: with block scales far apart
     (`toy_d2 = 1e-300`, `toy_h2 = 1e300`) the eigendecomposition rounds the
@@ -193,6 +196,8 @@ def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
     (`toy_h2 = 5e307` at the default offset, or `toy_start_offset = 1e200` at
     the default blocks).
     """
+    if not cfg.toy_a**2 < cfg.toy_d2 * cfg.toy_h2:
+        raise FieldValueError("toy_a toy_d2 toy_h2", "toy_a**2 < toy_d2 * toy_h2 required")
     p, m = cfg.toy_p, cfg.toy_m
     A = np.zeros((p, m))
     for i in range(min(p, m)):
@@ -248,11 +253,12 @@ class ExperimentContext:
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
     if cfg.family == "toy":
-        info = toy_blocks(cfg)
+        info = cfg.toy_info
         star = ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
         basis = None
+    elif cfg.family == "sweep":
+        raise ValueError("a sweep has no one context: run_dimension_sweep builds one per cell")
     else:
-        cfg.check_eta_star()
         basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x)
         star = ParameterPoint(si_theta_star(cfg), cfg.si_eta_star)
         info = information_at_truth(
@@ -510,7 +516,7 @@ def _me_replication(ctx, i):
     acfg = _alternation_config(ctx)
     profile_cfg = replace(acfg, max_steps=4 * ctx.K)  # profile_estimate runs >= 200
     model, start = _make_replication(ctx, i)
-    me, profile = profile_estimate(model, profile_cfg, starts=[start])
+    me, profile = profile_estimate(model, profile_cfg, start)
     me_v = me.as_vector()
     # the alternation is deterministic: the K-step run from `start` would
     # repeat the profile run's first K + 1 records

@@ -68,16 +68,14 @@ def uniform_ball(rng, n, p, radius):
     return z * r[:, None]
 
 
-def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis=None) -> SingleIndexDataset:
-    """Simulate a dataset; deterministic per seed.  f = sum_k eta_star_k e_k."""
+def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis) -> SingleIndexDataset:
+    """Simulate a dataset; deterministic per seed.  f = sum_k eta_star_k e_k of `basis`."""
     theta_star = _check_half_sphere(theta_star)
     if theta_star.size != p:
         raise ValueError("theta_star dimension does not match p")
     eta_star = np.atleast_1d(np.asarray(eta_star, dtype=float))
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if basis is None:
-        basis = WaveletBasis(m=eta_star.size, s_X=s_X)
     rng = np.random.default_rng(seed)
     X = uniform_ball(rng, n, p, s_X)
     f = basis.synth(X @ theta_star, eta_star)

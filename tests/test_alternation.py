@@ -184,12 +184,14 @@ class AlwaysBroken(ToyGaussianModel):
 
 
 def test_profile_estimate_all_starts_fail():
+    # a run that raises fails the estimate, and the message names the engine's error
     m = AlwaysBroken(F2, STAR, Y=[1.0, 0.0])
-    cfg = AlternationConfig(max_steps=5)
     with pytest.raises(ProfileEstimateError) as exc:
-        profile_estimate(m, cfg, starts=[ParameterPoint([0.0], [0.0]),
-                                         ParameterPoint([1.0], [1.0])])
-    assert len(exc.value.diagnostics) == 2
+        profile_estimate(m, AlternationConfig(max_steps=5), ParameterPoint([1.0], [1.0]))
+    assert str(exc.value).startswith(
+        "no start became stationary: start 0 failed: eta-update decreased L by "
+    )
+    assert isinstance(exc.value.__cause__, MonotoneViolationError)
 
 
 def test_profile_estimate_rejects_a_run_that_is_not_stationary():
@@ -197,9 +199,11 @@ def test_profile_estimate_rejects_a_run_that_is_not_stationary():
     # nu^2, so 200 steps end far from stationarity
     near_one = BlockInformation(D2=[[1.0]], A=[[0.999]], H2=[[1.0]])
     m = ToyGaussianModel(near_one, STAR, Y=[1.0, 0.0])
-    with pytest.raises(ProfileEstimateError, match="not stationary after 200 steps") as exc:
-        profile_estimate(m, AlternationConfig(max_steps=5), starts=[STAR])
-    assert exc.value.diagnostics[0][2] is None
+    with pytest.raises(ProfileEstimateError) as exc:
+        profile_estimate(m, AlternationConfig(max_steps=5), STAR)
+    assert str(exc.value) == (
+        "no start became stationary: start 0 failed: not stationary after 200 steps"
+    )
 
 
 def test_config_validation():
@@ -218,14 +222,13 @@ class CountingToy(ToyGaussianModel):
 
 
 def test_profile_estimate_reads_the_final_value_from_the_trace():
-    # run() evaluates twice per record; picking the best start adds none
+    # run() evaluates twice per record; profile_estimate adds none
     m = CountingToy(F2, STAR, Y=[1.0, 0.0])
     cfg = AlternationConfig(max_steps=60, solver_tolerance=1e-13)
-    starts = [ParameterPoint([0.0], [0.0]), ParameterPoint([3.0], [-2.0])]
-    traces = [run(m, s, replace(cfg, max_steps=200)) for s in starts]
+    start = ParameterPoint([3.0], [-2.0])
+    expected = run(m, start, replace(cfg, max_steps=200))
     m.evaluations = 0
-    pt, trace = profile_estimate(m, cfg, starts=starts)
-    assert m.evaluations == sum(2 * len(tr.records) for tr in traces)
-    # the value it ranks by is the one evaluate() gives at the final point
+    pt, trace = profile_estimate(m, cfg, start)
+    assert m.evaluations == 2 * len(expected.records)
     assert trace.records[-1].L_kk == m.evaluate(pt)
-    assert [r.L_kk for r in trace.records] in [[r.L_kk for r in tr.records] for tr in traces]
+    assert [r.L_kk for r in trace.records] == [r.L_kk for r in expected.records]

@@ -27,6 +27,11 @@ def test_parse_config(tmp_path):
     bad = write(tmp_path / "bad.kv", "oops\n")
     with pytest.raises(ValueError):
         parse_config(bad)
+    # a key set twice is an error, not the last of its values
+    twice = write(tmp_path / "twice.kv", "reps = 3\n# more\nseed = 1\nreps = 4\n")
+    with pytest.raises(ValueError) as info:
+        parse_config(twice)
+    assert str(info.value) == f"{twice}: config key 'reps' is set twice, on lines 1 and 4"
 
 
 def test_cli_toy_runs_and_asserts(tmp_path, capsys):
@@ -382,6 +387,42 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
     assert experiment_config(namespace(cfg), "sweep").si_eta_star == (1.0, -0.8, 0.9)
 
 
+def test_config_construction_raises_what_the_cli_names():
+    # the toy-block and eta_star-length cases above, from ExperimentConfig alone:
+    # the same message, and the keys it can blame in the same order
+    from altmax.bounds import FieldValueError
+
+    coupling = "toy_a**2 < toy_d2 * toy_h2 required"
+    singular = "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"
+    overflow = ("toy_d2, toy_h2 and toy_start_offset too large: the norm of the start "
+                "offset overflows")
+    cases = [
+        (dict(toy_a=5.0), ["toy_a", "toy_d2", "toy_h2"], coupling),
+        (dict(toy_d2=0.4), ["toy_a", "toy_d2", "toy_h2"], coupling),
+        (dict(toy_d2=0.4, toy_h2=0.4), ["toy_a", "toy_d2", "toy_h2"], coupling),
+        (dict(toy_h2=0.4), ["toy_a", "toy_d2", "toy_h2"], coupling),
+        (dict(toy_p=2, toy_d2=1e-300, toy_h2=1e300, toy_a=0.0), ["toy_d2", "toy_h2"], singular),
+        (dict(toy_p=2, toy_h2=1e-308, toy_a=1e-200), ["toy_d2", "toy_h2"], singular),
+        (dict(toy_h2=5e307, toy_a=0.0), ["toy_h2", "toy_start_offset"], overflow),
+        (dict(toy_d2=1e308, toy_a=0.0), ["toy_d2", "toy_start_offset"], overflow),
+        (dict(toy_start_offset=1e200), ["toy_h2", "toy_start_offset"], overflow),
+        (dict(toy_h2=5e307, toy_a=0.0, toy_start_offset=3.0), ["toy_h2", "toy_start_offset"],
+         overflow),
+        (dict(family="single-index", si_m=3, si_eta_star=(1.0, -0.8)),
+         ["si_eta_star", "si_m"], "si_eta_star length must equal si_m = 3"),
+        (dict(family="single-index", si_eta_star=(1.0, -0.8, 0.9)),
+         ["si_eta_star", "si_m"], "si_eta_star length must equal si_m = 6"),
+        (dict(family="single-index", si_m=4),
+         ["si_eta_star", "si_m"], "si_eta_star length must equal si_m = 4"),
+    ]
+    for kwargs, fields, message in cases:
+        with pytest.raises(FieldValueError) as info:
+            ExperimentConfig(**kwargs)
+        assert (str(info.value), info.value.fields) == (message, fields), kwargs
+    # the sweep reads eta_star as a pool of any length
+    assert ExperimentConfig(family="sweep", si_eta_star=(1.0, -0.8, 0.9)).si_m == 6
+
+
 def test_cli_flag_overridden_key_is_known(tmp_path):
     cfg = write(tmp_path / "toy.kv", "reps = 500\nthreads = 3\nsteps = 4\nseed = 2\n")
     c = experiment_config(namespace(cfg, reps=5, threads=1), "toy")
@@ -464,7 +505,8 @@ def test_every_documented_key_parses(tmp_path):
         ExperimentConfig(**SINGLE_INDEX)
     )
     assert experiment_config(namespace(paths["sweep"]), "sweep") == ExperimentConfig(
-        **dict(SINGLE_INDEX, si_n=ExperimentConfig.si_n, si_m=ExperimentConfig.si_m),
+        **dict(SINGLE_INDEX, family="sweep", si_n=ExperimentConfig.si_n,
+               si_m=ExperimentConfig.si_m),
         sweep_n=(200, 400, 800), sweep_m=(3,),
     )
     assert bounds_inputs(paths["bounds"]) == dict(

@@ -359,7 +359,7 @@ def test_import_and_probe_delta_leave_scipy_special_unloaded():
 
 
 def test_dimension_sweep_cells_deterministic():
-    cfg = ExperimentConfig(family="single-index", reps=6, master_seed=2,
+    cfg = ExperimentConfig(family="sweep", reps=6, master_seed=2,
                            sweep_n=(250, 500), sweep_m=(3,),
                            si_eta_star=(1.0, -0.8, 0.9))
     rep1 = run_dimension_sweep(cfg)
@@ -377,12 +377,31 @@ def test_build_context_toy():
 def test_build_context_rejects_a_toy_whose_root_is_singular():
     # toy.simulate solves with this root: unchecked, every replication fails
     # with LinAlgError and the run aborts naming no key
+    # (the config's construction raises, so no such config reaches build_context)
     from altmax.bounds import FieldValueError
-    cfg = ExperimentConfig(family="toy", reps=5, toy_p=2, toy_d2=1e-300, toy_h2=1e300,
-                           toy_a=0.0)
     with pytest.raises(FieldValueError, match="root of the toy information is singular") as info:
-        build_context(cfg)
+        build_context(ExperimentConfig(family="toy", reps=5, toy_p=2, toy_d2=1e-300,
+                                       toy_h2=1e300, toy_a=0.0))
     assert info.value.field == "toy_d2"
+
+
+def test_build_context_rejects_a_sweep():
+    # a sweep config holds an eta_star pool and lists of n and m, not one experiment
+    with pytest.raises(ValueError, match="run_dimension_sweep builds one per cell"):
+        build_context(ExperimentConfig(family="sweep"))
+
+
+def test_build_context_reuses_the_blocks_the_config_built(monkeypatch):
+    # the toy blocks are built and checked once, when the config is built
+    import altmax.harness as hz
+
+    calls, real = [], hz.toy_blocks
+    monkeypatch.setattr(hz, "toy_blocks", lambda cfg: calls.append(cfg) or real(cfg))
+    cfg = ExperimentConfig(family="toy", reps=1, steps=4)
+    assert build_context(cfg).info is cfg.toy_info and len(calls) == 1
+    # a pickled config carries its blocks; `replace` builds a new config and new blocks
+    assert pickle.loads(pickle.dumps(cfg)).__dict__["toy_info"].H2[0, 0] == 2.0
+    assert replace(cfg, toy_h2=3.0).toy_info.H2[0, 0] == 3.0 and len(calls) == 2
 
 
 def test_build_context_single_index_draws_only_the_pilot_dataset(monkeypatch):
@@ -566,9 +585,7 @@ def test_me_replication_reads_the_k_step_run_from_the_profile_trace(cfg):
     for i in range(3):
         acfg = _alternation_config(ctx)
         model, start = _make_replication(ctx, i)
-        me_v = profile_estimate(
-            model, replace(acfg, max_steps=4 * ctx.K), starts=[start]
-        )[0].as_vector()
+        me_v = profile_estimate(model, replace(acfg, max_steps=4 * ctx.K), start)[0].as_vector()
         trace = run(model, start, acfg)
         dists = [float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
                  for r in trace.records]

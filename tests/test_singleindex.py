@@ -97,7 +97,7 @@ def test_profile_estimate_noiseless_recovers_truth():
     model = SingleIndexModel(ds, basis, constrain_theta=True)
     start, _ = grid_init(ds, basis, N)
     pt, _ = profile_estimate(
-        model, AlternationConfig(max_steps=40, solver_tolerance=1e-11), starts=[start]
+        model, AlternationConfig(max_steps=40, solver_tolerance=1e-11), start
     )
     assert np.abs(pt.theta - theta_star).max() < 1e-6
     assert np.abs(pt.eta - ETA6[:4]).max() < 1e-6
