@@ -15,7 +15,7 @@ in x and k holds as stated, but branch continuity is not asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +90,37 @@ class ConditionConstants:
         return self.beta_A_value
 
 
+@dataclass(frozen=True)
+class BoundInputs:
+    """Inputs of `compute_bound_report`, checked when built; the `bounds` subcommand's keys."""
+
+    x: float = 2.0
+    p: int = 1
+    m: int = 1
+    nu: float = 0.25
+    cc: ConditionConstants = field(default_factory=ConditionConstants)
+    b_eigenvalues: tuple[float, ...] | None = None
+    R_K: float | None = None
+    K0: float | None = None
+    eps: float = 0.0
+    norm_Dinv: float = 0.0
+    k_max: int = 20
+
+    def __post_init__(self):
+        _require(self, "x eps norm_Dinv R_K K0", math.isfinite, "must be finite")
+        _require(self, "b_eigenvalues", lambda v: all(map(math.isfinite, v)),
+                 "entries must be finite")
+        _require(self, "x", lambda v: v > 0, "> 0 required")
+        _require(self, "p m", lambda v: v >= 1, ">= 1 required")
+        _require(self, "nu", lambda v: 0 <= v < 1, "in [0, 1) required")
+        _require(self, "k_max eps norm_Dinv R_K K0", lambda v: v >= 0, ">= 0 required")
+        eigs = self.b_eigenvalues
+        if eigs is not None and len(eigs) != self.p + self.m:
+            raise FieldValueError("b_eigenvalues",
+                                  f"b_eigenvalues must have p + m = {self.p + self.m} entries")
+        _require(self, "b_eigenvalues", lambda v: all(x >= 0 for x in v), "entries >= 0 required")
+
+
 def quad_form_constants(B, g):
     """(p_B, v_B, lambda_star, x_c, y_c, g_c) for the quadratic-form quantile.
 
@@ -157,14 +188,12 @@ def entropy_quantile(x, Q, g0=math.inf):
     return (x + Q) / g0 + g0 / 2.0
 
 
-def combined_quantile(x, p_star, B=None, cc: ConditionConstants | None = None):
-    """z(x) = z(x, B) v z0(x, 4 p*): the single symbol covering all
+def combined_quantile(x, p_star, cc: ConditionConstants | None = None):
+    """z(x) = z(x, I) v z0(x, 4 p*): the single symbol covering all
     sqrt(p* + x)-order terms."""
     cc = cc or ConditionConstants()
-    if B is None:
-        B = np.eye(p_star)
     return max(
-        quad_form_quantile(x, B, cc.g),
+        quad_form_quantile(x, np.eye(p_star), cc.g),
         math.sqrt(entropy_quantile_sq(x, 4.0 * p_star, cc.g0)),
     )
 
@@ -354,8 +383,7 @@ def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf):
     return out
 
 
-def compute_bound_report(x, p, m, nu, cc: ConditionConstants, b_eigenvalues=None,
-                         R_K=None, K0=None, eps=0.0, norm_Dinv=0.0, k_max=20):
+def compute_bound_report(inputs: BoundInputs):
     """Evaluate the whole chain of bound formulas for one configuration.
 
     Returns (values, radii).  `values` maps each scalar, then each `check_*`
@@ -364,8 +392,10 @@ def compute_bound_report(x, p, m, nu, cc: ConditionConstants, b_eigenvalues=None
     `r_k_refined` is None unless eps > 0 passes the smallness check, and
     `r_star_k` is empty unless kappa < 1 - nu.
     """
+    x, p, m, nu, cc, k_max = inputs.x, inputs.p, inputs.m, inputs.nu, inputs.cc, inputs.k_max
+    R_K, K0, eps, norm_Dinv = inputs.R_K, inputs.K0, inputs.eps, inputs.norm_Dinv
     p_star = p + m
-    B = np.diag(b_eigenvalues) if b_eigenvalues is not None else np.eye(p_star)
+    B = np.diag(inputs.b_eigenvalues) if inputs.b_eigenvalues is not None else np.eye(p_star)
     v = {"x": x, "p": p, "m": m, "nu": nu}
     v["z_quad"] = quad_form_quantile(x, B, cc.g)
     v["z0_sq"] = entropy_quantile_sq(x, 4.0 * p_star, cc.g0)

@@ -26,7 +26,7 @@ import typing
 import numpy as np
 
 from ._files import write_csv, write_kv, write_kv_csv
-from .bounds import ConditionConstants, FieldValueError, _require, compute_bound_report
+from .bounds import BoundInputs, ConditionConstants, FieldValueError, compute_bound_report
 from .harness import (
     ExperimentConfig,
     run_dimension_sweep,
@@ -43,36 +43,6 @@ _RENAMED = {
     "R_K": "r_k_init", "K0": "k0", "norm_Dinv": "norm_dinv",
 }
 _UNSETTABLE = ("family", "cc")
-
-
-@dataclasses.dataclass(frozen=True)
-class _BoundsKeys:
-    """The `bounds` subcommand's own keys: keywords of `compute_bound_report`."""
-
-    x: float = 2.0
-    p: int = 1
-    m: int = 1
-    nu: float = 0.25
-    b_eigenvalues: tuple[float, ...] | None = None
-    R_K: float | None = None
-    K0: float | None = None
-    eps: float = 0.0
-    norm_Dinv: float = 0.0
-    k_max: int = 20
-
-    def __post_init__(self):
-        _require(self, "x eps norm_Dinv R_K K0", math.isfinite, "must be finite")
-        _require(self, "b_eigenvalues", lambda v: all(map(math.isfinite, v)),
-                 "entries must be finite")
-        _require(self, "x", lambda v: v > 0, "> 0 required")
-        _require(self, "p m", lambda v: v >= 1, ">= 1 required")
-        _require(self, "nu", lambda v: 0 <= v < 1, "in [0, 1) required")
-        _require(self, "k_max eps norm_Dinv R_K K0", lambda v: v >= 0, ">= 0 required")
-        eigs = self.b_eigenvalues
-        if eigs is not None and len(eigs) != self.p + self.m:
-            raise FieldValueError("b_eigenvalues",
-                                  f"b_eigenvalues must have p + m = {self.p + self.m} entries")
-        _require(self, "b_eigenvalues", lambda v: all(x >= 0 for x in v), "entries >= 0 required")
 
 
 def _parse_bool(raw):
@@ -104,15 +74,14 @@ def _keys(cls, settable=lambda name: True):
     hints = typing.get_type_hints(cls)
     return {
         _RENAMED.get(f.name, f.name.removeprefix("si_")): (cls, f.name, _parser(hints[f.name]))
-        for f in dataclasses.fields(cls) if settable(f.name)
+        for f in dataclasses.fields(cls) if f.name not in _UNSETTABLE and settable(f.name)
     }
 
 
 def _experiment_keys(*families):
     """The common experiment keys and those of the given field-name prefixes."""
     def settable(name):
-        own = name.startswith(("toy_", "si_", "sweep_"))
-        return name not in _UNSETTABLE and (not own or name.startswith(families))
+        return not name.startswith(("toy_", "si_", "sweep_")) or name.startswith(families)
     return {**_keys(ConditionConstants), **_keys(ExperimentConfig, settable)}
 
 
@@ -121,7 +90,7 @@ KEYS = {
     "single-index": _experiment_keys("si_"),
     "sweep": {key: entry for key, entry in _experiment_keys("si_", "sweep_").items()
               if key not in ("n", "m")},  # each sweep cell sets its own n and m
-    "bounds": {**_keys(ConditionConstants), **_keys(_BoundsKeys)},
+    "bounds": {**_keys(ConditionConstants), **_keys(BoundInputs)},
 }
 
 
@@ -175,7 +144,8 @@ def parse_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line (expected key = value): {line!r}")
+                raise ValueError(f"{path}: line {number}: bad config line "
+                                 f"(expected key = value): {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key in out:
                 raise ValueError(f"{path}: config key {key!r} is set twice, "
@@ -200,12 +170,13 @@ def experiment_config(args, command) -> ExperimentConfig:
     )
 
 
-def bounds_inputs(path) -> dict:
-    """Keyword arguments of `compute_bound_report` from a config file."""
+def bounds_inputs(path) -> BoundInputs:
+    """The inputs of `compute_bound_report` from a config file."""
     values, where = read_config(path, "bounds")
-    return dict(
-        dataclasses.asdict(_build(_BoundsKeys, where, **values[_BoundsKeys])),
+    return _build(
+        BoundInputs, where,
         cc=_build(ConditionConstants, where, **values[ConditionConstants]),
+        **values[BoundInputs],
     )
 
 
@@ -229,9 +200,7 @@ def _experiment_checks(kind, family, rep):
             ))
     else:
         rate = agg["nu_hat_median"]
-        converged = agg["dist_final_median"] <= 100.0 * rep.meta.get(
-            "solver_tolerance", 1e-9
-        )
+        converged = agg["dist_final_median"] <= 100.0 * rep.meta["solver_tolerance"]
         # a NaN rate is the fit sentinel for decay too fast to fit; accept it
         # only when the runs actually reached the solver floor
         rate_ok = (math.isfinite(rate) and rate <= agg["nu"] + 0.1) or (
@@ -258,7 +227,7 @@ def cmd_experiment(args):
 
 
 def cmd_bounds(args):
-    values, radii = compute_bound_report(**bounds_inputs(args.config))
+    values, radii = compute_bound_report(bounds_inputs(args.config))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     write_kv(os.path.join(outdir, "bounds_report.kv"), values.items())

@@ -554,12 +554,15 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
     largest deviation of the normalized Hessian from the identity over
     n_points points sampled on the shell of radius r.  The dataset seeds
     are distinct only for R <= 1000 and n_points <= 100, so larger values
-    raise ValueError.
+    raise ValueError, as does a radius that is negative or not finite.
     """
     if not 1 <= R <= 1000:
         raise ValueError(f"R must be in 1..1000, got {R!r}")
     if not 1 <= n_points <= 100:
         raise ValueError(f"n_points must be in 1..100, got {n_points!r}")
+    for r in r_grid:
+        if not 0 <= r < math.inf:
+            raise ValueError(f"r_grid entries must be finite and >= 0, got {r!r}")
     ctx = build_context(config)
     star_v = ctx.upsilon_star.as_vector()
     points = []  # one task per shell point: its first dataset seed, R and the point
@@ -588,7 +591,9 @@ def _shell_deviation(ctx, task):
 # ---------------------------------------------------------------------------
 
 def run_dimension_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Median Wilks error and Fisher residual over a (p*, n) grid."""
+    """Median Wilks error and Fisher residual over a (p*, n) grid of a `sweep` config."""
+    if config.family != "sweep":
+        raise ValueError(f"a dimension sweep needs family 'sweep', got {config.family!r}")
     records = []
     eta_pool = np.asarray(config.si_eta_star, dtype=float)
     for mi, m in enumerate(config.sweep_m):

@@ -73,7 +73,7 @@ def si_me_noiseless():
 
 @pytest.fixture(scope="module")
 def sweep():
-    cfg = ExperimentConfig(family="single-index", reps=40, master_seed=5,
+    cfg = ExperimentConfig(family="sweep", reps=40, master_seed=5,
                            sweep_n=(250, 1000), sweep_m=(3, 6))
     return run_dimension_sweep(cfg)
 

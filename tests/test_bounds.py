@@ -5,6 +5,7 @@ import pytest
 
 import reference_bounds as ref
 from altmax.bounds import (
+    BoundInputs,
     C_nu,
     ConditionConstants,
     UnsupportedRegimeError,
@@ -349,7 +350,8 @@ def test_validate_quad_tail():
 
 def test_compute_bound_report_smoke():
     cc = ConditionConstants(omega=0.05, delta_slope=0.005, z_hess=0.1)
-    rep, radii = compute_bound_report(2.0, 1, 2, 0.25, cc, eps=1e-4, norm_Dinv=0.01, k_max=10)
+    rep, radii = compute_bound_report(
+        BoundInputs(2.0, 1, 2, 0.25, cc, eps=1e-4, norm_Dinv=0.01, k_max=10))
     rk = np.array(radii["r_k"])
     assert np.all(np.diff(rk) <= 1e-12)
     assert rep["K_stop"] >= 0

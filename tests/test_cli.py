@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from altmax.bounds import ConditionConstants
+from altmax.bounds import BoundInputs, ConditionConstants, FieldValueError, compute_bound_report
 from altmax.cli import KEYS, bounds_inputs, experiment_config, main, parse_config
 from altmax.harness import ExperimentConfig
 
@@ -24,9 +24,11 @@ def test_parse_config(tmp_path):
     p = write(tmp_path / "c.kv", "a = 1\n# comment\nb = two  # trailing\n\nc=3.5\n")
     d = parse_config(p)
     assert d == {"a": "1", "b": "two", "c": "3.5"}
-    bad = write(tmp_path / "bad.kv", "oops\n")
-    with pytest.raises(ValueError):
+    # a line with no `=` is named by its file and line number
+    bad = write(tmp_path / "bad.kv", "reps = 3\noops\n")
+    with pytest.raises(ValueError) as info:
         parse_config(bad)
+    assert str(info.value) == f"{bad}: line 2: bad config line (expected key = value): 'oops'"
     # a key set twice is an error, not the last of its values
     twice = write(tmp_path / "twice.kv", "reps = 3\n# more\nseed = 1\nreps = 4\n")
     with pytest.raises(ValueError) as info:
@@ -390,8 +392,6 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
 def test_config_construction_raises_what_the_cli_names():
     # the toy-block and eta_star-length cases above, from ExperimentConfig alone:
     # the same message, and the keys it can blame in the same order
-    from altmax.bounds import FieldValueError
-
     coupling = "toy_a**2 < toy_d2 * toy_h2 required"
     singular = "toy_d2 and toy_h2 too far apart: the root of the toy information is singular"
     overflow = ("toy_d2, toy_h2 and toy_start_offset too large: the norm of the start "
@@ -421,6 +421,43 @@ def test_config_construction_raises_what_the_cli_names():
         assert (str(info.value), info.value.fields) == (message, fields), kwargs
     # the sweep reads eta_star as a pool of any length
     assert ExperimentConfig(family="sweep", si_eta_star=(1.0, -0.8, 0.9)).si_m == 6
+
+
+def test_bound_inputs_raise_what_the_cli_names():
+    # the bounds cases above that set a BoundInputs field, from BoundInputs alone
+    cases = [
+        (dict(x=0.0), "x > 0 required"),
+        (dict(p=0), "p >= 1 required"),
+        (dict(m=0), "m >= 1 required"),
+        (dict(nu=2.0), "nu in [0, 1) required"),
+        (dict(k_max=-1), "k_max >= 0 required"),
+        (dict(eps=-1e-4), "eps >= 0 required"),
+        (dict(norm_Dinv=-0.01), "norm_Dinv >= 0 required"),
+        (dict(R_K=-1.0), "R_K >= 0 required"),
+        (dict(K0=-1.0), "K0 >= 0 required"),
+        (dict(b_eigenvalues=(1.0,)), "b_eigenvalues must have p + m = 2 entries"),
+        (dict(b_eigenvalues=(1.0, -1.0)), "b_eigenvalues entries >= 0 required"),
+        (dict(x=math.inf), "x must be finite"),
+        (dict(b_eigenvalues=(1.0, math.inf)), "b_eigenvalues entries must be finite"),
+        (dict(K0=math.inf), "K0 must be finite"),
+        (dict(R_K=math.inf), "R_K must be finite"),
+        (dict(norm_Dinv=math.inf), "norm_Dinv must be finite"),
+        (dict(eps=math.inf), "eps must be finite"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(FieldValueError) as info:
+            BoundInputs(**kwargs)
+        assert (str(info.value), info.value.fields) == (message, list(kwargs)), kwargs
+
+
+def test_shipped_bounds_config_reports_as_its_values():
+    # configs/bounds.kv, read by the CLI, and its values given to the library
+    cc = ConditionConstants(nu0=1.0, nu1=1.0, omega=0.05, omega2=0.002, delta_slope=0.001,
+                            z_hess=0.1)
+    inputs = BoundInputs(x=2.0, p=1, m=2, nu=0.25, cc=cc, norm_Dinv=0.01, eps=1e-4, k_max=20)
+    read = bounds_inputs(str(CONFIGS / "bounds.kv"))
+    assert read == inputs
+    assert compute_bound_report(read) == compute_bound_report(inputs)
 
 
 def test_cli_flag_overridden_key_is_known(tmp_path):
@@ -509,7 +546,7 @@ def test_every_documented_key_parses(tmp_path):
                si_m=ExperimentConfig.si_m),
         sweep_n=(200, 400, 800), sweep_m=(3,),
     )
-    assert bounds_inputs(paths["bounds"]) == dict(
+    assert bounds_inputs(paths["bounds"]) == BoundInputs(
         x=1.5, p=2, m=3, nu=0.4, cc=CONDITIONS, b_eigenvalues=(1.0, 0.8, 0.5, 1.2, 0.9),
         R_K=4.0, K0=3.5, eps=1e-4, norm_Dinv=0.01, k_max=12,
     )
@@ -531,4 +568,4 @@ def test_shipped_configs_load():
     assert sorted(p.name for p in CONFIGS.glob("*.kv")) == sorted(readers)
     loaded = {name: r(str(CONFIGS / name)) for name, r in readers.items()}
     assert loaded["single_index.kv"].si_n == 1000
-    assert loaded["bounds.kv"]["k_max"] == 20
+    assert loaded["bounds.kv"].k_max == 20

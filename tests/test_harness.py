@@ -331,6 +331,15 @@ def test_probe_delta_rejects_counts_that_would_reuse_dataset_seeds(bad):
         probe_delta(cfg, r_grid=[0.5], **bad)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -0.4])
+def test_probe_delta_rejects_a_radius_that_is_negative_or_not_finite(r):
+    # the result is keyed by radius: a NaN or infinite key, or a negative one
+    # (its shell has radius |r|), would read as delta_hat at that radius
+    cfg = ExperimentConfig(family="toy", reps=1, master_seed=0)
+    with pytest.raises(ValueError, match=f"r_grid entries must be finite and >= 0, got {r!r}"):
+        probe_delta(cfg, r_grid=(0.5, r), R=2, n_points=3)
+
+
 def test_import_and_probe_delta_leave_scipy_special_unloaded():
     # chi2_cdf loads only gammainc's extension module, on first use, which the
     # probe never makes; a toy Wilks run then loads no scipy package at all
@@ -365,6 +374,13 @@ def test_dimension_sweep_cells_deterministic():
     rep1 = run_dimension_sweep(cfg)
     rep2 = run_dimension_sweep(cfg)
     assert rep1.records == rep2.records
+
+
+def test_dimension_sweep_rejects_a_config_of_another_family():
+    # a toy config (the default family) would run single-index cells from its defaults
+    cfg = ExperimentConfig(family="toy", reps=2, sweep_n=(250,), sweep_m=(3,))
+    with pytest.raises(ValueError, match="a dimension sweep needs family 'sweep', got 'toy'"):
+        run_dimension_sweep(cfg)
 
 
 def test_build_context_toy():
