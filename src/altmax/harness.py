@@ -554,7 +554,8 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
     largest deviation of the normalized Hessian from the identity over
     n_points points sampled on the shell of radius r.  The dataset seeds
     are distinct only for R <= 1000 and n_points <= 100, so larger values
-    raise ValueError, as does a radius that is negative or not finite.
+    raise ValueError, as does a radius that is negative, not finite or
+    repeated.
     """
     if not 1 <= R <= 1000:
         raise ValueError(f"R must be in 1..1000, got {R!r}")
@@ -563,6 +564,10 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
     for r in r_grid:
         if not 0 <= r < math.inf:
             raise ValueError(f"r_grid entries must be finite and >= 0, got {r!r}")
+    if len(set(r_grid)) != len(r_grid):
+        # the result is keyed by radius: a repeated one would be built twice
+        # and only its last shell kept
+        raise ValueError(f"r_grid entries must be distinct, got {tuple(r_grid)!r}")
     ctx = build_context(config)
     star_v = ctx.upsilon_star.as_vector()
     points = []  # one task per shell point: its first dataset seed, R and the point

@@ -124,9 +124,10 @@ def information_at_truth(basis, star, n, s_X, sigma, r_datasets, *, seed):
 def eta_step_closed_form(dataset, basis, theta):
     """Normal-equations solution of the basis regression at fixed theta.
 
-    Solves (1/n sum e e') eta = 1/n sum y_i e.  A condition estimate above
-    1e12 triggers one fallback ridge of 1e-8 * trace/m; a singular system
-    after the fallback raises.
+    Solves (1/n sum e e') eta = 1/n sum y_i e.  A condition number above
+    1e12 (`_well_conditioned`, the rule the grid scan shares) triggers one
+    fallback ridge of 1e-8 * trace/m; a singular system after the fallback
+    raises.
     """
     G, b = _normal_equations(dataset, basis, theta)
     m = G.shape[0]
@@ -134,7 +135,7 @@ def eta_step_closed_form(dataset, basis, theta):
     for lam in (0.0, 1e-8 * np.trace(G) / m):
         Gl = G + lam * np.eye(m)
         try:
-            if np.linalg.cond(Gl) > 1e12:
+            if not _well_conditioned(np.diagonal(Gl)[None], Gl[None])[0]:
                 raise np.linalg.LinAlgError("condition estimate above 1e12")
             return _lapack.solve(Gl, b)
         except (np.linalg.LinAlgError, ValueError) as exc:
@@ -329,7 +330,9 @@ def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, noise_scale=1.0):
     return best[0]
 
 
-# grid points scored together by grid_init; bounds the n x block temporaries
+# grid points scored together by grid_init; bounds the n x block temporaries.
+# Larger blocks score a little faster, but a block of 64 raised si_wilks'
+# peak RSS by 6-9%, beyond the 5% that the benchmark allows.
 _SCAN_BLOCK = 16
 
 
@@ -384,11 +387,12 @@ def _half_sphere_grid(p, N):
 def _scan_grid(dataset, basis, grid, noise_scale=1.0):
     """Index of the grid point whose closed-form eta gives the largest L.
 
-    Scores _SCAN_BLOCK points at a time from the sparse design
-    (`WaveletBasis.level_pairs`): the Gram matrices and right-hand sides of
-    a block are segment sums, and the residual sum of squares follows from
-    them.  A point is accepted as in `eta_step_closed_form`; ties keep the
-    first index.  Returns None when the eta step fails on every point.
+    Scores _SCAN_BLOCK points at a time from the in-sieve entries of the
+    design (`WaveletBasis.level_pairs`): the normal equations of a block
+    are segment sums (`_gram_block`), and the residual sum of squares
+    follows from them.  A point is accepted as in `eta_step_closed_form`;
+    ties keep the first index.  Returns None when the eta step fails on
+    every point.
     """
     X, y = dataset.X, dataset.y
     n, m = dataset.n, basis.m
@@ -396,11 +400,14 @@ def _scan_grid(dataset, basis, grid, noise_scale=1.0):
     yy = float(y @ y) / n
     best_L, best_i = -np.inf, None
     for lo in range(0, grid.shape[0], _SCAN_BLOCK):
-        G, c = _gram_block(basis.level_pairs(X @ grid[lo:lo + _SCAN_BLOCK].T), y, m)
-        eta = _solve_block(G, c, diagonal=basis.n_levels == 1)
-        rss = yy - 2.0 * np.einsum("bk,bk->b", c, eta) + np.einsum(
-            "bk,bkl,bl->b", eta, G, eta
-        )
+        T = X @ grid[lo:lo + _SCAN_BLOCK].T
+        c, d, G = _gram_block(basis.level_pairs(T), y, T.shape[1], m)
+        eta = _solve_block(c, d, G)
+        if G is None:
+            quad = np.einsum("bk,bk,bk->b", eta, d, eta)
+        else:
+            quad = np.einsum("bk,bkl,bl->b", eta, G, eta)
+        rss = yy - 2.0 * np.einsum("bk,bk->b", c, eta) + quad
         L = np.where(np.isnan(rss), -np.inf, -inv2s * n * rss)
         i = int(np.argmax(L))
         if L[i] > best_L:
@@ -408,49 +415,91 @@ def _scan_grid(dataset, basis, grid, noise_scale=1.0):
     return best_i
 
 
-def _gram_block(pairs, y, m):
-    """E'E/n and E'y/n for every point of a block, as segment sums.
+def _gram_block(entries, y, B, m):
+    """E'y/n and E'E/n for every point of a block, as segment sums.
 
-    pairs: `level_pairs` of the n x B index matrix.  Returns G (B, m, m) and
-    c (B, m); the bins of point b start at b*m (c) and b*m*m (G).
+    entries: `level_pairs` of the n x B index matrix.  Returns c (B, m), the
+    diagonal d (B, m) of E'E/n and E'E/n itself (B, m, m), None for a
+    one-level sieve: a point meets one function per level, so the
+    level-diagonal blocks are diagonal and only the cross-level blocks need
+    pair bins.
     """
-    n, B = pairs[0][0].shape
-    offset = m * np.arange(B)
-    G = np.zeros(B * m * m)
+    n = y.size
     c = np.zeros(B * m)
-    for cols_a, vals_a in pairs:
-        bins_a = cols_a + offset
-        c += np.bincount(bins_a.ravel(), (vals_a * y[:, None]).ravel(), B * m)
-        for cols_b, vals_b in pairs:
-            G += np.bincount(
-                (bins_a * m + cols_b).ravel(), (vals_a * vals_b).ravel(), B * m * m
-            )
-    return G.reshape(B, m, m) / n, c.reshape(B, m) / n
+    d = np.zeros(B * m)
+    bins = []
+    for rows, cols, vals in entries:
+        i = rows // B  # flat position i*B + b: data row i, point b
+        bins.append((rows - i * B) * m + cols)  # bin b*m + col
+        c += np.bincount(bins[-1], vals * y[i], B * m)
+        d += np.bincount(bins[-1], vals * vals, B * m)
+    c, d = c.reshape(B, m) / n, d.reshape(B, m) / n
+    if len(entries) == 1:
+        return c, d, None
+    G = np.zeros(B * m * m)
+    for a, (_, _, vals_a) in enumerate(entries):
+        for rows_b, cols_b, vals_b in entries[a + 1:]:
+            # level a meets every point (only the last level is partial),
+            # so its entry for a point is at the point's flat position
+            G += np.bincount(bins[a][rows_b] * m + cols_b, vals_a[rows_b] * vals_b, B * m * m)
+    G = G.reshape(B, m, m)
+    G = (G + G.transpose(0, 2, 1)) / n
+    G.reshape(B, m * m)[:, ::m + 1] = d
+    return c, d, G
 
 
-def _solve_block(G, c, diagonal):
-    """`eta_step_closed_form` for a stack of normal equations.
+def _solve_block(c, d, G):
+    """`eta_step_closed_form` for a block of normal equations (`_gram_block`).
 
-    Accept at condition number <= 1e12, else retry once with the ridge
+    Accept by `_well_conditioned`, else retry once with the ridge
     1e-8 * trace/m; the eta of a point that fails both is left NaN.  A
-    one-level sieve has a diagonal Gram matrix, whose condition number is
-    the ratio of its diagonal extremes.
+    diagonal system (G None) is solved by division.
     """
-    B, m, _ = G.shape
+    B, m = c.shape
     eta = np.full((B, m), np.nan)
-    ridge = 1e-8 * np.trace(G, axis1=1, axis2=2) / m
-    for lam in (np.zeros(B), ridge):
-        todo = np.flatnonzero(np.isnan(eta[:, 0]))
-        Gl = G[todo] + lam[todo, None, None] * np.eye(m)
-        if diagonal:
-            d = np.diagonal(Gl, axis1=1, axis2=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ok = d.max(axis=1) / d.min(axis=1) <= 1e12
-            eta[todo[ok]] = c[todo[ok]] / d[ok]
+
+    def solve(todo, dl, Gl):
+        """Solve the accepted systems among `todo`; return the others."""
+        ok = _well_conditioned(dl, Gl)
+        done = todo[ok]
+        if Gl is None:
+            eta[done] = c[done] / dl[ok]
         else:
-            ok = np.linalg.cond(Gl) <= 1e12
-            eta[todo[ok]] = np.linalg.solve(Gl[ok], c[todo[ok], :, None])[..., 0]
+            eta[done] = np.linalg.solve(Gl[ok], c[done, :, None])[..., 0]
+        return todo[~ok]
+
+    todo = solve(np.arange(B), d, G)
+    if todo.size:
+        lam = 1e-8 * d[todo].sum(axis=1) / m
+        solve(todo, d[todo] + lam[:, None],
+              None if G is None else G[todo] + lam[:, None, None] * np.eye(m))
     return eta
+
+
+def _well_conditioned(d, G):
+    """Whether each matrix of a stack has condition number <= 1e12: the
+    acceptance rule of the eta step.
+
+    d (B, m) holds the diagonals and G (B, m, m) the symmetric matrices, or
+    None where they are diagonal and the ratio of the diagonal's extremes
+    is the condition number.  A cheap bound accepts what it certifies below
+    1e10, a margin far beyond the rounding of the bound and of
+    `np.linalg.cond`; only the rest pay an SVD.  NaN is not accepted.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = d.max(axis=-1) / d.min(axis=-1)
+        if G is None:
+            return bound <= 1e12
+        # cond(G) <= cond(D) cond(K) for K = D^-1/2 G D^-1/2, whose
+        # eigenvalues lie within 1 -+ r (Gershgorin), r the largest row sum
+        # of |K| less its unit diagonal
+        s = 1.0 / np.sqrt(d)
+        r = (s * (np.abs(G) @ s[:, :, None])[..., 0] - 1.0).max(axis=-1)
+        ok = (r < 1.0) & (bound * (1.0 + r) / (1.0 - r) <= 1e10)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        ok[rest] = np.linalg.cond(G[rest]) <= 1e12
+    return ok
 
 
 class SingleIndexModel(Model):

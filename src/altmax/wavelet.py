@@ -199,8 +199,8 @@ def _hermite_eval(tab, x, want):
     idx = x.astype(int)  # x >= 0, so truncation is the floor
     np.minimum(idx, psi.size - 2, out=idx)
     s = np.subtract(x, idx, out=x)
-    y0 = psi[idx]
-    y1 = psi[1:][idx]
+    y0 = psi.take(idx)
+    y1 = psi[1:].take(idx)
     if want == 0:
         # y0 (1 - q) + d0 h (s^3 - 2 s^2 + s) + y1 q + d1 h (s^3 - s^2)
         # with q = 3 s^2 - 2 s^3, summed left to right; in place, because
@@ -214,17 +214,17 @@ def _hermite_eval(tab, x, want):
         w = 2 * s2
         np.subtract(s3, w, out=w)
         w += s
-        w *= tab.dpsi_h[idx]
+        w *= tab.dpsi_h.take(idx)
         out += w
         y1 *= q
         out += y1
         s3 -= s2
-        s3 *= tab.dpsi_h[1:][idx]
+        s3 *= tab.dpsi_h[1:].take(idx)
         out += s3
         return out
     h = 1.0 / 2.0**tab.j_table
-    d0 = dpsi[idx]
-    d1 = dpsi[1:][idx]
+    d0 = dpsi.take(idx)
+    d1 = dpsi[1:].take(idx)
     if want == 1:
         s2 = s * s
         c = 3 * s2
@@ -266,20 +266,31 @@ class WaveletBasis:
         """Sparse form of the design (want=0) or of its derivatives (1, 2).
 
         The translates of one level tile the interval, so each point meets
-        exactly one of them per level.  Returns one (cols, vals) pair per
-        level, both of the shape of t: vals[i] is the want-th derivative of
-        basis function cols[i] at t[i].  Where that translate lies beyond the
-        sieve (only on the last, partly filled level) the pair is (m - 1, 0.0),
-        so every column is a valid index and adds nothing.
+        exactly one of them per level; on the last level, which the sieve may
+        fill only in part, that translate can lie beyond the sieve.  Returns
+        the in-sieve entries of each level as 1-D arrays (rows, cols, vals):
+        vals[e] is the want-th derivative of basis function cols[e] at the
+        point t.flat[rows[e]], and rows is increasing.  Every level but the
+        last meets the sieve at every point, so its rows are arange(t.size).
         """
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=float).ravel()
         S = self.support_len
         x_top = S * 2**self.j_table  # the last node of the tables
         shifted = t + self.s_X
-        pairs = []
+        entries = []
         for j in range(self.n_levels):
             c = self.cell_width(j)
             a = shifted / c  # position in cells of level j
+            width = min(S * 2**j, self.m - (2**j - 1) * S)  # translates in the sieve
+            if width < S * 2**j:
+                # the cell of a point is its truncated position, clipped to
+                # the level: below `width` exactly when the position is;
+                # flat positions, not a boolean mask, since a mask gathers
+                # and scatters a scattered selection several times slower
+                rows = np.flatnonzero(a < width)
+                a = a[rows]
+            else:
+                rows = np.arange(t.size)
             # truncation differs from the floor only below 0, clipped there
             rr = a.astype(int)
             np.maximum(rr, 0, out=rr)
@@ -290,32 +301,17 @@ class WaveletBasis:
             x *= x_top
             np.maximum(x, 0.0, out=x)
             np.minimum(x, float(x_top), out=x)
-            cols = rr
-            cols += (2**j - 1) * S
-            scale = self._norm_scale(j) * (S / c) ** want
-            if (2 ** (j + 1) - 1) * S <= self.m:  # the whole level is in the sieve
-                vals = _hermite_eval(self.tables, x, want)
-                vals *= scale
-            else:
-                # flat positions, not a boolean mask: a mask gathers and
-                # scatters a scattered selection several times slower
-                keep = np.flatnonzero(cols < self.m)
-                kept = _hermite_eval(self.tables, x.ravel()[keep], want)
-                kept *= scale
-                vals = np.zeros(t.shape)
-                vals.reshape(-1)[keep] = kept
-                np.minimum(cols, self.m - 1, out=cols)
-            pairs.append((cols, vals))
-        return pairs
+            vals = _hermite_eval(self.tables, x, want)
+            vals *= self._norm_scale(j) * (S / c) ** want
+            rr += (2**j - 1) * S
+            entries.append((rows, rr, vals))
+        return entries
 
     def _design_general(self, t, want):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, self.m))
-        row_start = np.arange(0, out.size, self.m)
-        flat = out.reshape(-1)
-        for cols, vals in self.level_pairs(t, want):
-            cols += row_start  # flat positions in out
-            flat[cols] = vals
+        for rows, cols, vals in self.level_pairs(t, want):
+            out[rows, cols] = vals
         return out
 
     def design(self, t):

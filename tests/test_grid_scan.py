@@ -1,21 +1,23 @@
 """The blocked sparse grid scan against a brute-force per-point reference.
 
 `reference_grid_init` is the per-point loop that `grid_init` replaced: one
-dense design, one SVD condition number and one LAPACK solve per grid point.
-`reference_design` is the dense design builder that `level_pairs` replaced,
-with the textbook cubic Hermite formula of `reference_hermite`.  All three
-are kept here, independent of the code under test, as oracles.
+dense design, one SVD condition number and one LAPACK solve per grid point
+(`reference_eta_step`).  `reference_design` is the dense design builder
+that `level_pairs` replaced, with the textbook cubic Hermite formula of
+`reference_hermite`.  All four are kept here, independent of the code under
+test, as oracles.
 """
 
 import numpy as np
 import pytest
 
+from altmax import _lapack
 from altmax.alternation import SolverError
 from altmax.singleindex import (
     SingleIndexDataset,
     SingleIndexModel,
     _scan_grid,
-    eta_step_closed_form,
+    _well_conditioned,
     generate,
     grid_init,
     uniform_ball,
@@ -39,6 +41,20 @@ def reference_grid(N, p):
     return g
 
 
+def reference_eta_step(dataset, basis, theta):
+    """The closed-form eta step by its rule: accept the normal equations at an
+    SVD condition number <= 1e12, else retry once with the ridge
+    1e-8 * trace/m; None when both fail."""
+    E = basis.design(dataset.X @ theta)
+    G, b = E.T @ E / dataset.n, E.T @ dataset.y / dataset.n
+    m = G.shape[0]
+    for lam in (0.0, 1e-8 * np.trace(G) / m):
+        Gl = G + lam * np.eye(m)
+        if np.linalg.cond(Gl) <= 1e12:
+            return _lapack.solve(Gl, b)
+    return None
+
+
 def reference_grid_init(dataset, basis, N, noise_scale=1.0):
     """(ParameterPoint, tau, winning index) by one eta step per grid point."""
     grid = reference_grid(N, dataset.p)
@@ -52,9 +68,8 @@ def reference_grid_init(dataset, basis, N, noise_scale=1.0):
     best = None
     for i in range(grid.shape[0]):
         th = grid[i]
-        try:
-            eta = eta_step_closed_form(dataset, basis, th)
-        except SolverError:
+        eta = reference_eta_step(dataset, basis, th)
+        if eta is None:
             continue
         r = dataset.y - basis.design(dataset.X @ th) @ eta
         L = -inv2s * float(r @ r)
@@ -157,23 +172,32 @@ def test_level_pairs_rebuild_design_exactly(m):
     T = np.concatenate([rng.uniform(-1.0, 1.0, (200, 7)), rng.uniform(-cap, cap, (40, 7))])
     for want, dense in enumerate((basis.design, basis.ddesign, basis.d2design)):
         assert dense(t).tobytes() == reference_design(basis, t, want).tobytes()
-        pairs = basis.level_pairs(T, want)
-        assert len(pairs) == basis.n_levels
+        entries = basis.level_pairs(T, want)
+        assert len(entries) == basis.n_levels
+        E = np.zeros((T.size, m))
+        for j, (rows, cols, vals) in enumerate(entries):
+            assert rows.shape == cols.shape == vals.shape
+            # one entry per point and level, in row order, in the sieve only
+            assert np.all(np.diff(rows) > 0)
+            assert np.all((0 <= cols) & (cols < m))
+            if j < basis.n_levels - 1:
+                assert np.array_equal(rows, np.arange(T.size))
+            E[rows, cols] = vals
+        E = E.reshape(T.shape + (m,))
         for k in range(T.shape[1]):
-            E = np.zeros((T.shape[0], m))
-            for cols, vals in pairs:
-                assert cols.shape == vals.shape == T.shape
-                E[np.arange(T.shape[0]), cols[:, k]] = vals[:, k]
-            assert E.tobytes() == reference_design(basis, T[:, k], want).tobytes()
+            assert E[:, k].tobytes() == reference_design(basis, T[:, k], want).tobytes()
 
 
 @pytest.mark.parametrize("n", [250, 1000])
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("m", [3, 6, 20])
+# one level below 13 functions, two from 13 to 38, three from 39: each
+# boundary with its neighbours
+@pytest.mark.parametrize("m", [1, 3, 6, 12, 13, 14, 20, 39, 40])
 def test_scan_matches_per_point_loop(m, p, n):
-    ds, basis = dataset(n, p, m, seed=100 * m + 10 * p + n)
-    # 200 points: twelve full blocks and a partial one
-    assert_same_start(ds, basis, 200, noise_scale=0.5)
+    for sigma in (0.5, 0.0):
+        ds, basis = dataset(n, p, m, seed=100 * m + 10 * p + n, sigma=sigma)
+        # 200 points: twelve full blocks and a partial one
+        assert_same_start(ds, basis, 200, noise_scale=0.5)
 
 
 def test_scan_matches_loop_noiseless_and_tiny_grids():
@@ -200,6 +224,61 @@ def test_scan_ridge_fallback_two_levels():
     X = uniform_ball(np.random.default_rng(6), 400, 3, 0.5)
     y = np.cos(4.0 * X[:, 1]) + 0.1 * np.random.default_rng(7).standard_normal(400)
     assert_same_start(SingleIndexDataset(X=X, y=y, s_X=1.0), basis, 48)
+
+
+def test_scan_exact_condition_fallback_two_levels(monkeypatch):
+    # 60 points for 20 functions: a cell holds a few points, so the cheap
+    # bound of `_well_conditioned` cannot accept many Gram matrices whose
+    # condition number np.linalg.cond finds below 1e12
+    basis = WaveletBasis(m=20, s_X=1.0)
+    rng = np.random.default_rng(6)
+    X = uniform_ball(rng, 60, 2, 1.0)
+    y = np.cos(4.0 * X[:, 1]) + 0.1 * rng.standard_normal(60)
+    ds = SingleIndexDataset(X=X, y=y, s_X=1.0)
+    cond, accepted = np.linalg.cond, []
+
+    def spy(G):
+        out = cond(G)
+        accepted.extend(np.atleast_1d(out <= 1e12))
+        return out
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    _scan_grid(ds, basis, reference_grid(48, 2))
+    monkeypatch.undo()
+    assert sum(accepted) >= 10
+    assert_same_start(ds, basis, 48)
+
+
+def test_well_conditioned_is_the_svd_rule():
+    # condition numbers on both sides of 1e12 and of the bound's 1e10, with
+    # the off-diagonal mass large (the bound fails) and small (it decides)
+    rng = np.random.default_rng(8)
+    m = 7
+    G = []
+    for kappa in [1.0, 1e4, 1e9, 9.9e9, 1.01e10, 1e11, 1e12 * (1 - 1e-3), 1e12,
+                  1e12 * (1 + 1e-3), 1e13, np.inf]:
+        for spread in (1.0, 1e-6):
+            Q, _ = np.linalg.qr(np.eye(m) + spread * rng.standard_normal((m, m)))
+            lam = np.geomspace(1.0, 1.0 / kappa if kappa < np.inf else 1e-300, m)
+            if kappa == np.inf:
+                lam[-1] = 0.0
+            A = (Q * lam) @ Q.T
+            G.append(0.5 * (A + A.T))
+    # a unit diagonal with one near-singular pair: cond = (1 + rho)/(1 - rho)
+    for rho in (1 - 1e-9, 1 - 1e-13):
+        A = np.eye(m)
+        A[0, 1] = A[1, 0] = rho
+        G.append(A)
+    G = np.array(G)
+    d = np.ascontiguousarray(np.diagonal(G, axis1=1, axis2=2))
+    want = np.linalg.cond(G) <= 1e12
+    assert 0 < want.sum() < want.size
+    assert np.array_equal(_well_conditioned(d, G), want)
+    # a diagonal stack: the ratio of the extremes, which the SVD gives exactly
+    D = np.geomspace(1.0, np.array([1e-3, 1e-11, 1e-12, 1.0000001e-12, 1e-13]), m).T
+    D = np.vstack([D, np.zeros(m), np.r_[np.zeros(m - 1), 1.0]])
+    want = np.array([np.linalg.cond(np.diag(row)) <= 1e12 for row in D])
+    assert np.array_equal(_well_conditioned(D, None), want)
 
 
 def test_scan_every_point_fails():

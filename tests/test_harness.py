@@ -614,3 +614,11 @@ def test_me_replication_reads_the_k_step_run_from_the_profile_trace(cfg):
         assert list(new) == list(old)
         for key, value in old.items():
             assert new[key] == value or (math.isnan(new[key]) and math.isnan(value)), key
+
+
+def test_probe_delta_rejects_a_repeated_radius():
+    # the result is keyed by radius: a repeated one would build and average
+    # both shells and keep only the last
+    cfg = ExperimentConfig(family="toy", reps=1, master_seed=0)
+    with pytest.raises(ValueError, match=r"r_grid entries must be distinct, got \(0.5, 0.5\)"):
+        probe_delta(cfg, r_grid=(0.5, 0.5), R=2, n_points=3)
