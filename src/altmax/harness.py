@@ -396,7 +396,7 @@ def _run_replications(ctx, replicate, kind, aggregate, **meta):
         "n_ok": len(ok),
         "n_failed": len(failures),
         "nu": ctx.nu,
-        "nu_hat_median": float(np.nanmedian(nu_hats)) if any_rate else float("nan"),
+        "nu_hat_median": _median(nu_hats[~np.isnan(nu_hats)]) if any_rate else float("nan"),
         "monotone_violations": int(sum(1 for r in ok if r["monotone_defect"] > 0.0)),
         **aggregate(ok, ctx),
     }
@@ -447,6 +447,19 @@ def _ddof1(spread, x):
     return float(spread(x, ddof=1)) if len(x) > 1 else math.nan
 
 
+def _median(x):
+    """np.median(x) of a non-empty sample, without the `numpy.ma` import that
+    np.median makes: NaN if x holds one, else the middle value of the
+    sorted sample, or (a + b) / 2.0 of its two middle values."""
+    x = np.sort(np.asarray(x, dtype=float), axis=None)  # NaN sorts last
+    if np.isnan(x[-1]):
+        return math.nan
+    h = x.size // 2
+    # np.median takes the mean of the middle values, a sum that starts at
+    # 0.0, so a middle -0.0 gives 0.0 there and here alike
+    return float(0.0 + x[h] if x.size % 2 else (0.0 + x[h - 1] + x[h]) / 2.0)
+
+
 def _spread_or_inf(spread, r, *args):
     """spread(r, *args), or inf where a term overflows float64: `r**2` then
     raises OverflowError, or a zero constant times an infinite term gives NaN
@@ -475,7 +488,7 @@ def aggregate_wilks_fisher(ok, ctx):
         "wilks_var": _ddof1(np.var, w_K),
         "wilks_ks": ks_distance(w_K, p),
         "xi_norm2_mean": float(np.mean(xi2)),
-        "xi_norm_median": float(np.median(np.sqrt(xi2))),
+        "xi_norm_median": _median(np.sqrt(xi2)),
     }
     bounds_on = ctx.R0 is not None
     if bounds_on:
@@ -486,10 +499,10 @@ def aggregate_wilks_fisher(ok, ctx):
     for k in range(K + 1):
         fk = np.array([r[f"fisher_{k}"] for r in ok])
         wk = np.array([r[f"wilks_{k}"] for r in ok])
-        agg[f"fisher_median_{k}"] = float(np.median(fk))
+        agg[f"fisher_median_{k}"] = _median(fk)
         # ~SE of a median under normality
         agg[f"fisher_se_{k}"] = 1.2533 * _ddof1(np.std, fk) / math.sqrt(len(ok))
-        agg[f"wilks_err_median_{k}"] = float(np.median(np.abs(wk - xi2)))
+        agg[f"wilks_err_median_{k}"] = _median(np.abs(wk - xi2))
         if bounds_on:
             r_k = fisher_radius(k, ctx.cfg.x, ctx.nu, ctx.R0, ctx.z_x, sp_R0)
             spread = _spread_or_inf(spread_semiparametric, r_k, ctx.cfg.x, p_star, p, cc, ctx.nu)
@@ -538,7 +551,7 @@ def _aggregate_me(ok, ctx):
     return {
         "nu_hat_max": float(np.nanmax(nu_hats)) if np.any(np.isfinite(nu_hats)) else float("nan"),
         "dist_final_max": float(np.max([r["dist_final"] for r in ok])),
-        "dist_final_median": float(np.median([r["dist_final"] for r in ok])),
+        "dist_final_median": _median([r["dist_final"] for r in ok]),
     }
 
 

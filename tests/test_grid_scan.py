@@ -16,6 +16,7 @@ from altmax.alternation import SolverError
 from altmax.singleindex import (
     SingleIndexDataset,
     SingleIndexModel,
+    _half_sphere_grid,
     _scan_grid,
     _well_conditioned,
     generate,
@@ -55,15 +56,19 @@ def reference_eta_step(dataset, basis, theta):
     return None
 
 
+def reference_tau(grid):
+    """The largest nearest-neighbour distance of the grid, over all pairs."""
+    if grid.shape[0] == 1:
+        return 0.0
+    d2 = np.sum((grid[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min(axis=1)).max())
+
+
 def reference_grid_init(dataset, basis, N, noise_scale=1.0):
     """(ParameterPoint, tau, winning index) by one eta step per grid point."""
     grid = reference_grid(N, dataset.p)
-    if grid.shape[0] == 1:
-        tau = 0.0
-    else:
-        d2 = np.sum((grid[:, None, :] - grid[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        tau = float(np.sqrt(d2.min(axis=1)).max())
+    tau = reference_tau(grid)
     inv2s = 1.0 / (2.0 * noise_scale**2)
     best = None
     for i in range(grid.shape[0]):
@@ -149,6 +154,23 @@ def assert_same_start(ds, basis, N, noise_scale=1.0):
     assert pt.theta.tobytes() == ref_pt.theta.tobytes()
     assert pt.eta.tobytes() == ref_pt.eta.tobytes()
     assert tau == ref_tau
+
+
+def test_tau_from_adjacent_points_is_the_pairwise_tau():
+    # the p = 2 grid measures adjacent points only.  Here every pair is
+    # measured, as the sum of two (N, N) squares: the order of reference_tau's
+    # two-term sum, so the same bits with a smaller temporary.  One point
+    # has no neighbour and tau 0.
+    for N in range(2, 1101):
+        grid, tau = _half_sphere_grid(2, N)
+        assert grid.tobytes() == reference_grid(N, 2).tobytes()
+        x, y = grid.T
+        d2 = np.subtract.outer(x, x) ** 2
+        d2 += np.subtract.outer(y, y) ** 2
+        np.fill_diagonal(d2, np.inf)
+        assert tau == float(np.sqrt(d2.min(axis=1)).max()), N
+    for N in (1, 2, 3, 64, 511, 512, 513):
+        assert _half_sphere_grid(2, N)[1] == reference_tau(reference_grid(N, 2))
 
 
 @pytest.mark.parametrize("m", [1, 3, 6, 13, 14, 20, 39, 40, 100])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from altmax import singleindex
 from altmax.alternation import (
     AlternationConfig,
     ProfileEstimateError,
@@ -17,6 +18,7 @@ from altmax.singleindex import (
     grid_init,
     information_at_truth,
     theta_step,
+    uniform_ball,
 )
 from altmax.statcore import ParameterPoint
 from altmax.wavelet import WaveletBasis
@@ -262,6 +264,71 @@ def test_information_at_truth_matches_a_textbook_loop(m, sigma):
     assert np.array_equal(info.D2, 0.5 * (D2 + D2.T))
     assert np.array_equal(info.A, A)
     assert np.array_equal(info.H2, 0.5 * (H2 + H2.T))
+
+
+def reference_information_at_truth(basis, star, n, s_X, sigma, r_datasets, seed):
+    """The blocks of `information_at_truth` by one dataset at a time: its
+    design and derivative design, then the products, then the noise draw."""
+    rng = np.random.default_rng(seed)
+    p, m = star.p, basis.m
+    D2, A, H2 = np.zeros((p, p)), np.zeros((p, m)), np.zeros((m, m))
+    c = 1.0 / (sigma if sigma > 0 else 1.0)**2
+    for _ in range(r_datasets):
+        X = uniform_ball(rng, n, p, s_X)
+        t = X @ star.theta
+        E = basis.design(t)
+        fp = basis.ddesign(t) @ star.eta
+        Jt = X * fp[:, None]
+        D2 += c * (Jt.T @ Jt)
+        A += c * (Jt.T @ E)
+        H2 += c * (E.T @ E)
+        if sigma > 0:
+            rng.standard_normal(n)
+    D2, A, H2 = D2 / r_datasets, A / r_datasets, H2 / r_datasets
+    return 0.5 * (D2 + D2.T), A, 0.5 * (H2 + H2.T)
+
+
+def assert_blocks_equal_reference(n, m, p, sigma, r_datasets):
+    basis = WaveletBasis(m=m, s_X=1.0)
+    theta = np.zeros(p)
+    theta[:2] = THETA2
+    star = ParameterPoint(theta, np.resize(ETA6, m))
+    info = information_at_truth(basis, star, n, 1.0, sigma, r_datasets, seed=17)
+    D2, A, H2 = reference_information_at_truth(basis, star, n, 1.0, sigma, r_datasets, 17)
+    assert info.D2.tobytes() == D2.tobytes()
+    assert info.A.tobytes() == A.tobytes()
+    assert info.H2.tobytes() == H2.tobytes()
+
+
+INFO_N = [77, 250, 333, 1000, 1001]
+INFO_M = [1, 3, 6, 13, 14, 20]
+
+
+@pytest.mark.parametrize("r_datasets", [1, 7])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m", INFO_M)
+@pytest.mark.parametrize("n", INFO_N)
+def test_information_at_truth_blocks_equal_one_dataset_at_a_time(n, m, p, sigma, r_datasets):
+    # 7 datasets make one block, or several with a partial last one (4 + 3
+    # at n = 1000, m = 20)
+    assert_blocks_equal_reference(n, m, p, sigma, r_datasets)
+
+
+@pytest.mark.parametrize("m", INFO_M)
+@pytest.mark.parametrize("n", INFO_N)
+def test_information_at_truth_blocks_equal_one_dataset_at_a_time_at_200(n, m):
+    # the acceptance r_cov: many blocks, or all 200 datasets in one
+    # (n = 77, m = 1)
+    assert_blocks_equal_reference(n, m, 2, 0.5, 200)
+
+
+@pytest.mark.parametrize("block", [1, 250 * 6, 3 * 250 * 6 - 1, 3 * 250 * 6])
+def test_information_at_truth_any_block_bound(monkeypatch, block):
+    # one dataset per block from a bound below or at its 250 x 6 entries,
+    # then blocks of 2 + 2 + 2 + 1 and of 3 + 3 + 1 datasets
+    monkeypatch.setattr(singleindex, "_INFO_BLOCK", block)
+    assert_blocks_equal_reference(250, 6, 2, 0.5, 7)
 
 
 def test_noiseless_identifiability_sphere_alternation():
