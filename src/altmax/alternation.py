@@ -107,6 +107,14 @@ def theta_update(model: Model, eta, theta_init=None):
     return np.asarray(model.theta_argmax(eta, theta_init=theta_init), dtype=float)
 
 
+def _check_rise(update, before, after, slack, k):
+    """Raise MonotoneViolationError where `update` lowered L by more than slack."""
+    if after < before - slack:
+        raise MonotoneViolationError(
+            f"{update}-update decreased L by {before - after:.3e} (> {slack:.1e}) at k={k}"
+        )
+
+
 def run(model: Model, start: ParameterPoint, cfg: AlternationConfig) -> AlternatingTrace:
     """Run the alternation from `start` and capture the trace."""
     trace = AlternatingTrace()
@@ -116,10 +124,7 @@ def run(model: Model, start: ParameterPoint, cfg: AlternationConfig) -> Alternat
     point01 = ParameterPoint(theta, eta_update(model, theta))
     L01 = model.evaluate(point01)
     slack = 10.0 * cfg.solver_tolerance
-    if L01 < L0 - slack:
-        raise MonotoneViolationError(
-            f"eta-update decreased L by {L0 - L01:.3e} (> {slack:.1e}) at k=0"
-        )
+    _check_rise("eta", L0, L01, slack, 0)
     trace.records.append(TraceRecord(0, point, point01, L0, L01, float("nan")))
     prev_point = point
     prev_L = L01
@@ -128,16 +133,10 @@ def run(model: Model, start: ParameterPoint, cfg: AlternationConfig) -> Alternat
         theta_k = theta_update(model, eta_k, theta_init=prev_point.theta)
         point_kk = ParameterPoint(theta_k, eta_k)
         L_kk = model.evaluate(point_kk)
-        if L_kk < prev_L - slack:
-            raise MonotoneViolationError(
-                f"theta-update decreased L by {prev_L - L_kk:.3e} (> {slack:.1e}) at k={k}"
-            )
+        _check_rise("theta", prev_L, L_kk, slack, k)
         point_kk1 = ParameterPoint(theta_k, eta_update(model, theta_k))
         L_kk1 = model.evaluate(point_kk1)
-        if L_kk1 < L_kk - slack:
-            raise MonotoneViolationError(
-                f"eta-update decreased L by {L_kk - L_kk1:.3e} (> {slack:.1e}) at k={k}"
-            )
+        _check_rise("eta", L_kk, L_kk1, slack, k)
         step = cfg.weighted_norm(point_kk.as_vector() - prev_point.as_vector())
         trace.records.append(TraceRecord(k, point_kk, point_kk1, L_kk, L_kk1, step))
         prev_point = point_kk

@@ -262,7 +262,7 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
         basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x)
         star = ParameterPoint(si_theta_star(cfg), cfg.si_eta_star)
         info = information_at_truth(
-            basis, star, cfg.si_n, cfg.si_s_x, cfg.si_sigma, cfg.si_r_cov,
+            basis, star, cfg.si_n, cfg.si_sigma, cfg.si_r_cov,
             seed=derive_seed(cfg.master_seed, 999_979),
         )
     ctx = ExperimentContext(
@@ -318,10 +318,8 @@ def _make_model(ctx, rep_index):
     seed = derive_seed(cfg.master_seed, rep_index)
     if cfg.family == "toy":
         return simulate(ctx.info, ctx.upsilon_star, seed=seed)
-    dataset = generate(
-        cfg.si_n, cfg.si_p, ctx.upsilon_star.theta, np.asarray(cfg.si_eta_star, dtype=float),
-        cfg.si_sigma, cfg.si_s_x, seed=seed, basis=ctx.basis,
-    )
+    star = ctx.upsilon_star
+    dataset = generate(cfg.si_n, star.theta, star.eta, cfg.si_sigma, seed=seed, basis=ctx.basis)
     return SingleIndexModel(dataset, ctx.basis, constrain_theta=cfg.si_constrain)
 
 

@@ -37,9 +37,8 @@ from .wavelet import WaveletBasis
 
 @dataclass(frozen=True)
 class SingleIndexDataset:
-    X: np.ndarray  # n x p, rows inside the ball of radius s_X
+    X: np.ndarray  # n x p, rows inside the ball of radius basis.s_X
     y: np.ndarray
-    s_X: float
     eta_star: np.ndarray | None = None
     sigma: float | None = None
 
@@ -68,21 +67,19 @@ def uniform_ball(rng, n, p, radius):
     return z * r[:, None]
 
 
-def generate(n, p, theta_star, eta_star, sigma, s_X, seed, basis) -> SingleIndexDataset:
-    """Simulate a dataset; deterministic per seed.  f = sum_k eta_star_k e_k of `basis`."""
+def generate(n, theta_star, eta_star, sigma, seed, basis) -> SingleIndexDataset:
+    """Simulate a dataset; deterministic per seed.  X is uniform on the ball of
+    radius basis.s_X in dimension theta_star.size, and f = sum_k eta_star_k e_k
+    of `basis`."""
     theta_star = _check_half_sphere(theta_star)
-    if theta_star.size != p:
-        raise ValueError("theta_star dimension does not match p")
     eta_star = np.atleast_1d(np.asarray(eta_star, dtype=float))
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    X = uniform_ball(rng, n, p, s_X)
+    X = uniform_ball(rng, n, theta_star.size, basis.s_X)
     f = basis.synth(X @ theta_star, eta_star)
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
-    return SingleIndexDataset(
-        X=X, y=f + eps, s_X=float(s_X), eta_star=eta_star, sigma=float(sigma),
-    )
+    return SingleIndexDataset(X=X, y=f + eps, eta_star=eta_star, sigma=float(sigma))
 
 
 def _noise_scale(sigma):
@@ -90,7 +87,7 @@ def _noise_scale(sigma):
     return float(sigma) if sigma is not None and sigma > 0 else 1.0
 
 
-def information_at_truth(basis, star, n, s_X, sigma, r_datasets, *, seed):
+def information_at_truth(basis, star, n, sigma, r_datasets, *, seed):
     """Monte Carlo estimate of -Hessian of E L at the truth `star`.
 
     Averages the analytic blocks over r_datasets datasets of n points, each
@@ -113,7 +110,7 @@ def information_at_truth(basis, star, n, s_X, sigma, r_datasets, *, seed):
         X = np.empty((len(rows) * n, p))
         t = np.empty(len(rows) * n)
         for r in rows:
-            X[r] = uniform_ball(rng, n, p, s_X)
+            X[r] = uniform_ball(rng, n, p, basis.s_X)
             t[r] = X[r] @ star.theta
             if sigma > 0:
                 # the noise of a dataset is not read, but it is drawn: the
@@ -267,22 +264,23 @@ def _tangent_basis(theta):
     return np.column_stack(cols[: p - 1]) if cols else np.zeros((p, 0))
 
 
-def theta_step(dataset, basis, eta, theta_init, gtol=1e-8, noise_scale=1.0):
-    """Local maximizer of L(., eta) on the half-sphere.
+def theta_step(model, eta, theta_init):
+    """Local maximizer of L(., eta) of a `SingleIndexModel` on the half-sphere.
 
-    Projected gradient ascent (at most 400 iterations) with normalization
-    retraction and backtracking line search, followed by a tangent-space
-    Newton polish; five perturbed restarts, best value returned.
+    Projected gradient ascent (at most 400 iterations, to the model's
+    theta_gtol) with normalization retraction and backtracking line search,
+    followed by a tangent-space Newton polish; five perturbed restarts, best
+    value returned.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     theta_init = np.atleast_1d(np.asarray(theta_init, dtype=float))
     p = theta_init.size
     if p == 1:
         return np.array([1.0])
-    inv2s = 1.0 / (2.0 * noise_scale**2)
+    gtol = model.theta_gtol
 
     def fit_at(th):
-        return _Fit(dataset, basis, inv2s, th, eta)
+        return model._fit(th, eta)
 
     def tangent_grad(fit):
         g, th = fit.grad, fit.theta
@@ -354,12 +352,13 @@ _SCAN_BLOCK = 16
 _INFO_BLOCK = 96_000
 
 
-def grid_init(dataset, basis, N, noise_scale=1.0):
+def grid_init(dataset, basis, N):
     """Grid-search initialization on the half-sphere.
 
     Returns (ParameterPoint, tau) where tau is the maximal nearest-neighbor
     gap of the grid.  For each grid point the closed-form eta is computed and
-    the best (theta, eta) by functional value is returned; the grid is scored
+    the (theta, eta) of the smallest residual sum of squares, which is the
+    largest L at any noise scale, is returned; the grid is scored
     in blocks from the sparse sieve design (`_scan_grid`), and the winner's
     eta comes from `eta_step_closed_form`.  The grid and tau depend on
     (p, N) only and are computed once per pair (`_half_sphere_grid`).
@@ -367,7 +366,7 @@ def grid_init(dataset, basis, N, noise_scale=1.0):
     if N < 1:
         raise ValueError("grid size N must be >= 1")
     grid, tau = _half_sphere_grid(dataset.p, N)
-    best = _scan_grid(dataset, basis, grid, noise_scale)
+    best = _scan_grid(dataset, basis, grid)
     if best is None:
         raise SolverError("eta step failed on every grid point")
     th = grid[best]
@@ -408,34 +407,33 @@ def _half_sphere_grid(p, N):
     return grid, tau
 
 
-def _scan_grid(dataset, basis, grid, noise_scale=1.0):
-    """Index of the grid point whose closed-form eta gives the largest L.
+def _scan_grid(dataset, basis, grid):
+    """Index of the grid point whose closed-form eta gives the smallest
+    residual sum of squares (the largest L, -n rss / (2 sigma~^2)).
 
     Scores _SCAN_BLOCK points at a time from the in-sieve entries of the
     design (`WaveletBasis.level_pairs`): the normal equations of a block
     are segment sums (`_gram_block`), and the residual sum of squares
-    follows from them.  A point is accepted as in `eta_step_closed_form`;
-    ties keep the first index.  Returns None when the eta step fails on
-    every point.
+    follows from them.  A point is accepted as in `eta_step_closed_form`,
+    and a rejected one (NaN) ranks last; ties keep the first index.  Returns
+    None when the eta step fails on every point.
     """
     X, y = dataset.X, dataset.y
-    n, m = dataset.n, basis.m
-    inv2s = 1.0 / (2.0 * noise_scale**2)
-    yy = float(y @ y) / n
-    best_L, best_i = -np.inf, None
+    yy = float(y @ y) / dataset.n
+    best_rss, best_i = np.inf, None
     for lo in range(0, grid.shape[0], _SCAN_BLOCK):
         T = X @ grid[lo:lo + _SCAN_BLOCK].T
-        c, d, G = _gram_block(basis.level_pairs(T), y, T.shape[1], m)
+        c, d, G = _gram_block(basis.level_pairs(T), y, T.shape[1], basis.m)
         eta = _solve_block(c, d, G)
         if G is None:
             quad = np.einsum("bk,bk,bk->b", eta, d, eta)
         else:
             quad = np.einsum("bk,bkl,bl->b", eta, G, eta)
         rss = yy - 2.0 * np.einsum("bk,bk->b", c, eta) + quad
-        L = np.where(np.isnan(rss), -np.inf, -inv2s * n * rss)
-        i = int(np.argmax(L))
-        if L[i] > best_L:
-            best_L, best_i = L[i], lo + i
+        rss = np.where(np.isnan(rss), np.inf, rss)
+        i = int(np.argmin(rss))
+        if rss[i] < best_rss:
+            best_rss, best_i = rss[i], lo + i
     return best_i
 
 
@@ -597,10 +595,7 @@ class SingleIndexModel(Model):
             theta_init = np.zeros(p)
             theta_init[0] = 1.0
         if self.constrain_theta:
-            return theta_step(
-                self.dataset, self.basis, eta, theta_init,
-                gtol=self.theta_gtol, noise_scale=self.noise_scale,
-            )
+            return theta_step(self, eta, theta_init)
         return self._theta_newton(np.asarray(eta, dtype=float),
                                   np.asarray(theta_init, dtype=float))
 
@@ -652,7 +647,7 @@ class SingleIndexModel(Model):
         Where the grid's closed-form eta leaves the ball, the grid theta is
         kept (not re-scored) with the model's eta step, which stays inside.
         """
-        start, _tau = grid_init(self.dataset, self.basis, N, noise_scale=self.noise_scale)
+        start, _tau = grid_init(self.dataset, self.basis, N)
         if float(np.linalg.norm(start.eta)) > self.eta_radius:
             start = ParameterPoint(start.theta, self.eta_argmax(start.theta))
         return start

@@ -42,10 +42,20 @@ class CouplingError(ValueError):
     """The coupling coefficient nu is >= 1; efficient quantities undefined."""
 
 
-def _as_matrix(M, name="matrix"):
+def _as_matrix(M, name):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {M.shape}")
+    return M
+
+
+def _symmetric(M, name):
+    """M as a float matrix, checked square and symmetric to 1e-8 of its scale."""
+    M = _as_matrix(M, name)
+    if M.shape[0] != M.shape[1]:
+        raise NotSPDError(f"{name} must be square, got shape {M.shape}")
+    if not np.allclose(M, M.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(M).max())):
+        raise NotSPDError(f"{name} is not symmetric")
     return M
 
 
@@ -56,11 +66,7 @@ def sqrt_spd(M):
     raises NotSPDError.  tol is 1e-10 times the largest eigenvalue magnitude
     (with an absolute floor of 1e-10 for near-zero matrices).
     """
-    M = _as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"square matrix required, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(M).max())):
-        raise NotSPDError("matrix is not symmetric")
+    M = _symmetric(M, "matrix")
     if M.tobytes() != M.T.tobytes():
         # the average of an M that is symmetric bit for bit is M, but it can overflow
         M = 0.5 * (M + M.T)
@@ -81,11 +87,7 @@ def _read_only(M):
 
 def _check_spd(M, name):
     """Validate symmetry and strict positive definiteness; return min eigenvalue."""
-    M = _as_matrix(M, name)
-    if M.shape[0] != M.shape[1]:
-        raise NotSPDError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(M).max())):
-        raise NotSPDError(f"{name} is not symmetric")
+    M = _symmetric(M, name)
     wmin = float(np.linalg.eigvalsh(M).min())
     if wmin <= 0.0:
         raise NotSPDError(f"{name} is not SPD: smallest eigenvalue {wmin:.6e}")

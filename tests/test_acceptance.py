@@ -222,7 +222,7 @@ def test_criterion_10_gradient_correctness():
     basis = WaveletBasis(m=6, s_X=1.0)
     theta_star = np.array([math.cos(0.3), math.sin(0.3)])
     eta = np.array([1.0, -0.8, 0.9, -0.7, 0.6, 0.8])
-    ds = generate(1000, 2, theta_star, eta, 0.5, 1.0, seed=77, basis=basis)
+    ds = generate(1000, theta_star, eta, 0.5, seed=77, basis=basis)
     si = SingleIndexModel(ds, basis, constrain_theta=False)
     pts = []
     for _ in range(100):

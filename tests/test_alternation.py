@@ -172,10 +172,35 @@ class BrokenEtaStep(ToyGaussianModel):
         return super().eta_argmax(theta) + 2.0  # not a maximizer
 
 
+class BrokenThetaStep(ToyGaussianModel):
+    def theta_argmax(self, eta, theta_init=None):
+        return super().theta_argmax(eta, theta_init) + 2.0  # not a maximizer
+
+
+class LateBrokenEtaStep(ToyGaussianModel):
+    """An eta step that is exact on its first call only."""
+
+    calls = 0
+
+    def eta_argmax(self, theta):
+        self.calls += 1
+        return super().eta_argmax(theta) + (2.0 if self.calls > 1 else 0.0)
+
+
 def test_monotone_violation_aborts():
     m = BrokenEtaStep(F2, STAR, Y=[1.0, 0.0])
     with pytest.raises(MonotoneViolationError):
         run(m, ParameterPoint([0.0], [0.0]), AlternationConfig(max_steps=4))
+    # after the first step.  canon() from (0, 0): eta_1 = 0.5 and
+    # L(0, 0.5) = -0.75.  A theta step to 0.75 + 2 gives L(2.75, 0.5) =
+    # -4.1875; an exact one gives L(0.75, 0.5) = -0.1875, and an eta step to
+    # 0.125 + 2 then gives L(0.75, 2.125) = -4.046875
+    with pytest.raises(MonotoneViolationError, match=(
+            r"^theta-update decreased L by 3\.438e\+00 \(> 1\.0e-08\) at k=1$")):
+        run(BrokenThetaStep(F2, STAR, Y=[1.0, 0.0]), STAR, AlternationConfig(max_steps=4))
+    with pytest.raises(MonotoneViolationError, match=(
+            r"^eta-update decreased L by 3\.859e\+00 \(> 1\.0e-08\) at k=1$")):
+        run(LateBrokenEtaStep(F2, STAR, Y=[1.0, 0.0]), STAR, AlternationConfig(max_steps=4))
 
 
 class AlwaysBroken(ToyGaussianModel):

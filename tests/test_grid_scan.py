@@ -144,13 +144,15 @@ def dataset(n, p, m, seed, sigma=0.5):
     theta = np.zeros(p)
     theta[0], theta[1] = np.cos(0.3), np.sin(0.3)
     eta = [ETA[k % len(ETA)] for k in range(m)]
-    return generate(n, p, theta, eta, sigma, 1.0, seed=seed, basis=basis), basis
+    return generate(n, theta, eta, sigma, seed=seed, basis=basis), basis
 
 
 def assert_same_start(ds, basis, N, noise_scale=1.0):
+    # the reference ranks by L at noise_scale, the scan by the residual sum
+    # of squares, which no positive scale reorders
     ref_pt, ref_tau, ref_i = reference_grid_init(ds, basis, N, noise_scale)
-    assert _scan_grid(ds, basis, reference_grid(N, ds.p), noise_scale) == ref_i
-    pt, tau = grid_init(ds, basis, N, noise_scale=noise_scale)
+    assert _scan_grid(ds, basis, reference_grid(N, ds.p)) == ref_i
+    pt, tau = grid_init(ds, basis, N)
     assert pt.theta.tobytes() == ref_pt.theta.tobytes()
     assert pt.eta.tobytes() == ref_pt.eta.tobytes()
     assert tau == ref_tau
@@ -235,7 +237,7 @@ def test_scan_ridge_fallback_on_empty_column():
     basis = WaveletBasis(m=6, s_X=1.0)
     X = uniform_ball(np.random.default_rng(4), 300, 2, 0.5)
     y = np.sin(3.0 * X[:, 0]) + 0.1 * np.random.default_rng(5).standard_normal(300)
-    ds = SingleIndexDataset(X=X, y=y, s_X=1.0)
+    ds = SingleIndexDataset(X=X, y=y)
     E = basis.design(X @ np.array([1.0, 0.0]))
     assert np.linalg.cond(E.T @ E) > 1e12
     assert_same_start(ds, basis, 64)
@@ -245,7 +247,7 @@ def test_scan_ridge_fallback_two_levels():
     basis = WaveletBasis(m=20, s_X=1.0)
     X = uniform_ball(np.random.default_rng(6), 400, 3, 0.5)
     y = np.cos(4.0 * X[:, 1]) + 0.1 * np.random.default_rng(7).standard_normal(400)
-    assert_same_start(SingleIndexDataset(X=X, y=y, s_X=1.0), basis, 48)
+    assert_same_start(SingleIndexDataset(X=X, y=y), basis, 48)
 
 
 def test_scan_exact_condition_fallback_two_levels(monkeypatch):
@@ -256,7 +258,7 @@ def test_scan_exact_condition_fallback_two_levels(monkeypatch):
     rng = np.random.default_rng(6)
     X = uniform_ball(rng, 60, 2, 1.0)
     y = np.cos(4.0 * X[:, 1]) + 0.1 * rng.standard_normal(60)
-    ds = SingleIndexDataset(X=X, y=y, s_X=1.0)
+    ds = SingleIndexDataset(X=X, y=y)
     cond, accepted = np.linalg.cond, []
 
     def spy(G):
@@ -306,7 +308,7 @@ def test_well_conditioned_is_the_svd_rule():
 def test_scan_every_point_fails():
     # every index is 0, in a cell outside the 3-function sieve: E = 0
     basis = WaveletBasis(m=3, s_X=1.0)
-    ds = SingleIndexDataset(X=np.zeros((50, 2)), y=np.ones(50), s_X=1.0)
+    ds = SingleIndexDataset(X=np.zeros((50, 2)), y=np.ones(50))
     assert _scan_grid(ds, basis, reference_grid(32, 2)) is None
     with pytest.raises(SolverError, match="every grid point"):
         reference_grid_init(ds, basis, 32)

@@ -246,6 +246,19 @@ def test_wilks_fisher_thread_determinism(tmp_path):
     assert f1 == f8
 
 
+def test_single_index_p1_records_at_one_and_two_workers(tmp_path):
+    # p = 1: theta* = (1,), a one-point grid, and the same records at any
+    # worker count
+    base = dict(family="single-index", reps=3, si_p=1, si_n=300, si_m=3,
+                si_eta_star=(1.0, -0.8, 0.9), master_seed=7)
+    for w in (1, 2):
+        rep = run_wilks_fisher(ExperimentConfig(**base, threads=w))
+        assert [r["status"] for r in rep.records] == ["ok"] * 3
+        rep.write(tmp_path / str(w))
+    assert (tmp_path / "1" / "records.csv").read_bytes() == (
+        tmp_path / "2" / "records.csv").read_bytes()
+
+
 def _wilks_replication_with_pid(ctx, i):
     return {**_wilks_replication(ctx, i), "pid": os.getpid()}
 
@@ -424,6 +437,19 @@ def test_build_context_toy():
     ctx = build_context(cfg)
     assert abs(ctx.nu - 0.25) < 1e-12
     assert ctx.K == 4
+
+
+def test_bounds_are_off_at_zero_coupling():
+    # toy_a = 0 gives nu = 0, outside (0, 1): no bound inputs, K falls back
+    # to 30, and the summary has no Fisher bound or coverage
+    cfg = ExperimentConfig(family="toy", reps=3, master_seed=17, toy_a=0.0)
+    ctx = build_context(cfg)
+    assert ctx.nu == 0.0
+    assert (ctx.z_x, ctx.R0, ctx.K) == (None, None, 30)
+    rep = run_wilks_fisher(cfg)
+    assert rep.meta["K"] == 30
+    assert "fisher_median_30" in rep.aggregates
+    assert not [k for k in rep.aggregates if k.startswith(("fisher_bound_", "fisher_coverage_"))]
 
 
 def test_build_context_rejects_a_toy_whose_root_is_singular():
@@ -616,7 +642,7 @@ def test_grid_start_outside_the_eta_ball_runs():
     ))
     for i in (0, 19):
         model, start = _make_replication(ctx, i)
-        grid_start, _ = grid_init(model.dataset, model.basis, 64, noise_scale=model.noise_scale)
+        grid_start, _ = grid_init(model.dataset, model.basis, 64)
         assert np.linalg.norm(grid_start.eta) > model.eta_radius
         assert np.array_equal(start.theta, grid_start.theta)
         assert np.linalg.norm(start.eta) <= model.eta_radius

@@ -45,7 +45,7 @@ def expected_evaluate(model, star, point, n_mc, seed):
     single-index model whose data are drawn from the truth `star`."""
     ds, basis = model.dataset, model.basis
     rng = np.random.default_rng(seed)
-    X = uniform_ball(rng, n_mc, ds.p, ds.s_X)
+    X = uniform_ball(rng, n_mc, ds.p, basis.s_X)
     fstar = basis.synth(X @ star.theta, star.eta)
     fhat = basis.synth(X @ point.theta, point.eta)
     mse = float(np.mean((fstar - fhat) ** 2))
@@ -56,7 +56,7 @@ def test_expected_functional_maximized_at_truth_single_index():
     basis = WaveletBasis(m=3, s_X=1.0)
     theta_star = np.array([np.cos(0.3), np.sin(0.3)])
     eta_star = np.array([1.0, -0.8, 0.9])
-    ds = generate(200, 2, theta_star, eta_star, 0.3, 1.0, seed=1, basis=basis)
+    ds = generate(200, theta_star, eta_star, 0.3, seed=1, basis=basis)
     model = SingleIndexModel(ds, basis)
     star = ParameterPoint(theta_star, eta_star)
     base = expected_evaluate(model, star, star, n_mc=50_000, seed=5)

@@ -30,7 +30,7 @@ STAR = ParameterPoint(THETA2, ETA6)
 
 def desk(n=600, sigma=0.5, seed=0, m=6):
     basis = WaveletBasis(m=m, s_X=1.0)
-    ds = generate(n, 2, THETA2, ETA6[:m], sigma, 1.0, seed=seed, basis=basis)
+    ds = generate(n, THETA2, ETA6[:m], sigma, seed=seed, basis=basis)
     return ds, basis
 
 
@@ -46,15 +46,15 @@ def test_generate_noiseless_and_deterministic():
 def test_generate_validates_theta_star():
     basis = WaveletBasis(m=2, s_X=1.0)
     with pytest.raises(ValueError, match="unit norm"):
-        generate(10, 2, [1.0, 1.0], [1.0, 1.0], 0.1, 1.0, seed=0, basis=basis)
+        generate(10, [1.0, 1.0], [1.0, 1.0], 0.1, seed=0, basis=basis)
     with pytest.raises(ValueError, match="positive first"):
-        generate(10, 2, [-1.0, 0.0], [1.0, 1.0], 0.1, 1.0, seed=0, basis=basis)
+        generate(10, [-1.0, 0.0], [1.0, 1.0], 0.1, seed=0, basis=basis)
 
 
 def test_generate_noise_variance():
     basis = WaveletBasis(m=3, s_X=1.0)
     sigma = 0.7
-    ds = generate(10_000, 2, THETA2, ETA6[:3], sigma, 1.0, seed=3, basis=basis)
+    ds = generate(10_000, THETA2, ETA6[:3], sigma, seed=3, basis=basis)
     eps = ds.y - basis.synth(ds.X @ THETA2, ETA6[:3])
     v = eps.var(ddof=1)
     se = sigma**2 * np.sqrt(2.0 / (ds.n - 1))
@@ -63,7 +63,7 @@ def test_generate_noise_variance():
 
 def test_eta_step_scalar_least_squares():
     basis = WaveletBasis(m=1, s_X=1.0)
-    ds = generate(400, 2, THETA2, [1.3], 0.4, 1.0, seed=5, basis=basis)
+    ds = generate(400, THETA2, [1.3], 0.4, seed=5, basis=basis)
     theta = THETA2
     eta = eta_step_closed_form(ds, basis, theta)
     e0 = basis.design(ds.X @ theta)[:, 0]
@@ -95,7 +95,7 @@ def test_profile_estimate_noiseless_recovers_truth():
     ang = -np.pi / 2 + (np.arange(N) + 0.5) * np.pi / N
     theta_star = np.array([np.cos(ang[90]), np.sin(ang[90])])
     basis = WaveletBasis(m=4, s_X=1.0)
-    ds = generate(400, 2, theta_star, ETA6[:4], 0.0, 1.0, seed=19, basis=basis)
+    ds = generate(400, theta_star, ETA6[:4], 0.0, seed=19, basis=basis)
     model = SingleIndexModel(ds, basis, constrain_theta=True)
     start, _ = grid_init(ds, basis, N)
     pt, _ = profile_estimate(
@@ -109,7 +109,7 @@ def test_eta_step_orthonormal_design_limit():
     # p = 1, index uniform on [-1/2, 1/2]: Gram -> identity and the solution
     # collapses onto the empirical inner products, with error (I - G) eta
     basis = WaveletBasis(m=3, s_X=0.5)
-    ds = generate(10_000, 1, [1.0], [0.8, -0.5, 0.6], 0.2, 0.5, seed=9, basis=basis)
+    ds = generate(10_000, [1.0], [0.8, -0.5, 0.6], 0.2, seed=9, basis=basis)
     eta = eta_step_closed_form(ds, basis, [1.0])
     E = basis.design(ds.X @ np.array([1.0]))
     inner = E.T @ ds.y / ds.n
@@ -123,15 +123,15 @@ def test_eta_step_orthonormal_design_limit():
 
 def test_theta_step_p1_trivial():
     basis = WaveletBasis(m=2, s_X=1.0)
-    ds = generate(100, 1, [1.0], [1.0, 0.5], 0.1, 1.0, seed=2, basis=basis)
-    assert np.array_equal(theta_step(ds, basis, [1.0, 0.5], [1.0]), [1.0])
+    ds = generate(100, [1.0], [1.0, 0.5], 0.1, seed=2, basis=basis)
+    assert np.array_equal(theta_step(SingleIndexModel(ds, basis), [1.0, 0.5], [1.0]), [1.0])
 
 
 def test_theta_step_stationarity_and_mesh_oracle():
     ds, basis = desk(n=400, seed=12)
     model = SingleIndexModel(ds, basis)
     eta = eta_step_closed_form(ds, basis, THETA2)
-    th = theta_step(ds, basis, eta, THETA2, noise_scale=model.noise_scale)
+    th = theta_step(model, eta, THETA2)
     t = ds.X @ th
     r = ds.y - basis.design(t) @ eta
     g = 2.0 / (2 * model.noise_scale**2) * (ds.X.T @ (r * (basis.ddesign(t) @ eta)))
@@ -170,7 +170,7 @@ def test_grid_init_noiseless_recovery_on_grid():
     a_star = ang[40]
     theta_star = np.array([np.cos(a_star), np.sin(a_star)])
     basis = WaveletBasis(m=4, s_X=1.0)
-    ds = generate(400, 2, theta_star, ETA6[:4], 0.0, 1.0, seed=8, basis=basis)
+    ds = generate(400, theta_star, ETA6[:4], 0.0, seed=8, basis=basis)
     pt, _ = grid_init(ds, basis, N)
     assert np.abs(pt.theta - theta_star).max() < 1e-12
     r = ds.y - basis.design(ds.X @ pt.theta) @ pt.eta
@@ -222,15 +222,15 @@ def test_model_hessian_fd():
 
 def test_information_at_truth_noiseless_is_spd():
     basis = WaveletBasis(m=6, s_X=1.0)
-    info = information_at_truth(basis, STAR, 300, 1.0, 0.0, 10, seed=6)
+    info = information_at_truth(basis, STAR, 300, 0.0, 10, seed=6)
     w = np.linalg.eigvalsh(info.full())
     assert w.min() > 0
 
 
 def test_information_at_truth_replication_oracle():
     basis = WaveletBasis(m=6, s_X=1.0)
-    info = information_at_truth(basis, STAR, 400, 1.0, 0.5, 200, seed=100)
-    ref = information_at_truth(basis, STAR, 400, 1.0, 0.5, 2000, seed=999)
+    info = information_at_truth(basis, STAR, 400, 0.5, 200, seed=100)
+    ref = information_at_truth(basis, STAR, 400, 0.5, 2000, seed=999)
     # each entry within 3 standard errors of the long-run estimate
     D, Dref = info.full(), ref.full()
     scale = np.abs(Dref).max()
@@ -247,13 +247,13 @@ def test_information_at_truth_matches_a_textbook_loop(m, sigma):
     basis = WaveletBasis(m=m, s_X=1.0)
     R = 5
     info = information_at_truth(
-        basis, ParameterPoint(THETA2, eta), 200, 1.0, sigma, R, seed=17
+        basis, ParameterPoint(THETA2, eta), 200, sigma, R, seed=17
     )
     rng = np.random.default_rng(17)
     c = 1.0 / (sigma if sigma > 0 else 1.0)**2
     D2, A, H2 = np.zeros((2, 2)), np.zeros((2, m)), np.zeros((m, m))
     for _ in range(R):
-        X = generate(200, 2, THETA2, eta, sigma, 1.0, seed=rng, basis=basis).X
+        X = generate(200, THETA2, eta, sigma, seed=rng, basis=basis).X
         t = X @ THETA2
         E = basis.design(t)
         Jt = X * (basis.ddesign(t) @ eta)[:, None]
@@ -293,7 +293,7 @@ def assert_blocks_equal_reference(n, m, p, sigma, r_datasets):
     theta = np.zeros(p)
     theta[:2] = THETA2
     star = ParameterPoint(theta, np.resize(ETA6, m))
-    info = information_at_truth(basis, star, n, 1.0, sigma, r_datasets, seed=17)
+    info = information_at_truth(basis, star, n, sigma, r_datasets, seed=17)
     D2, A, H2 = reference_information_at_truth(basis, star, n, 1.0, sigma, r_datasets, 17)
     assert info.D2.tobytes() == D2.tobytes()
     assert info.A.tobytes() == A.tobytes()
@@ -334,9 +334,9 @@ def test_information_at_truth_any_block_bound(monkeypatch, block):
 def test_noiseless_identifiability_sphere_alternation():
     # sigma = 0, f in span, n >= 5m: alternation from grid recovers the truth
     basis = WaveletBasis(m=6, s_X=1.0)
-    ds = generate(600, 2, THETA2, ETA6, 0.0, 1.0, seed=11, basis=basis)
+    ds = generate(600, THETA2, ETA6, 0.0, seed=11, basis=basis)
     model = SingleIndexModel(ds, basis, constrain_theta=True)
-    start, _ = grid_init(ds, basis, 512, noise_scale=model.noise_scale)
+    start, _ = grid_init(ds, basis, 512)
     cfg = AlternationConfig(max_steps=12, solver_tolerance=1e-11)
     tr = run(model, start, cfg)
     assert model.evaluate(tr.final()) >= -1e-12
@@ -399,7 +399,7 @@ def test_default_start_lies_inside_the_eta_ball():
     assert trace.stop_reason == "stationary"
     # inside the ball the default start is the grid start, byte for byte
     model = _make_model(ctx, 1)
-    grid_start, _ = grid_init(model.dataset, model.basis, 64, noise_scale=model.noise_scale)
+    grid_start, _ = grid_init(model.dataset, model.basis, 64)
     assert np.linalg.norm(grid_start.eta) <= model.eta_radius
     start = model.default_start(64)
     assert start.theta.tobytes() == grid_start.theta.tobytes()

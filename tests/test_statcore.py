@@ -161,6 +161,10 @@ def test_sqrt_spd_examples_and_reconstruction():
         assert rel < 1e-10
     with pytest.raises(NotSPDError):
         sqrt_spd(np.diag([1.0, -1.0]))
+    with pytest.raises(NotSPDError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        sqrt_spd(np.ones((2, 3)))
+    with pytest.raises(NotSPDError, match="^matrix is not symmetric$"):
+        sqrt_spd([[1.0, 2.0], [0.0, 1.0]])
 
 
 def _coupled_blocks(rng, p, m, coupling):
@@ -221,6 +225,7 @@ def test_validate_raises_on_every_call_for_non_spd_blocks():
         (BlockInformation(D2=[[-1.0]], A=[[0.0]], H2=[[1.0]]), "D2"),
         (BlockInformation(D2=[[1.0]], A=[[0.0]], H2=[[0.0]]), "H2"),
         (BlockInformation(D2=[[1.0, 2.0], [0.0, 1.0]], A=[[0.0], [0.0]], H2=[[1.0]]), "D2"),
+        (BlockInformation(D2=np.ones((2, 3)), A=[[0.0], [0.0]], H2=[[1.0]]), "D2 must be square"),
     ):
         for _ in range(3):
             with pytest.raises(NotSPDError, match=name):

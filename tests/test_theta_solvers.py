@@ -227,7 +227,7 @@ def bind(p, m, seed, sigma=0.5, constrain_theta=True):
     theta = np.zeros(p)
     theta[0], theta[1] = np.cos(0.3), np.sin(0.3)
     eta = [ETA[k % len(ETA)] for k in range(m)]
-    ds = generate(400, p, theta, eta, sigma, 1.0, seed=seed, basis=basis)
+    ds = generate(400, theta, eta, sigma, seed=seed, basis=basis)
     return SingleIndexModel(ds, basis, constrain_theta=constrain_theta), theta, np.array(eta)
 
 
@@ -272,9 +272,9 @@ def test_theta_step_matches_reference(p, m, sigma):
     model, theta, eta = bind(p, m, seed=20 * p + m, sigma=sigma)
     ds, basis, s = model.dataset, model.basis, model.noise_scale
     e = perturbed_etas(eta, seed=m)[1]
-    ref = reference_theta_step(ds, basis, e, theta, noise_scale=s)
-    assert np.array_equal(theta_step(ds, basis, e, theta, noise_scale=s), ref)
-    # theta_argmax runs theta_step at the model's gtol
+    ref = reference_theta_step(ds, basis, e, theta, gtol=model.theta_gtol, noise_scale=s)
+    assert np.array_equal(theta_step(model, e, theta), ref)
+    # theta_argmax runs theta_step
     for e in perturbed_etas(eta, seed=m):
         for th0 in starts(p, theta, seed=p):
             ref = reference_theta_step(ds, basis, e, th0, gtol=model.theta_gtol,
