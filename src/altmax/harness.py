@@ -138,7 +138,7 @@ class ExperimentConfig:
     si_m: int = 6
     si_sigma: float = 0.5
     si_s_x: float = 1.0
-    si_theta_angle: float = 0.3
+    si_theta_angle: float | None = None  # None -> 0.3 where si_p >= 2; unset at si_p = 1
     si_eta_star: tuple[float, ...] = (1.0, -0.8, 0.9, -0.7, 0.6, 0.8)
     si_grid_n: int = 512  # grid spacing must undercut the link's oscillation scale
     si_r_cov: int = 200
@@ -163,7 +163,11 @@ class ExperimentConfig:
         _require(self, "si_eta_star", lambda v: all(map(math.isfinite, v)),
                  "entries must be finite")
         angle = self.si_theta_angle
-        if self.si_p >= 2 and not (math.isfinite(angle) and math.cos(angle) > 0):
+        if angle is not None and self.si_p == 1 and self.family != "toy":
+            # theta_star = (1,) has no angle, so a set one would be ignored
+            raise FieldValueError("si_theta_angle", "si_theta_angle must be auto at si_p = 1")
+        if angle is not None and self.si_p >= 2 and not (
+                math.isfinite(angle) and math.cos(angle) > 0):
             # theta_star must lie on the half-sphere (first coordinate positive)
             raise FieldValueError("si_theta_angle", "cos(si_theta_angle) > 0 required")
         if self.family not in ("toy", "single-index", "sweep"):
@@ -188,7 +192,7 @@ def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
     toy_a**2 < toy_d2 * toy_h2: the blocks are SPD exactly when the coupling
     nu is below one.  Raises it (blaming `toy_d2`, then `toy_h2`) where the SPD
     root of the full information, which `toy.simulate` solves with and
-    `build_context` keeps as `D_full`, is singular: with block scales far apart
+    `build_context` keeps as the norm weight, is singular: with block scales far apart
     (`toy_d2 = 1e-300`, `toy_h2 = 1e300`) the eigendecomposition rounds the
     small eigenvalues to 0.  Raises it (blaming the larger of `toy_d2` and
     `toy_h2`, then `toy_start_offset`) where the norm in that root of the start
@@ -225,30 +229,38 @@ def si_theta_star(cfg: ExperimentConfig):
     p = cfg.si_p
     if p == 1:
         return np.array([1.0])
+    angle = 0.3 if cfg.si_theta_angle is None else cfg.si_theta_angle
     th = np.zeros(p)
-    th[0] = math.cos(cfg.si_theta_angle)
-    th[1] = math.sin(cfg.si_theta_angle)
+    th[0] = math.cos(angle)
+    th[1] = math.sin(angle)
     return th / np.linalg.norm(th)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentContext:
-    """Shared per-configuration state: truth, information blocks, step count.
+    """Shared per-configuration state, built by `build_context`: the truth, its
+    information blocks and coupling nu, the bound inputs and the engine config.
 
-    `build_context` fills in the bound inputs and K after a pilot replication
-    drawn from this context's own truth, information and basis.
+    z_x and R0 are None unless 0 < nu < 1.  `build_context` sizes R0, and from
+    it K, with a pilot replication drawn from a provisional context that holds
+    no R0 and the engine's default step count.
     """
 
     cfg: ExperimentConfig
     upsilon_star: ParameterPoint
     info: BlockInformation
     nu: float
-    D_full: np.ndarray  # SPD root of the full information, used as the norm weight
-    basis: WaveletBasis | None = None
-    cc_eff: ConditionConstants | None = None
-    z_x: float | None = None
+    basis: WaveletBasis | None
+    cc_eff: ConditionConstants
+    z_x: float | None
+    # K steps at the solver tolerance; its norm weight, the SPD root of the
+    # full information, gives every information-norm distance
+    acfg: AlternationConfig
     R0: float | None = None
-    K: int | None = None
+
+    @property
+    def K(self):
+        return self.acfg.max_steps
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
@@ -265,41 +277,36 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
             basis, star, cfg.si_n, cfg.si_sigma, cfg.si_r_cov,
             seed=derive_seed(cfg.master_seed, 999_979),
         )
-    ctx = ExperimentContext(
-        cfg=cfg, upsilon_star=star, info=info, nu=coupling_norm(info),
-        D_full=info.full_sqrt(), basis=basis,
-    )
-    ctx.cc_eff, ctx.z_x, ctx.R0 = _bound_inputs(ctx)
-    K = cfg.steps
-    if K is None:
-        if ctx.R0 is None:
-            K = 30
-        else:
-            z = cfg.z_target if cfg.z_target is not None else ctx.z_x
-            # the rule counts linear-contraction steps; keep a floor of 3 so
-            # the nonlinear first phase after a grid start is crossed as well
-            K = max(3, min(stopping_steps(z, ctx.R0, ctx.nu), 200))
-    ctx.K = K
-    return ctx
-
-
-def _bound_inputs(ctx):
-    """Effective condition constants, z(x), and the concentration radius R0,
-    with a pilot replication supplying the initial-guess radius."""
-    cfg, star = ctx.cfg, ctx.upsilon_star
+    nu = coupling_norm(info)
     cc = cfg.cc
     if cfg.family == "single-index" and cc.omega == 0.0:
         # i.i.d. default when no gradient-roughness constant is supplied
         cc = replace(cc, omega=1.0 / math.sqrt(cfg.si_n))
-    if not 0.0 < ctx.nu < 1.0:
-        return cc, None, None
-    p_star = star.p_star
-    z_x = combined_quantile(cfg.x, p_star, cc=cc)
+    z_x = combined_quantile(cfg.x, star.p_star, cc=cc) if 0.0 < nu < 1.0 else None
+    acfg = AlternationConfig(solver_tolerance=cfg.solver_tolerance, norm_matrix=info.full_sqrt())
+    ctx = ExperimentContext(cfg=cfg, upsilon_star=star, info=info, nu=nu, basis=basis,
+                            cc_eff=cc, z_x=z_x, acfg=acfg)
+    R0 = None if z_x is None else _concentration_radius(ctx)
+    K = cfg.steps
+    if K is None:
+        if R0 is None:
+            K = 30
+        else:
+            z = cfg.z_target if cfg.z_target is not None else z_x
+            # the rule counts linear-contraction steps; keep a floor of 3 so
+            # the nonlinear first phase after a grid start is crossed as well
+            K = max(3, min(stopping_steps(z, R0, nu), 200))
+    return replace(ctx, R0=R0, acfg=replace(acfg, max_steps=K))
+
+
+def _concentration_radius(ctx):
+    """The concentration radius R0, with a pilot replication supplying the
+    initial-guess radius."""
+    cfg, star, cc, z_x = ctx.cfg, ctx.upsilon_star, ctx.cc_eff, ctx.z_x
     _, start = _make_replication(ctx, 999_931)
-    R_K = max(z_x, float(np.linalg.norm(ctx.D_full @ (start.as_vector() - star.as_vector()))))
+    R_K = max(z_x, ctx.acfg.weighted_norm(start.as_vector() - star.as_vector()))
     K0 = initial_level_K0(R_K, cfg.x, cc, z_x)
-    R0 = concentration_radius_R0(cfg.x, K0, p_star, cc, ctx.nu, z_x)
-    return cc, z_x, R0
+    return concentration_radius_R0(cfg.x, K0, star.p_star, cc, ctx.nu, z_x)
 
 
 def _make_replication(ctx, rep_index):
@@ -321,12 +328,6 @@ def _make_model(ctx, rep_index):
     star = ctx.upsilon_star
     dataset = generate(cfg.si_n, star.theta, star.eta, cfg.si_sigma, seed=seed, basis=ctx.basis)
     return SingleIndexModel(dataset, ctx.basis, constrain_theta=cfg.si_constrain)
-
-
-def _alternation_config(ctx):
-    return AlternationConfig(
-        max_steps=ctx.K, solver_tolerance=ctx.cfg.solver_tolerance, norm_matrix=ctx.D_full
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +419,10 @@ def run_wilks_fisher(config: ExperimentConfig) -> ExperimentReport:
 def _wilks_replication(ctx, i):
     """The efficient score, and the Wilks and Fisher residuals of every step."""
     K, star = ctx.K, ctx.upsilon_star
-    acfg = _alternation_config(ctx)
     model, start = _make_replication(ctx, i)
     score = efficient_score(ctx.info, *model.gradient(star))
     L_star = model.evaluate(ParameterPoint(star.theta, eta_update(model, star.theta)))
-    trace = run(model, start, acfg)
+    trace = run(model, start, ctx.acfg)
     rec = {"rep": i, "status": "ok", "xi_norm2": float(score.xi @ score.xi),
            "monotone_defect": trace.monotone_defect(),
            "stop_reason": trace.stop_reason}
@@ -434,9 +434,7 @@ def _wilks_replication(ctx, i):
         r_k = trace.records[min(k, len(trace.records) - 1)]
         rec[f"fisher_{k}"] = fisher_residual(ctx.info, score, r_k.point_kk.theta, star.theta)
         rec[f"wilks_{k}"] = 2.0 * (r_k.L_kk1 - L_star)
-    rec["dist_final"] = float(
-        np.linalg.norm(ctx.D_full @ (trace.final().as_vector() - star.as_vector()))
-    )
+    rec["dist_final"] = ctx.acfg.weighted_norm(trace.final().as_vector() - star.as_vector())
     return rec
 
 
@@ -524,18 +522,14 @@ def run_me_convergence(config: ExperimentConfig) -> ExperimentReport:
 
 def _me_replication(ctx, i):
     """The distance of every step to the replication's maximizer."""
-    acfg = _alternation_config(ctx)
-    profile_cfg = replace(acfg, max_steps=4 * ctx.K)  # profile_estimate runs >= 200
+    profile_cfg = replace(ctx.acfg, max_steps=4 * ctx.K)  # profile_estimate runs >= 200
     model, start = _make_replication(ctx, i)
     me, profile = profile_estimate(model, profile_cfg, start)
     me_v = me.as_vector()
     # the alternation is deterministic: the K-step run from `start` would
     # repeat the profile run's first K + 1 records
-    records = profile.records[: acfg.max_steps + 1]
-    dists = [
-        float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
-        for r in records
-    ]
+    records = profile.records[: ctx.K + 1]
+    dists = [ctx.acfg.weighted_norm(r.point_kk.as_vector() - me_v) for r in records]
     rec = {"rep": i, "status": "ok",
            "monotone_defect": AlternatingTrace(records).monotone_defect()}
     rec.update({f"dist_{k}": d for k, d in enumerate(dists)})
@@ -586,7 +580,7 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
         rng = np.random.default_rng(derive_seed(seed, ri))
         for j in range(n_points):
             u = rng.standard_normal(star_v.size)
-            v = star_v + r * np.linalg.solve(ctx.D_full, u / np.linalg.norm(u))
+            v = star_v + r * np.linalg.solve(ctx.acfg.norm_matrix, u / np.linalg.norm(u))
             points.append((10_000_000 + ri * 100_000 + j * 1000, R, v))
     devs = _map(_shell_deviation, ctx, points, config.threads)
     return {float(r): max([0.0, *devs[ri * n_points:(ri + 1) * n_points]])
@@ -596,7 +590,7 @@ def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
 def _shell_deviation(ctx, task):
     """The deviation from the identity of the normalized mean Hessian at a shell point."""
     seed0, R, v = task
-    point, D0 = ParameterPoint.from_vector(v, ctx.upsilon_star.p), ctx.D_full
+    point, D0 = ParameterPoint.from_vector(v, ctx.upsilon_star.p), ctx.acfg.norm_matrix
     Hbar = sum(_make_model(ctx, seed0 + rep).hessian(point) for rep in range(R)) / R
     M = np.linalg.solve(D0, np.linalg.solve(D0, -Hbar).T)
     return float(np.linalg.norm(0.5 * (M + M.T) - np.eye(v.size), 2))

@@ -232,20 +232,17 @@ def efficient_information(blocks: BlockInformation) -> np.ndarray:
     """Efficient information D2 - A H2^{-1} A.T (theta-block Schur complement).
 
     Equals the inverse of the theta-block of the inverse of the full block
-    matrix.  Requires nu < 1; a non-SPD result raises CouplingError.
+    matrix.  With SPD D2 and H2 it is SPD exactly when nu < 1, so a result that
+    is not SPD raises CouplingError, which names nu.
     """
-    nu = coupling_norm(blocks)
-    if nu >= 1.0:
-        raise CouplingError(f"coupling nu = {nu:.6g} >= 1; efficient information undefined")
+    blocks.validate()
     X = _lapack.cho_solve(blocks.h2_cho_factor, blocks.A.T)
     Deff2 = blocks.D2 - blocks.A @ X
     Deff2 = 0.5 * (Deff2 + Deff2.T)
     wmin = float(np.linalg.eigvalsh(Deff2).min())
     if wmin <= 0.0:
-        raise CouplingError(
-            f"efficient information not SPD (min eigenvalue {wmin:.6e}); "
-            "nu >= 1 or numerical breakdown"
-        )
+        raise CouplingError(f"coupling nu = {coupling_norm(blocks):.6g}: efficient information "
+                            f"not SPD (smallest eigenvalue {wmin:.6e}), so undefined")
     return Deff2
 
 

@@ -253,7 +253,7 @@ class WaveletBasis:
         self.j_table = self.tables.j_table
         S = self.tables.support_len
         self.support_len = S
-        self.n_levels = max(level_of_index(k, S)[0] for k in range(self.m)) + 1
+        self.n_levels = level_of_index(self.m - 1, S)[0] + 1  # levels rise with the index
 
     def cell_width(self, j):
         return 2.0 * self.s_X / (self.support_len * 2**j)

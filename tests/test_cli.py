@@ -234,6 +234,11 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
          "bad value '-0.5' for config key 'sigma': si_sigma >= 0 required"),
         ("single-index", "theta_angle = 2.0\n",
          "bad value '2.0' for config key 'theta_angle': cos(si_theta_angle) > 0 required"),
+        # theta* = (1,) at p = 1 has no angle to set
+        ("single-index", "p = 1\ntheta_angle = 0.3\n",
+         "bad value '0.3' for config key 'theta_angle': si_theta_angle must be auto at si_p = 1"),
+        ("sweep", "p = 1\ntheta_angle = 0.3\n",
+         "bad value '0.3' for config key 'theta_angle': si_theta_angle must be auto at si_p = 1"),
         ("bounds", "x = 0\n", "bad value '0' for config key 'x': x > 0 required"),
         ("bounds", "p = 0\n", "bad value '0' for config key 'p': p >= 1 required"),
         ("bounds", "m = 0\n", "bad value '0' for config key 'm': m >= 1 required"),
@@ -552,9 +557,10 @@ def test_every_documented_key_parses(tmp_path):
     )
     # flags override the file; `auto`, inf spellings and 0 read as documented
     cfg = write(tmp_path / "o.kv", "steps = auto\ng = inf\ng_r = infinity\n"
-                "constrain_theta = 0\nreps = 0\n")
+                "constrain_theta = 0\nreps = 0\ntheta_angle = auto\n")
     c = experiment_config(namespace(cfg, reps=9, seed=4, threads=3), "single-index")
     assert (c.reps, c.master_seed, c.threads, c.steps) == (9, 4, 3, None)
+    assert c.si_theta_angle is None
     assert c.cc.g == math.inf and c.cc.g_r_value == math.inf and c.si_constrain is False
 
 

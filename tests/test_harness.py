@@ -5,7 +5,7 @@ import pickle
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from altmax.harness import (
     run_dimension_sweep,
     run_me_convergence,
     run_wilks_fisher,
+    si_theta_star,
 )
 from altmax.modelapi import ModelDomainError
 
@@ -436,7 +437,10 @@ def test_build_context_toy():
     cfg = ExperimentConfig(family="toy", reps=1, steps=4)
     ctx = build_context(cfg)
     assert abs(ctx.nu - 0.25) < 1e-12
-    assert ctx.K == 4
+    assert ctx.K == 4 and ctx.acfg.max_steps == 4
+    # built in one step: no field changes afterwards
+    with pytest.raises(FrozenInstanceError):
+        ctx.R0 = 1.0
 
 
 def test_bounds_are_off_at_zero_coupling():
@@ -569,22 +573,35 @@ def test_any_replication_error_is_counted(monkeypatch):
 
 
 def test_efficient_information_calls_do_not_grow_with_reps(monkeypatch):
+    import altmax.harness as hz
     import altmax.statcore as sc
 
-    real = sc.efficient_information
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(sc, "efficient_information", counted)
+    # harness holds its own name for coupling_norm; statcore calls the others
+    for module, name in ((sc, "efficient_information"), (sc, "coupling_norm"),
+                         (hz, "coupling_norm"), (sc, "sqrt_spd")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     counts = []
     for reps in (20, 60):
         calls.clear()
         run_wilks_fisher(ExperimentConfig(family="toy", reps=reps, master_seed=3, steps=5))
-        counts.append(len(calls))
+        counts.append(calls.count("efficient_information"))
+        # nu once, by build_context; the roots of D2 and H2 (for nu), of the
+        # full information and of the efficient information, once each
+        assert (calls.count("coupling_norm"), calls.count("sqrt_spd")) == (1, 4)
     assert counts[0] == counts[1] >= 1
+    calls.clear()
+    run_wilks_fisher(ExperimentConfig(
+        family="single-index", reps=2, si_n=300, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
+        si_r_cov=20, si_grid_n=64))
+    assert (calls.count("coupling_norm"), calls.count("sqrt_spd")) == (1, 4)
 
 
 def test_config_validation():
@@ -597,6 +614,18 @@ def test_config_validation():
             ExperimentConfig(threads=threads)
     # theta_angle must put theta* on the half-sphere only when p >= 2
     assert ExperimentConfig(si_p=1, si_theta_angle=2.0).si_theta_angle == 2.0
+    # at p = 1, where theta* = (1,) has no angle, a single-index config or a
+    # sweep rejects a set angle, which it would ignore
+    from altmax.bounds import FieldValueError
+    for family in ("single-index", "sweep"):
+        with pytest.raises(FieldValueError, match="si_theta_angle must be auto at si_p = 1"):
+            ExperimentConfig(family=family, si_p=1, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
+                             si_theta_angle=0.3)
+    p1 = ExperimentConfig(family="single-index", si_p=1, si_m=3, si_eta_star=(1.0, -0.8, 0.9))
+    assert p1.si_theta_angle is None and np.array_equal(si_theta_star(p1), [1.0])
+    # auto is 0.3 where p >= 2
+    assert np.array_equal(si_theta_star(ExperimentConfig()),
+                          si_theta_star(ExperimentConfig(si_theta_angle=0.3)))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -657,15 +686,15 @@ def test_grid_start_outside_the_eta_ball_runs():
 def test_me_replication_reads_the_k_step_run_from_the_profile_trace(cfg):
     # the record as built by a separate K-step run after the profile run
     from altmax.alternation import profile_estimate, run
-    from altmax.harness import _alternation_config, _make_replication, _me_replication
+    from altmax.harness import _make_replication, _me_replication
 
     ctx = build_context(cfg)
     for i in range(3):
-        acfg = _alternation_config(ctx)
+        acfg = ctx.acfg
         model, start = _make_replication(ctx, i)
         me_v = profile_estimate(model, replace(acfg, max_steps=4 * ctx.K), start)[0].as_vector()
         trace = run(model, start, acfg)
-        dists = [float(np.linalg.norm(ctx.D_full @ (r.point_kk.as_vector() - me_v)))
+        dists = [float(np.linalg.norm(acfg.norm_matrix @ (r.point_kk.as_vector() - me_v)))
                  for r in trace.records]
         old = {"rep": i, "status": "ok", "monotone_defect": trace.monotone_defect()}
         old.update({f"dist_{k}": d for k, d in enumerate(dists)})

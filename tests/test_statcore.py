@@ -91,7 +91,7 @@ def test_efficient_information_matches_inverse_theta_block():
 
 def test_efficient_information_rejects_high_coupling():
     blocks = BlockInformation(D2=[[1.0]], A=[[2.0]], H2=[[1.0]])
-    with pytest.raises(CouplingError):
+    with pytest.raises(CouplingError, match="coupling nu"):
         efficient_information(blocks)
 
 
@@ -213,9 +213,9 @@ def test_cached_geometry_is_read_only_and_computed_once():
 def test_high_coupling_raises_on_every_call():
     blocks = BlockInformation(D2=[[1.0]], A=[[2.0]], H2=[[1.0]])
     for _ in range(3):
-        with pytest.raises(CouplingError):
+        with pytest.raises(CouplingError, match="coupling nu"):
             blocks.efficient_root
-        with pytest.raises(CouplingError):
+        with pytest.raises(CouplingError, match="coupling nu"):
             efficient_score(blocks, [1.0], [0.0])
     assert "efficient_root" not in vars(blocks)
 
