@@ -11,6 +11,8 @@ non-finite input raises `ValueError`, a matrix that is not positive definite
 below eps, from `dpocon`: the eta step's condition guard raises long before
 it, but a toy block of subnormal scale (`toy_d2 = 1e-310` at `toy_p = 2`)
 reaches it.  scipy's own estimate can differ from `dpocon`'s in the last bit.
+`solve` runs its two halves, `_factor` of a and `_apply` to b, which a caller
+with many right-hand sides for one a (the toy's maximizers) runs apart.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ def _flapack():
 
 
 def _check_finite(*arrays):
-    if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("array must not contain infs or NaNs")
+    # counting the finite entries skips the Python layer of ndarray.all, the
+    # larger part of this check on the toy's one-entry vectors
+    for x in arrays:
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            raise ValueError("array must not contain infs or NaNs")
 
 
 def _square(a):
@@ -78,25 +83,45 @@ def _potrs(c, b):
 
 def solve(a, b):
     """`scipy.linalg.solve(a, b, assume_a="pos")`."""
-    a, b = np.asarray(a, dtype=float), np.atleast_1d(np.asarray(b, dtype=float))
-    _check_finite(a, b)
-    if a.shape == (1, 1):  # scipy's scalar branch
-        if a[0, 0] == 0:
-            raise np.linalg.LinAlgError("A singular matrix detected.")
-        return b / a[0, 0]
+    return _apply(_factor(a), b, stacklevel=3)
+
+
+def _factor(a):
+    """The half of `solve` that reads a alone, for a that many solves share.
+
+    Returns (c, rcond, singular): c is scipy's scalar-branch pivot a[0, 0] with
+    rcond None, or the upper factor from dpotrf with dpocon's rcond.  A
+    singular a is not raised here but named in `singular`, which `_apply`
+    raises after its check of b, in scipy's order.
+    """
     a = _square(a)
+    if a.shape == (1, 1):  # scipy's scalar branch
+        pivot = a[0, 0]
+        return pivot, None, "A singular matrix detected." if pivot == 0 else None
     # dlansy("1", "U")'s norm: the column sums of the mirrored upper triangle,
     # in the same order
     anorm = _flapack().dlange("1", np.triu(a) + np.triu(a, 1).T)
     c, info = _flapack().dpotrf(a, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
+        return c, None, "A singular matrix detected: slice(s) [0] are singular."
+    return c, _flapack().dpocon(c, anorm)[0], None
+
+
+def _apply(factor, b, stacklevel=2):
+    """The half of `solve` that reads b: x with a x = b, for the `_factor` of a.
+    The LinAlgWarning names the caller `stacklevel` frames up."""
+    c, rcond, singular = factor
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    _check_finite(b)
+    if singular is not None:
+        raise np.linalg.LinAlgError(singular)
+    if rcond is None:
+        return b / c
     x = np.ascontiguousarray(_potrs(c, b))
-    rcond = _flapack().dpocon(c, anorm)[0]
     if rcond < np.finfo(float).eps:
         from scipy.linalg import LinAlgWarning
         warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = {rcond}.",
-                      LinAlgWarning, stacklevel=2)
+                      LinAlgWarning, stacklevel=stacklevel)
     return x
 
 

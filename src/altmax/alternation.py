@@ -13,6 +13,7 @@ the first step that moves by less than the solver tolerance, or as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,9 +48,10 @@ class AlternationConfig:
             raise ValueError("solver_tolerance must be > 0")
 
     def weighted_norm(self, v):
-        if self.norm_matrix is None:
-            return float(np.linalg.norm(v))
-        return float(np.linalg.norm(self.norm_matrix @ v))
+        """||norm_matrix @ v||, or ||v|| without a norm matrix, for a vector v."""
+        if self.norm_matrix is not None:
+            v = self.norm_matrix @ v
+        return _norm(v)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,12 @@ class AlternatingTrace:
         ))
 
 
+def _norm(v):
+    """np.linalg.norm(v) of a contiguous float vector, bit for bit: the root of
+    its dot with itself, inf where that overflows."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def eta_update(model: Model, theta):
     """argmax over eta of L(theta, .): the model's eta step."""
     return np.asarray(model.eta_argmax(theta), dtype=float)
@@ -118,15 +126,13 @@ def _check_rise(update, before, after, slack, k):
 def run(model: Model, start: ParameterPoint, cfg: AlternationConfig) -> AlternatingTrace:
     """Run the alternation from `start` and capture the trace."""
     trace = AlternatingTrace()
-    theta = start.theta.copy()
-    point = ParameterPoint(theta, start.eta.copy())
-    L0 = model.evaluate(point)
-    point01 = ParameterPoint(theta, eta_update(model, theta))
+    L0 = model.evaluate(start)  # a point is immutable, so the trace keeps start itself
+    point01 = ParameterPoint(start.theta, eta_update(model, start.theta))
     L01 = model.evaluate(point01)
     slack = 10.0 * cfg.solver_tolerance
     _check_rise("eta", L0, L01, slack, 0)
-    trace.records.append(TraceRecord(0, point, point01, L0, L01, float("nan")))
-    prev_point = point
+    trace.records.append(TraceRecord(0, start, point01, L0, L01, float("nan")))
+    prev_point = start
     prev_L = L01
     for k in range(1, cfg.max_steps + 1):
         eta_k = trace.records[-1].point_kk1.eta
@@ -184,4 +190,4 @@ def fisher_residual(info: BlockInformation, score: EfficientScore, theta_k, thet
     th_s = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if th_k.size != info.p or th_s.size != info.p:
         raise ValueError("theta dimensions do not match the information blocks")
-    return float(np.linalg.norm(info.efficient_root @ (th_k - th_s) - score.xi))
+    return _norm(info.efficient_root @ (th_k - th_s) - score.xi)

@@ -12,16 +12,18 @@ square roots of the diagonal blocks) is the coupling coefficient `nu`; the
 whole semiparametric calculus below is only defined when nu < 1.
 
 All types are immutable after construction and all operations are pure, so
-everything here is safe for concurrent use without coordination.  The
-derived geometry of a BlockInformation (its SPD check, the H2 Cholesky
-factor, the SPD root of the efficient information and of the full matrix)
-is computed once per instance, on first use, and kept read-only: the blocks
-cannot change, so it never goes stale.  A failed computation raises and is
-not kept, so it raises again on the next use.  A pickled or copied point or
-BlockInformation is rebuilt from its fields, so its arrays are read-only
-too and its geometry is computed afresh.  The H2 Cholesky factor and its
-solves are scipy.linalg's `cho_factor` and `cho_solve`, called through
-`_lapack` on scipy's own `_flapack` routines, with the same bits.
+everything here is safe for concurrent use without coordination.  A point
+holds one read-only vector (theta, eta), and theta and eta are views of it.
+The derived geometry of a BlockInformation (its SPD check, the assembled
+matrix, the H2 Cholesky factor, the SPD root of the efficient information
+and of the full matrix) is computed once per instance, on first use, and
+kept read-only: the blocks cannot change, so it never goes stale.  A failed
+computation raises and is not kept, so it raises again on the next use.  A
+pickled or copied point or BlockInformation is rebuilt from its fields, so
+its arrays are read-only too and its geometry is computed afresh.  The H2
+Cholesky factor and its solves are scipy.linalg's `cho_factor` and
+`cho_solve`, called through `_lapack` on scipy's own `_flapack` routines,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -102,16 +104,19 @@ class ParameterPoint:
     eta: np.ndarray
 
     def __post_init__(self):
-        th = np.array(self.theta, dtype=float, ndmin=1)
-        et = np.array(self.eta, dtype=float, ndmin=1)
-        if th.ndim != 1 or et.ndim != 1:
+        th = np.asarray(self.theta, dtype=float)
+        et = np.asarray(self.eta, dtype=float)
+        if th.ndim > 1 or et.ndim > 1:
             raise ValueError("theta and eta must be vectors")
         if th.size < 1 or et.size < 1:
             raise ValueError("p >= 1 and m >= 1 required")
-        th.setflags(write=False)
-        et.setflags(write=False)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "eta", et)
+        # one read-only copy of (theta, eta), a scalar as one entry; theta and
+        # eta are views of it
+        v = np.concatenate((th, et), axis=None)
+        v.setflags(write=False)
+        object.__setattr__(self, "_vector", v)
+        object.__setattr__(self, "theta", v[: th.size])
+        object.__setattr__(self, "eta", v[th.size :])
 
     def __reduce__(self):
         # rebuilt through __post_init__, so copies are read-only as well
@@ -127,10 +132,11 @@ class ParameterPoint:
 
     @property
     def p_star(self):
-        return self.theta.size + self.eta.size
+        return self._vector.size
 
     def as_vector(self):
-        return np.concatenate([self.theta, self.eta])
+        """The read-only vector (theta, eta) that theta and eta are views of."""
+        return self._vector
 
     @staticmethod
     def from_vector(v, p):
@@ -181,10 +187,14 @@ class BlockInformation:
         return self
 
     def full(self):
-        """Assembled (p+m) x (p+m) block matrix."""
+        """Assembled (p+m) x (p+m) block matrix, read-only."""
+        return self._full
+
+    @cached_property
+    def _full(self):
         top = np.hstack([self.D2, self.A])
         bot = np.hstack([self.A.T, self.H2])
-        return np.vstack([top, bot])
+        return _read_only(np.vstack([top, bot]))
 
     def full_sqrt(self):
         return self._full_sqrt

@@ -3,8 +3,10 @@
 Observation Y = upsilon_star + eps with eps ~ N(0, inv(F2)), functional
 L(u) = -||F (u - Y)||^2 / 2.  Both partial maximizers are linear maps, so
 every alternation iterate has a closed form, `exact_alternation`.  Their
-solves are scipy's SPD solve, through `_lapack.solve`: for the 1x1 blocks of
-every shipped config that is scipy's scalar quotient, with no LAPACK call.
+solves are scipy's SPD solve, `_lapack.solve`, with each diagonal block
+factored once per model (`_lapack._factor`) and applied on every step: for
+the 1x1 blocks of every shipped config that is scipy's scalar quotient, with
+no LAPACK call.
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ class ToyGaussianModel(Model):
             raise ValueError("Y dimension does not match upsilon_star")
         self._full = F2.full()
         self._p = F2.p
+        # what the partial maximizers read on every step
+        self._y_th, self._y_et = self.Y[: self._p], self.Y[self._p :]
+        self._A, self._At = F2.A, F2.A.T
+        self._d2 = _lapack._factor(F2.D2)
+        self._h2 = _lapack._factor(F2.H2)
 
     def _check(self, point):
         v = point.as_vector()
         if v.size != self.Y.size:
             raise ModelDomainError("point dimension does not match the model")
-        if not np.isfinite(v).all():
+        if np.count_nonzero(np.isfinite(v)) < v.size:  # as in _lapack._check_finite
             raise ModelDomainError("point has non-finite coordinates")
         return v
 
@@ -46,17 +53,23 @@ class ToyGaussianModel(Model):
         return -self._full
 
     def eta_argmax(self, theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        y_th, y_et = self.Y[: self._p], self.Y[self._p :]
-        return y_et - _lapack.solve(self.F2.H2, self.F2.A.T @ (th - y_th))
+        th = _argument(theta, self._y_th, "theta")
+        return self._y_et - _lapack._apply(self._h2, self._At @ (th - self._y_th))
 
     def theta_argmax(self, eta, theta_init=None):
-        et = np.atleast_1d(np.asarray(eta, dtype=float))
-        y_th, y_et = self.Y[: self._p], self.Y[self._p :]
-        return y_th - _lapack.solve(self.F2.D2, self.F2.A @ (et - y_et))
+        et = _argument(eta, self._y_et, "eta")
+        return self._y_th - _lapack._apply(self._d2, self._A @ (et - self._y_et))
 
     def default_start(self):
         return ParameterPoint(np.zeros(self._p), np.zeros(self.F2.m))
+
+
+def _argument(x, y, name):
+    """x as a float vector of y's size; ModelDomainError otherwise."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != y.shape:
+        raise ModelDomainError(f"{name} must have {y.size} coordinates, got shape {x.shape}")
+    return x
 
 
 def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed):

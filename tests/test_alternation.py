@@ -17,6 +17,7 @@ from altmax.alternation import (
 from altmax.modelapi import Model
 from altmax.statcore import (
     BlockInformation,
+    EfficientScore,
     ParameterPoint,
     efficient_score,
     sqrt_spd,
@@ -257,3 +258,49 @@ def test_profile_estimate_reads_the_final_value_from_the_trace():
     assert m.evaluations == 2 * len(expected.records)
     assert trace.records[-1].L_kk == m.evaluate(pt)
     assert [r.L_kk for r in trace.records] == [r.L_kk for r in expected.records]
+
+
+def _norm_cases(rng):
+    """1,000 random vectors of sizes 1 to 9 and scales 1e-150 to 1e150, then a zero vector."""
+    for _ in range(1000):
+        n = int(rng.integers(1, 10))
+        yield rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150)
+    yield np.zeros(int(rng.integers(1, 10)))
+
+
+def test_weighted_norm_is_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(47)
+    plain = AlternationConfig()
+    weights = {n: sqrt_spd(np.cov(rng.standard_normal((n, 3 * n)))) for n in range(1, 10)}
+    for v in _norm_cases(rng):
+        assert plain.weighted_norm(v) == float(np.linalg.norm(v))
+        M = weights[v.size]
+        weighted = AlternationConfig(norm_matrix=M)
+        assert weighted.weighted_norm(v) == float(np.linalg.norm(M @ v))
+
+
+def test_fisher_residual_is_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(53)
+    infos = {}
+    for p in range(1, 10):
+        infos[p] = BlockInformation(D2=np.eye(p) + np.diag(rng.random(p)),
+                                    A=0.2 * rng.standard_normal((p, 2)), H2=np.eye(2))
+    for v in _norm_cases(rng):
+        info = infos[v.size]
+        xi = rng.standard_normal(v.size)
+        score = EfficientScore(breve_grad=xi, xi=xi)
+        th_s = rng.standard_normal(v.size)
+        th_k = th_s + v
+        want = float(np.linalg.norm(info.efficient_root @ (th_k - th_s) - score.xi))
+        assert fisher_residual(info, score, th_k, th_s) == want
+
+
+def test_norms_overflow_to_inf():
+    big = np.array([1e200, -1e200])
+    info = BlockInformation(D2=np.eye(2), A=np.zeros((2, 1)), H2=[[1.0]])
+    score = EfficientScore(breve_grad=np.zeros(2), xi=np.zeros(2))
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(big) == np.inf
+        assert AlternationConfig().weighted_norm(big) == np.inf
+        assert AlternationConfig(norm_matrix=2.0 * np.eye(2)).weighted_norm(big) == np.inf
+        assert fisher_residual(info, score, big, np.zeros(2)) == np.inf

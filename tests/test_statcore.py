@@ -250,3 +250,66 @@ def test_round_trip_is_read_only_with_the_same_geometry(clone):
                     (blocks.D2, blocks.A, blocks.H2) + cached):
         assert not a.flags.writeable
         assert a.tobytes() == b.tobytes()
+
+
+def _points(rng):
+    """Points of random sizes, with inputs a caller keeps and may mutate."""
+    for _ in range(20):
+        p, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        th, et = rng.standard_normal(p), rng.standard_normal(m)
+        yield th, et, ParameterPoint(th, et)
+
+
+def _assert_point_holds(pt, th, et):
+    v = pt.as_vector()
+    assert v.tobytes() == np.concatenate([th, et]).tobytes()
+    assert pt.as_vector() is v and v.dtype == float
+    assert pt.theta.tobytes() == th.tobytes() and pt.eta.tobytes() == et.tobytes()
+    for a in (v, pt.theta, pt.eta):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_point_vector_is_built_once_and_read_only():
+    rng = np.random.default_rng(37)
+    for th, et, pt in _points(rng):
+        want_th, want_et = th.copy(), et.copy()
+        _assert_point_holds(pt, want_th, want_et)
+        # theta and eta are views of the one vector, not of the caller's arrays
+        assert pt.theta.base is pt.as_vector() and pt.eta.base is pt.as_vector()
+        th[:] = 7.0
+        et[:] = -7.0
+        _assert_point_holds(pt, want_th, want_et)
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+                                   copy.copy])
+def test_cloned_point_keeps_its_one_read_only_vector(clone):
+    rng = np.random.default_rng(41)
+    for th, et, pt in _points(rng):
+        back = clone(pt)
+        _assert_point_holds(back, th, et)
+        assert back.theta.base is back.as_vector() and back.eta.base is back.as_vector()
+
+
+def test_scalar_and_list_coordinates_make_float_vectors():
+    pt = ParameterPoint(2, [1, 3])
+    assert pt.p == 1 and pt.m == 2 and pt.p_star == 3
+    _assert_point_holds(pt, np.array([2.0]), np.array([1.0, 3.0]))
+    with pytest.raises(ValueError, match="vectors"):
+        ParameterPoint(np.ones((1, 2)), [1.0])
+
+
+def test_assembled_matrix_is_cached_and_read_only():
+    rng = np.random.default_rng(43)
+    blocks = _coupled_blocks(rng, 3, 2, 0.2)
+    full = blocks.full()
+    want = np.vstack([np.hstack([blocks.D2, blocks.A]), np.hstack([blocks.A.T, blocks.H2])])
+    assert full.tobytes() == want.tobytes() and full.shape == (5, 5)
+    assert blocks.full() is full and not full.flags.writeable
+    with pytest.raises(ValueError):
+        full[0, 0] = 1.0
+    back = pickle.loads(pickle.dumps(blocks))
+    assert "_full" not in vars(back)
+    assert back.full().tobytes() == want.tobytes() and not back.full().flags.writeable

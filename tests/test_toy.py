@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
-from altmax import _lapack
+from altmax import _lapack, toy
 from altmax.alternation import AlternationConfig, run
-from altmax.modelapi import gradient_check
+from altmax.modelapi import ModelDomainError, gradient_check
 from altmax.statcore import (
     BlockInformation,
     ParameterPoint,
@@ -189,3 +192,99 @@ def test_expected_functional_maximized_at_truth():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         ToyGaussianModel(F2_CANON, STAR, Y=[1.0, 0.0, 3.0])
+
+
+def _solve_expressions(model, x, which):
+    """The toy's maximizers written with `_lapack.solve` on the blocks, as they
+    were before the blocks were factored once per model."""
+    F2, p = model.F2, model.F2.p
+    y_th, y_et = model.Y[:p], model.Y[p:]
+    if which == "eta":
+        return y_et - _lapack.solve(F2.H2, F2.A.T @ (np.atleast_1d(x) - y_th))
+    return y_th - _lapack.solve(F2.D2, F2.A @ (np.atleast_1d(x) - y_et))
+
+
+def _outcome(fn, *args):
+    """fn's result with the warning categories it raised, or its exception type."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - the exception type is compared
+            return type(exc), []
+    return out, [w.category for w in caught]
+
+
+def _toy_models(rng):
+    for p in (1, 2, 3):
+        for m in (1, 2, 3):
+            A = 0.3 * rng.standard_normal((p, m))
+            for D2, H2 in (
+                (sqrt_spd(np.cov(rng.standard_normal((p, 4 * p)))) + np.eye(p),
+                 sqrt_spd(np.cov(rng.standard_normal((m, 4 * m)))) + np.eye(m)),
+                (1e-310 * np.eye(p), np.eye(m)),
+                (np.eye(p), 1e-310 * np.eye(m)),
+            ):
+                F2 = BlockInformation(D2=D2, A=A, H2=H2)
+                star = ParameterPoint(np.zeros(p), np.zeros(m))
+                yield ToyGaussianModel(F2, star, rng.standard_normal(p + m))
+
+
+def test_prepared_solves_match_the_solve_expressions_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for model in _toy_models(rng):
+        p, m = model.F2.p, model.F2.m
+        for _ in range(5):
+            for which, fn, size in (("eta", model.eta_argmax, p), ("theta", model.theta_argmax, m)):
+                x = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+                want, want_w = _outcome(_solve_expressions, model, x, which)
+                got, got_w = _outcome(fn, x)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, m, which)
+                assert got_w == want_w, (p, m, which)
+
+
+def test_prepared_solves_reject_a_non_finite_right_hand_side():
+    rng = np.random.default_rng(61)
+    for model in _toy_models(rng):
+        p, m = model.F2.p, model.F2.m
+        for bad in (np.nan, np.inf, -np.inf):
+            for which, fn, size in (("eta", model.eta_argmax, p), ("theta", model.theta_argmax, m)):
+                x = rng.standard_normal(size)
+                x[-1] = bad
+                assert _outcome(fn, x)[0] is ValueError
+                assert _outcome(_solve_expressions, model, x, which)[0] is ValueError
+
+
+def test_ill_conditioned_block_warns_on_every_solve():
+    # a subnormal 2x2 block is ill-conditioned for dpocon: every solve warns,
+    # not only the first for a model
+    star = ParameterPoint(np.zeros(2), np.zeros(2))
+    F2 = BlockInformation(D2=1e-310 * np.eye(2), A=0.5 * np.eye(2), H2=1e-310 * np.eye(2))
+    model = ToyGaussianModel(F2, star, [0.5, -0.2, 0.1, 0.3])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            model.theta_argmax(np.ones(2))
+            model.eta_argmax(np.ones(2))
+    assert [w.category for w in caught] == [LinAlgWarning] * 6
+    # each names the maximizer's line in toy.py, as `_lapack.solve` did
+    assert {w.filename for w in caught} == {toy.__file__}
+    # and `_lapack.solve`, which runs the same two halves, names its caller
+    with pytest.warns(LinAlgWarning) as caught:
+        _lapack.solve(F2.D2, np.ones(2))
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_maximizers_reject_an_argument_of_the_wrong_size():
+    F2 = BlockInformation(D2=2.0 * np.eye(2), A=np.eye(2, 3), H2=2.0 * np.eye(3))
+    model = ToyGaussianModel(F2, ParameterPoint(np.zeros(2), np.zeros(3)), np.arange(5.0))
+    with pytest.raises(ModelDomainError, match="theta must have 2 coordinates"):
+        model.eta_argmax(np.array([0.5]))
+    with pytest.raises(ModelDomainError, match="eta must have 3 coordinates"):
+        model.theta_argmax(np.array([0.5]))
+    with pytest.raises(ModelDomainError, match="eta must have 3 coordinates"):
+        model.theta_argmax(np.ones((1, 3)))
+    # the right sizes, and a scalar where the block is 1x1
+    assert model.eta_argmax(np.ones(2)).shape == (3,)
+    assert model.theta_argmax(np.ones(3)).shape == (2,)
+    assert canon_model().eta_argmax(0.5).shape == (1,)
