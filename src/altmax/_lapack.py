@@ -73,9 +73,8 @@ def _square(a):
 
 
 def _potrs(c, b):
-    """dpotrs for the upper factor c against b, in a Fortran-ordered copy of b."""
-    b = np.asarray(b, dtype=float)
-    _check_finite(c, b)
+    """dpotrs for the upper factor c against b, in a Fortran-ordered copy of
+    b; both already checked finite."""
     if b.shape[0] != c.shape[0]:
         raise ValueError(f"incompatible shapes: {c.shape} and {b.shape}")
     return _flapack().dpotrs(c, b)[0]
@@ -117,6 +116,7 @@ def _apply(factor, b, stacklevel=2):
         raise np.linalg.LinAlgError(singular)
     if rcond is None:
         return b / c
+    # c is dpotrf's factor of an a that `_factor` checked
     x = np.ascontiguousarray(_potrs(c, b))
     if rcond < np.finfo(float).eps:
         from scipy.linalg import LinAlgWarning
@@ -135,4 +135,6 @@ def cho_factor(a):
 
 def cho_solve(c_and_lower, b):
     """`scipy.linalg.cho_solve(c_and_lower, b)` for the (c, False) of `cho_factor`."""
-    return _potrs(np.asarray(c_and_lower[0], dtype=float), b)
+    c, b = np.asarray(c_and_lower[0], dtype=float), np.asarray(b, dtype=float)
+    _check_finite(c, b)
+    return _potrs(c, b)

@@ -32,7 +32,7 @@ from . import _lapack
 from .alternation import SolverError
 from .modelapi import Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint
-from .wavelet import WaveletBasis
+from .wavelet import WaveletBasis, _Workspace
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,18 @@ def _check_half_sphere(theta, name="theta_star"):
 
 def uniform_ball(rng, n, p, radius):
     z = rng.standard_normal((n, p))
+    return _onto_ball(z, rng.random(n), radius)
+
+
+def _onto_ball(z, u, radius):
+    """The rows of the normal draws z, each scaled in place to the point of
+    the ball of `radius` whose direction is its own and whose radius is
+    radius * u_i^(1/p), for uniform draws u; returns z.  Elementwise and
+    row by row, so the rows of stacked draws get the bits of each draw
+    alone."""
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / p)
-    return z * r[:, None]
+    z *= (radius * u ** (1.0 / z.shape[1]))[:, None]
+    return z
 
 
 def generate(n, theta_star, eta_star, sigma, seed, basis) -> SingleIndexDataset:
@@ -93,10 +102,11 @@ def information_at_truth(basis, star, n, sigma, r_datasets, *, seed):
     Averages the analytic blocks over r_datasets datasets of n points, each
     drawn as `generate` draws one from the truth; seeded and deterministic.
     The datasets are stacked in blocks of at most _INFO_BLOCK design
-    entries (one dataset where it alone has more), with one design and one
-    derivative design per block; the design is elementwise, and the
-    products stay per dataset, so every block keeps the bits of a
-    dataset-at-a-time loop.
+    entries (one dataset where it alone has more): each dataset's draws are
+    written into the block's arrays, which are put onto the ball
+    (`_onto_ball`) and designed once per block.  Both are elementwise or
+    row by row, and the index X theta and the products stay per dataset,
+    so every block keeps the bits of a dataset-at-a-time loop.
     """
     rng = np.random.default_rng(seed)
     p, m = star.p, basis.m
@@ -110,12 +120,17 @@ def information_at_truth(basis, star, n, sigma, r_datasets, *, seed):
         X = np.empty((len(rows) * n, p))
         t = np.empty(len(rows) * n)
         for r in rows:
-            X[r] = uniform_ball(rng, n, p, basis.s_X)
-            t[r] = X[r] @ star.theta
+            # uniform_ball's draws, in its order; t holds the radius draws
+            # until the index overwrites them
+            rng.standard_normal(out=X[r])
+            rng.random(out=t[r])
             if sigma > 0:
                 # the noise of a dataset is not read, but it is drawn: the
                 # X of every later dataset, and so the blocks, follow it
                 rng.standard_normal(n)
+        _onto_ball(X, t, basis.s_X)
+        for r in rows:
+            t[r] = X[r] @ star.theta
         E = basis.design(t)
         dE = basis.ddesign(t)
         for r in rows:
@@ -414,16 +429,20 @@ def _scan_grid(dataset, basis, grid):
     Scores _SCAN_BLOCK points at a time from the in-sieve entries of the
     design (`WaveletBasis.level_pairs`): the normal equations of a block
     are segment sums (`_gram_block`), and the residual sum of squares
-    follows from them.  A point is accepted as in `eta_step_closed_form`,
-    and a rejected one (NaN) ranks last; ties keep the first index.  Returns
-    None when the eta step fails on every point.
+    follows from them.  The n x block arrays of every block are views of
+    one `_Workspace`, allocated once per scan.  A point is accepted as in
+    `eta_step_closed_form`, and a rejected one (NaN) ranks last; ties keep
+    the first index.  Returns None when the eta step fails on every point.
     """
     X, y = dataset.X, dataset.y
-    yy = float(y @ y) / dataset.n
+    n = dataset.n
+    yy = float(y @ y) / n
+    ws = _Workspace(n * min(_SCAN_BLOCK, grid.shape[0]))
     best_rss, best_i = np.inf, None
     for lo in range(0, grid.shape[0], _SCAN_BLOCK):
-        T = X @ grid[lo:lo + _SCAN_BLOCK].T
-        c, d, G = _gram_block(basis.level_pairs(T), y, T.shape[1], basis.m)
+        block = grid[lo:lo + _SCAN_BLOCK]
+        T = np.matmul(X, block.T, out=ws("t", n * block.shape[0]).reshape(n, -1))
+        c, d, G = _gram_block(basis._level_pairs(T.ravel(), 0, ws), y, T.shape[1], basis.m, ws)
         eta = _solve_block(c, d, G)
         if G is None:
             quad = np.einsum("bk,bk,bk->b", eta, d, eta)
@@ -437,24 +456,33 @@ def _scan_grid(dataset, basis, grid):
     return best_i
 
 
-def _gram_block(entries, y, B, m):
+def _gram_block(entries, y, B, m, ws):
     """E'y/n and E'E/n for every point of a block, as segment sums.
 
-    entries: `level_pairs` of the n x B index matrix.  Returns c (B, m), the
-    diagonal d (B, m) of E'E/n and E'E/n itself (B, m, m), None for a
-    one-level sieve: a point meets one function per level, so the
-    level-diagonal blocks are diagonal and only the cross-level blocks need
-    pair bins.
+    entries: `level_pairs` of the n x B index matrix, from the `_Workspace`
+    ws.  Each level's bins get a buffer of ws; the row and product arrays
+    reuse those of the Hermite kernel's cells and first value ("idx",
+    "y0"), which no entry views.  Returns c (B, m), the diagonal d (B, m)
+    of E'E/n and E'E/n itself (B, m, m), None for a one-level sieve: a
+    point meets one function per level, so the level-diagonal blocks are
+    diagonal and only the cross-level blocks need pair bins.
     """
     n = y.size
     c = np.zeros(B * m)
     d = np.zeros(B * m)
     bins = []
-    for rows, cols, vals in entries:
-        i = rows // B  # flat position i*B + b: data row i, point b
-        bins.append((rows - i * B) * m + cols)  # bin b*m + col
-        c += np.bincount(bins[-1], vals * y[i], B * m)
-        d += np.bincount(bins[-1], vals * vals, B * m)
+    for j, (rows, cols, vals) in enumerate(entries):
+        k = rows.size
+        # flat position i*B + b: data row i, point b
+        i = np.floor_divide(rows, B, out=ws("idx", k, int))
+        b = np.multiply(i, B, out=ws(("bin", j), k, int))
+        np.subtract(rows, b, out=b)
+        b *= m
+        b += cols  # bin b*m + col
+        bins.append(b)
+        y_i = y.take(i, out=ws("y0", k), mode="clip")
+        c += np.bincount(b, np.multiply(vals, y_i, out=y_i), B * m)
+        d += np.bincount(b, np.multiply(vals, vals, out=y_i), B * m)
     c, d = c.reshape(B, m) / n, d.reshape(B, m) / n
     if len(entries) == 1:
         return c, d, None
@@ -463,7 +491,13 @@ def _gram_block(entries, y, B, m):
         for rows_b, cols_b, vals_b in entries[a + 1:]:
             # level a meets every point (only the last level is partial),
             # so its entry for a point is at the point's flat position
-            G += np.bincount(bins[a][rows_b] * m + cols_b, vals_a[rows_b] * vals_b, B * m * m)
+            k = rows_b.size
+            pair = bins[a].take(rows_b, out=ws("idx", k, int), mode="clip")
+            pair *= m
+            pair += cols_b
+            prod = vals_a.take(rows_b, out=ws("y0", k), mode="clip")
+            prod *= vals_b
+            G += np.bincount(pair, prod, B * m * m)
     G = G.reshape(B, m, m)
     G = (G + G.transpose(0, 2, 1)) / n
     G.reshape(B, m * m)[:, ::m + 1] = d

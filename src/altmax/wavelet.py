@@ -185,43 +185,90 @@ def level_of_index(k, support_len):
     return j, r
 
 
-def _hermite_eval(tab, x, want):
+class _Workspace:
+    """Where the arrays of a `WaveletBasis._level_pairs` call go, by key.
+
+    With a size, each key has one buffer of `size` entries, allocated on
+    first use, and an array of k entries is a view of its first k: a
+    caller that evaluates many blocks of points allocates them once.
+    Without one, every array is new, as numpy allocates it.
+    """
+
+    def __init__(self, size=None):
+        self.size = size
+        self._buffers = {}
+
+    def __call__(self, key, k, dtype=float):
+        """The `out` of a numpy call that writes k entries: the first k of
+        the buffer `key`, or None (a new array) without a size."""
+        if self.size is None:
+            return None
+        try:
+            return self._buffers[key][:k]
+        except KeyError:
+            buf = self._buffers[key] = np.empty(self.size, dtype)
+            return buf[:k]
+
+    def ints(self, key, x):
+        """x.astype(int), into the buffer `key`."""
+        if self.size is None:
+            return x.astype(int)
+        out = self(key, x.size, int)
+        np.copyto(out, x, casting="unsafe")
+        return out
+
+    def arange(self, k):
+        """np.arange(k); with a size, a view of one kept from the first call."""
+        if self.size is None:
+            return np.arange(k)
+        if "arange" not in self._buffers:
+            self._buffers["arange"] = np.arange(self.size)
+        return self._buffers["arange"][:k]
+
+
+def _hermite_eval(tab, x, want, ws, key):
     """Cubic Hermite interpolation of the (psi, psi') tables of `tab`.
 
     want: 0 -> value, 1 -> first derivative, 2 -> second derivative, all
     with respect to u = x / 2^j_table.  x is an array of table coordinates
     already inside [0, S*2^j_table]; the integer part of x picks the table
     cell and its fraction s is the position inside the cell.  x is
-    overwritten.  Each formula keeps the operations and their order of the
-    textbook one, so the result has its bits.
+    overwritten, the temporaries are arrays of the `_Workspace` ws, and
+    the value is its array `key` (a derivative is a new array).  Each
+    formula keeps the operations and their order of the textbook one, so
+    the result has its bits.
     """
     psi, dpsi = tab.psi, tab.dpsi
-    idx = x.astype(int)  # x >= 0, so truncation is the floor
+    k = x.size
+    idx = ws.ints("idx", x)  # x >= 0, so truncation is the floor
     np.minimum(idx, psi.size - 2, out=idx)
     s = np.subtract(x, idx, out=x)
-    y0 = psi.take(idx)
-    y1 = psi[1:].take(idx)
+    # idx is inside the tables, so mode="clip" takes the same entries, and
+    # spares the copy of `out` that the default mode makes
+    y0 = psi.take(idx, out=ws("y0", k), mode="clip")
     if want == 0:
         # y0 (1 - q) + d0 h (s^3 - 2 s^2 + s) + y1 q + d1 h (s^3 - s^2)
-        # with q = 3 s^2 - 2 s^3, summed left to right; in place, because
-        # the grid scan evaluates blocks of many thousand points
-        s2 = s * s
-        s3 = s2 * s
-        q = 3 * s2
-        q -= 2 * s3
-        out = np.subtract(1, q)
+        # with q = 3 s^2 - 2 s^3, summed left to right; each temporary is
+        # written over one that is no longer read
+        s2 = np.multiply(s, s, out=ws("s2", k))
+        s3 = np.multiply(s2, s, out=ws("s3", k))
+        q = np.multiply(3, s2, out=ws("q", k))
+        q -= np.multiply(2, s3, out=ws(key, k))
+        out = np.subtract(1, q, out=ws(key, k))
         out *= y0
-        w = 2 * s2
+        w = np.multiply(2, s2, out=y0)
         np.subtract(s3, w, out=w)
         w += s
-        w *= tab.dpsi_h.take(idx)
+        w *= tab.dpsi_h.take(idx, out=s, mode="clip")
         out += w
+        y1 = psi[1:].take(idx, out=w, mode="clip")
         y1 *= q
         out += y1
         s3 -= s2
-        s3 *= tab.dpsi_h[1:].take(idx)
+        s3 *= tab.dpsi_h[1:].take(idx, out=s2, mode="clip")
         out += s3
         return out
+    y1 = psi[1:].take(idx)
     h = 1.0 / 2.0**tab.j_table
     d0 = dpsi.take(idx)
     d1 = dpsi[1:].take(idx)
@@ -274,25 +321,36 @@ class WaveletBasis:
         last meets the sieve at every point, so its rows are arange(t.size).
         """
         t = np.asarray(t, dtype=float).ravel()
+        return self._level_pairs(t, want, _Workspace())
+
+    def _level_pairs(self, t, want, ws):
+        """`level_pairs` of the flat array t, its arrays taken from the
+        `_Workspace` ws: with a size (at least t.size) they are views of its
+        buffers, valid until ws is used again.  A full level's rows are
+        `ws.arange`.  t may be a view of ws's buffer "t" (the grid scan's
+        index matrix), which is then shifted in place."""
         S = self.support_len
         x_top = S * 2**self.j_table  # the last node of the tables
-        shifted = t + self.s_X
+        shifted = np.add(t, self.s_X, out=ws("t", t.size))
         entries = []
         for j in range(self.n_levels):
             c = self.cell_width(j)
-            a = shifted / c  # position in cells of level j
+            # position in cells of level j; the last level divides shifted
+            # in place, since no level reads it after
+            last = j == self.n_levels - 1
+            a = np.divide(shifted, c, out=shifted if last else ws("a", t.size))
             width = min(S * 2**j, self.m - (2**j - 1) * S)  # translates in the sieve
             if width < S * 2**j:
                 # the cell of a point is its truncated position, clipped to
                 # the level: below `width` exactly when the position is;
                 # flat positions, not a boolean mask, since a mask gathers
                 # and scatters a scattered selection several times slower
-                rows = np.flatnonzero(a < width)
-                a = a[rows]
+                rows = np.less(a, width, out=ws("below", t.size, bool)).nonzero()[0]
+                a = a.take(rows, out=ws("x", rows.size), mode="clip")
             else:
-                rows = np.arange(t.size)
+                rows = ws.arange(t.size)
             # truncation differs from the floor only below 0, clipped there
-            rr = a.astype(int)
+            rr = ws.ints(("cols", j), a)
             np.maximum(rr, 0, out=rr)
             np.minimum(rr, S * 2**j - 1, out=rr)
             # table coordinate 2^j_table S (a - rr) of the point in its cell;
@@ -301,7 +359,7 @@ class WaveletBasis:
             x *= x_top
             np.maximum(x, 0.0, out=x)
             np.minimum(x, float(x_top), out=x)
-            vals = _hermite_eval(self.tables, x, want)
+            vals = _hermite_eval(self.tables, x, want, ws, ("vals", j))
             vals *= self._norm_scale(j) * (S / c) ** want
             rr += (2**j - 1) * S
             entries.append((rows, rr, vals))

@@ -8,6 +8,8 @@ that `level_pairs` replaced, with the textbook cubic Hermite formula of
 test, as oracles.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,67 @@ def test_scan_matches_per_point_loop(m, p, n):
         ds, basis = dataset(n, p, m, seed=100 * m + 10 * p + n, sigma=sigma)
         # 200 points: twelve full blocks and a partial one
         assert_same_start(ds, basis, 200, noise_scale=0.5)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m", [3, 6, 13, 14, 20, 40])
+def test_workspace_scan_matches_per_point_loop(m, p):
+    # one workspace per scan, sized for a full block: a one-point grid, a
+    # full block and a block of one, twelve full blocks and a partial one,
+    # and the 512 points of the desk configuration
+    ds, basis = dataset(250, p, m, seed=7 * m + p)
+    for N in (1, 17, 200, 512):
+        assert_same_start(ds, basis, N)
+
+
+@pytest.mark.parametrize("m", [6, 20])
+def test_workspace_scan_ridge_fallback(m):
+    # data inside half the sieve's interval: every Gram matrix is singular
+    # and each eta step needs the ridge
+    basis = WaveletBasis(m=m, s_X=1.0)
+    X = uniform_ball(np.random.default_rng(m), 300, 2, 0.5)
+    y = np.sin(3.0 * X[:, 0]) + 0.1 * np.random.default_rng(m + 1).standard_normal(300)
+    ds = SingleIndexDataset(X=X, y=y)
+    for N in (1, 17, 200, 512):
+        assert_same_start(ds, basis, N)
+
+
+def test_workspace_scans_carry_no_state_from_one_scan_to_the_next():
+    # scans of other sizes, sieves and data, back to back and interleaved
+    # with design calls, each against the index of the per-point loop
+    cases = []
+    for n, p, m, N, sigma in [(300, 2, 20, 200, 0.5), (250, 3, 3, 17, 0.5),
+                              (400, 2, 14, 512, 0.0), (120, 3, 40, 64, 0.5),
+                              (250, 2, 6, 1, 0.5)]:
+        ds, basis = dataset(n, p, m, seed=n + m, sigma=sigma)
+        grid = reference_grid(N, p)
+        cases.append((ds, basis, grid, reference_grid_init(ds, basis, N)[2]))
+    # the ridge case: every Gram matrix singular
+    basis = WaveletBasis(m=20, s_X=1.0)
+    X = uniform_ball(np.random.default_rng(6), 400, 3, 0.5)
+    y = np.cos(4.0 * X[:, 1]) + 0.1 * np.random.default_rng(7).standard_normal(400)
+    ds = SingleIndexDataset(X=X, y=y)
+    cases.append((ds, basis, reference_grid(48, 3), reference_grid_init(ds, basis, 48)[2]))
+    t = np.random.default_rng(9).uniform(-1.0, 1.0, 5000)
+    for k in [0, 1, 2, 3, 4, 5, 0, 5, 3, 1, 4, 2, 2, 0]:
+        ds, basis, grid, want = cases[k]
+        assert _scan_grid(ds, basis, grid) == want, k
+        basis.design(t)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_second_scan_takes_few_page_faults():
+    # the block arrays live in one workspace per scan: a second scan in the
+    # process does not fault its pages in block by block
+    import resource
+
+    ds, basis = dataset(1000, 2, 20, seed=11)
+    grid = reference_grid(512, 2)
+    first = _scan_grid(ds, basis, grid)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert _scan_grid(ds, basis, grid) == first
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_scan_matches_loop_noiseless_and_tiny_grids():

@@ -13,6 +13,7 @@ from altmax.harness import ExperimentConfig, _make_model, build_context
 from altmax.modelapi import ModelDomainError, gradient_check
 from altmax.singleindex import (
     SingleIndexModel,
+    _onto_ball,
     eta_step_closed_form,
     generate,
     grid_init,
@@ -264,6 +265,58 @@ def test_information_at_truth_matches_a_textbook_loop(m, sigma):
     assert np.array_equal(info.D2, 0.5 * (D2 + D2.T))
     assert np.array_equal(info.A, A)
     assert np.array_equal(info.H2, 0.5 * (H2 + H2.T))
+
+
+def reference_uniform_ball(rng, n, p, radius):
+    """The ball draw as `generate` has always made it, one dataset alone."""
+    z = rng.standard_normal((n, p))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    r = radius * rng.random(n) ** (1.0 / p)
+    return z * r[:, None]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_uniform_ball_is_the_reference_draw(p):
+    rng, ref = np.random.default_rng(p), np.random.default_rng(p)
+    for n in (1, 2, 7, 1000, 1001):
+        for radius in (1.0, 0.5, 3.7):
+            assert (uniform_ball(rng, n, p, radius).tobytes()
+                    == reference_uniform_ball(ref, n, p, radius).tobytes())
+
+
+class _Draws:
+    """A generator stand-in that serves consecutive rows of fixed normal and
+    uniform draws, so that the test draws each pool once."""
+
+    def __init__(self, z, u):
+        self.z, self.u, self.zi, self.ui = z, u, 0, 0
+
+    def standard_normal(self, size):
+        n, _ = size
+        self.zi += n
+        return self.z[self.zi - n:self.zi].copy()
+
+    def random(self, n):
+        self.ui += n
+        return self.u[self.ui - n:self.ui].copy()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ball_of_a_block_is_uniform_ball_per_dataset(p):
+    # information_at_truth draws a block's datasets into stacked arrays and
+    # puts them onto the ball at once: at every dataset length, and for
+    # blocks of 1, 2 and 32 datasets, each dataset's rows keep the bytes of
+    # its own uniform_ball draw
+    radius = 0.75
+    rng = np.random.default_rng(p)
+    z, u = rng.standard_normal((32 * 2048, p)), rng.random(32 * 2048)
+    for n in range(1, 2049):
+        draws = _Draws(z, u)
+        per_dataset = np.concatenate([uniform_ball(draws, n, p, radius) for _ in range(32)])
+        for datasets in (1, 2, 32):
+            rows = datasets * n
+            block = _onto_ball(z[:rows].copy(), u[:rows], radius)
+            assert block.tobytes() == per_dataset[:rows].tobytes(), (n, datasets)
 
 
 def reference_information_at_truth(basis, star, n, s_X, sigma, r_datasets, seed):
