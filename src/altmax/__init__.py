@@ -32,36 +32,3 @@ from .alternation import (
     wilks_statistic,
 )
 from . import bounds, harness, singleindex, toy, wavelet
-
-__all__ = [
-    "BlockInformation",
-    "CouplingError",
-    "EfficientScore",
-    "NotSPDError",
-    "ParameterPoint",
-    "coupling_norm",
-    "efficient_information",
-    "efficient_score",
-    "sqrt_spd",
-    "Model",
-    "ModelDomainError",
-    "finite_difference_gradient",
-    "gradient_check",
-    "AlternatingTrace",
-    "AlternationConfig",
-    "MonotoneViolationError",
-    "ProfileEstimateError",
-    "SolverError",
-    "TraceRecord",
-    "eta_update",
-    "fisher_residual",
-    "profile_estimate",
-    "run",
-    "theta_update",
-    "wilks_statistic",
-    "bounds",
-    "harness",
-    "singleindex",
-    "toy",
-    "wavelet",
-]

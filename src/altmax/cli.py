@@ -28,7 +28,8 @@ import numpy as np
 from ._files import write_csv, write_kv, write_kv_csv
 from .bounds import BoundInputs, ConditionConstants, FieldValueError, compute_bound_report
 from .harness import (
-    ExperimentConfig,
+    FAMILIES,
+    ToyConfig,
     run_dimension_sweep,
     run_me_convergence,
     run_wilks_fisher,
@@ -42,7 +43,6 @@ _RENAMED = {
     "g_r_value": "g_r", "beta_A_value": "beta_a",
     "R_K": "r_k_init", "K0": "k0", "norm_Dinv": "norm_dinv",
 }
-_UNSETTABLE = ("family", "cc")
 
 
 def _parse_bool(raw):
@@ -69,58 +69,18 @@ def _parser(tp):
     return tp  # int, or float, which also reads inf, +inf and infinity
 
 
-def _keys(cls, settable=lambda name: True):
-    """{config key: (cls, field name, parser)} for the settable fields of `cls`."""
+def _keys(cls):
+    """{config key: (cls, field name, parser)} for the settable fields of `cls`
+    (all but its condition constants `cc`, whose fields are keys of their own)."""
     hints = typing.get_type_hints(cls)
     return {
         _RENAMED.get(f.name, f.name.removeprefix("si_")): (cls, f.name, _parser(hints[f.name]))
-        for f in dataclasses.fields(cls) if f.name not in _UNSETTABLE and settable(f.name)
+        for f in dataclasses.fields(cls) if f.name != "cc"
     }
 
 
-def _experiment_keys(*families):
-    """The common experiment keys and those of the given field-name prefixes."""
-    def settable(name):
-        return not name.startswith(("toy_", "si_", "sweep_")) or name.startswith(families)
-    return {**_keys(ConditionConstants), **_keys(ExperimentConfig, settable)}
-
-
-KEYS = {
-    "toy": _experiment_keys("toy_"),
-    "single-index": _experiment_keys("si_"),
-    "sweep": {key: entry for key, entry in _experiment_keys("si_", "sweep_").items()
-              if key not in ("n", "m")},  # each sweep cell sets its own n and m
-    "bounds": {**_keys(ConditionConstants), **_keys(BoundInputs)},
-}
-
-
-def read_config(path, command):
-    """The values of a config file (no file: none) as {class: {field: value}},
-    and {(class, field): where} naming the file, key and raw value of each.
-
-    Every key of the file must be one of `KEYS[command]`; any other key is a
-    typo or belongs to another subcommand, and raises ValueError, as does a
-    value that does not parse.
-    """
-    entries = parse_config(path) if path else {}
-    table = KEYS[command]
-    unknown = sorted(set(entries) - set(table))
-    if unknown:
-        hints = []
-        for key in unknown:
-            close = difflib.get_close_matches(key, table, n=1)
-            hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
-        raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
-    values = {cls: {} for cls, _, _ in table.values()}
-    where = {}
-    for key, raw in entries.items():
-        cls, name, parse = table[key]
-        where[cls, name] = f"{path}: bad value {raw!r} for config key {key!r}"
-        try:
-            values[cls][name] = parse(raw)
-        except ValueError as exc:
-            raise ValueError(f"{where[cls, name]}: {exc}") from None
-    return values, where
+_CLASSES = {**FAMILIES, "bounds": BoundInputs}  # the class each subcommand's file builds
+KEYS = {command: {**_keys(ConditionConstants), **_keys(cls)} for command, cls in _CLASSES.items()}
 
 
 def _build(cls, where, **kwargs):
@@ -154,39 +114,59 @@ def parse_config(path):
     return out
 
 
-def experiment_config(args, command) -> ExperimentConfig:
-    """The experiment of `args.config`; --seed/--reps/--threads override the file."""
-    values, where = read_config(args.config, command)
-    kwargs = values[ExperimentConfig]
-    for flag, name in (("seed", "master_seed"), ("reps", "reps"), ("threads", "threads")):
-        value = getattr(args, flag)
+def _inputs(path, command, flags=()):
+    """The `_CLASSES[command]` of a config file (no file: its defaults); each
+    (flag, field, value) of `flags` whose value is set overrides the file.
+
+    Every key of the file must be one of `KEYS[command]`; any other key is a
+    typo or belongs to another subcommand, and raises ValueError, as does a
+    value that does not parse or is out of range, named by its file and key
+    or by its flag.
+    """
+    entries = parse_config(path) if path else {}
+    table, cls = KEYS[command], _CLASSES[command]
+    unknown = sorted(set(entries) - set(table))
+    if unknown:
+        hints = []
+        for key in unknown:
+            close = difflib.get_close_matches(key, table, n=1)
+            hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
+    values, where = {ConditionConstants: {}, cls: {}}, {}  # where: (class, field) -> its origin
+    for key, raw in entries.items():
+        owner, name, parse = table[key]
+        where[owner, name] = f"{path}: bad value {raw!r} for config key {key!r}"
+        try:
+            values[owner][name] = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{where[owner, name]}: {exc}") from None
+    for flag, name, value in flags:
         if value is not None:
-            kwargs[name] = value
-            where[ExperimentConfig, name] = f"bad value {value!r} for flag '--{flag}'"
-    return _build(
-        ExperimentConfig, where, family=command,
-        cc=_build(ConditionConstants, where, **values[ConditionConstants]),
-        **kwargs,
-    )
+            values[cls][name] = value
+            where[cls, name] = f"bad value {value!r} for flag '--{flag}'"
+    cc = _build(ConditionConstants, where, **values[ConditionConstants])
+    return _build(cls, where, cc=cc, **values[cls])
+
+
+def experiment_config(args, command):
+    """The experiment of `args.config`; --seed/--reps/--threads override the file."""
+    return _inputs(args.config, command, [
+        ("seed", "master_seed", args.seed), ("reps", "reps", args.reps),
+        ("threads", "threads", args.threads)])
 
 
 def bounds_inputs(path) -> BoundInputs:
     """The inputs of `compute_bound_report` from a config file."""
-    values, where = read_config(path, "bounds")
-    return _build(
-        BoundInputs, where,
-        cc=_build(ConditionConstants, where, **values[ConditionConstants]),
-        **values[BoundInputs],
-    )
+    return _inputs(path, "bounds")
 
 
-def _experiment_checks(kind, family, rep):
+def _experiment_checks(kind, cfg, rep):
     agg = rep.aggregates
     checks = [("monotone_violations_zero", agg["monotone_violations"] == 0)]
     if kind == "wilks":
         p = rep.meta["p"]
         K = rep.meta["K"]
-        if family == "toy":
+        if isinstance(cfg, ToyConfig):  # its Wilks statistic is exactly chi^2_p
             lo = p - 3.0 * agg["wilks_se"]
             hi = p + 3.0 * agg["wilks_se"]
             checks.append(("wilks_mean_3se", lo <= agg["wilks_mean"] <= hi))
@@ -223,7 +203,7 @@ def cmd_experiment(args):
         if key in rep.aggregates:
             print(f"{key} = {rep.aggregates[key]!r}")
     print(f"wrote {os.path.join(outdir, 'records.csv')} and summary.kv")
-    return _experiment_checks(kind, cfg.family, rep)
+    return _experiment_checks(kind, cfg, rep)
 
 
 def cmd_bounds(args):
@@ -252,7 +232,7 @@ def cmd_bounds(args):
 
 
 def cmd_sweep(args):
-    rep = run_dimension_sweep(experiment_config(args, "sweep"))
+    rep = run_dimension_sweep(experiment_config(args, args.command))
     rep.write(args.out or ".")
     for row in rep.records:
         print(
@@ -279,14 +259,14 @@ THREADS_HELP = ("worker processes for the replications (default 1; forked where 
 def build_parser():
     ap = argparse.ArgumentParser(prog="altmax", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, command) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag, kind in (("--config", str), ("--seed", int), ("--out", str),
                            ("--reps", int), ("--threads", int)):
             if name != "bounds" or flag in ("--config", "--out"):
                 sp.add_argument(flag, type=kind, default=None,
                                 help=THREADS_HELP if flag == "--threads" else None)
-        if name in ("toy", "single-index"):
+        if command is cmd_experiment:
             sp.add_argument("--experiment", choices=("wilks", "me"), default="wilks")
         sp.add_argument("--assert", dest="do_assert", action="store_true")
     return ap

@@ -2,6 +2,11 @@
 estimation, convergence to the maximizer, condition probes, and dimension
 sweeps.
 
+A config is a frozen class of one family (`ToyConfig`, `SingleIndexConfig`,
+`SweepConfig`; `ExperimentConfig(family=...)` looks it up in `FAMILIES`) that
+holds and checks only its own fields, and supplies its truth and information,
+condition constants, and each replication's model and start.
+
 Replication r of an experiment draws its generator from
 SeedSequence(master_seed, spawn_key=(r,)), so results are independent of
 execution order and worker count; aggregation sorts by replication index.
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -115,8 +121,9 @@ def fit_contraction(distances, floor=None):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    family: str = "toy"
+class _Config:
+    """The fields and checks every experiment family shares."""
+
     reps: int = 200
     x: float = 2.0
     steps: int | None = None  # None -> stopping rule
@@ -125,17 +132,79 @@ class ExperimentConfig:
     threads: int = 1
     solver_tolerance: float = 1e-9
     cc: ConditionConstants = field(default_factory=ConditionConstants)
-    # toy family
+
+    def __post_init__(self):
+        _require(self, "x z_target", math.isfinite, "must be finite")
+        _require(self, "reps threads steps", lambda v: v >= 1, ">= 1 required")
+        _require(self, "x z_target solver_tolerance", lambda v: v > 0, "> 0 required")
+        _require(self, "master_seed", lambda v: v >= 0, ">= 0 required")
+
+    @property
+    def cc_eff(self) -> ConditionConstants:
+        """The condition constants the bounds read: cc, unless the family fills one in."""
+        return self.cc
+
+
+@dataclass(frozen=True)
+class ToyConfig(_Config):
+    """The toy Gaussian: truth 0, start toy_start_offset in every coordinate."""
+
+    family: ClassVar[str] = "toy"
     toy_p: int = 1
     toy_m: int = 1
     toy_d2: float = 2.0
     toy_h2: float = 2.0
     toy_a: float = 1.0
     toy_start_offset: float = 2.0
-    # single-index family
-    si_n: int = 1000
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self, "toy_d2 toy_h2 toy_a toy_start_offset", math.isfinite, "must be finite")
+        _require(self, "toy_p toy_m", lambda v: v >= 1, ">= 1 required")
+        _require(self, "toy_d2 toy_h2", lambda v: v > 0, "> 0 required")
+        self.blocks  # builds and checks the blocks
+
+    @cached_property
+    def blocks(self) -> BlockInformation:
+        """D2 = toy_d2 I, H2 = toy_h2 I and A, toy_a on its diagonal, built once;
+        FieldValueError where they are not SPD, where the root of the full
+        information is singular, or where the start offset's norm in it overflows."""
+        if not self.toy_a**2 < self.toy_d2 * self.toy_h2:
+            raise FieldValueError("toy_a toy_d2 toy_h2", "toy_a**2 < toy_d2 * toy_h2 required")
+        p, m = self.toy_p, self.toy_m
+        A = np.zeros((p, m))
+        np.fill_diagonal(A, self.toy_a)
+        info = BlockInformation(D2=self.toy_d2 * np.eye(p), A=A, H2=self.toy_h2 * np.eye(m))
+        try:
+            np.linalg.solve(info.full_sqrt(), np.zeros(p + m))
+        except np.linalg.LinAlgError:
+            raise FieldValueError("toy_d2 toy_h2", "toy_d2 and toy_h2 too far apart: the root "
+                                  "of the toy information is singular") from None
+        with np.errstate(over="ignore"):
+            start_norm = np.linalg.norm(info.full_sqrt() @ np.full(p + m, self.toy_start_offset))
+        if not np.isfinite(start_norm):
+            key = "toy_h2" if self.toy_h2 >= self.toy_d2 else "toy_d2"
+            raise FieldValueError(f"{key} toy_start_offset", "toy_d2, toy_h2 and toy_start_offset"
+                                  " too large: the norm of the start offset overflows")
+        return info
+
+    def truth(self):
+        """The truth and its information."""
+        return ParameterPoint(np.zeros(self.toy_p), np.zeros(self.toy_m)), self.blocks
+
+    def model(self, ctx, index):
+        return simulate(ctx.info, ctx.upsilon_star, seed=derive_seed(self.master_seed, index))
+
+    def start(self, ctx, model):
+        star = ctx.upsilon_star
+        return ParameterPoint.from_vector(star.as_vector() + self.toy_start_offset, star.p)
+
+
+@dataclass(frozen=True)
+class _SieveConfig(_Config):
+    """The single-index fields and checks a dimension sweep shares with its cells."""
+
     si_p: int = 2
-    si_m: int = 6
     si_sigma: float = 0.5
     si_s_x: float = 1.0
     si_theta_angle: float | None = None  # None -> 0.3 where si_p >= 2; unset at si_p = 1
@@ -143,97 +212,104 @@ class ExperimentConfig:
     si_grid_n: int = 512  # grid spacing must undercut the link's oscillation scale
     si_r_cov: int = 200
     si_constrain: bool = False
-    # dimension sweep
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self, "si_sigma si_s_x", math.isfinite, "must be finite")
+        _require(self, "si_p si_grid_n si_r_cov", lambda v: v >= 1, ">= 1 required")
+        _require(self, "si_s_x", lambda v: v > 0, "> 0 required")
+        _require(self, "si_sigma", lambda v: v >= 0, ">= 0 required")
+        _require(self, "si_eta_star", len, "must not be empty")
+        _require(self, "si_eta_star", lambda v: all(map(math.isfinite, v)),
+                 "entries must be finite")
+        # theta_star = (1,) has no angle at si_p = 1, so a set one would be ignored
+        _require(self, "si_theta_angle", lambda a: self.si_p >= 2, "must be auto at si_p = 1")
+        a = self.si_theta_angle  # theta_star must lie on the half-sphere (first coordinate > 0)
+        if a is not None and not (math.isfinite(a) and math.cos(a) > 0):
+            raise FieldValueError("si_theta_angle", "cos(si_theta_angle) > 0 required")
+
+
+@dataclass(frozen=True)
+class SingleIndexConfig(_SieveConfig):
+    """The single-index model: si_n points, an si_m-function sieve with one
+    si_eta_star value per function, and the grid start on si_grid_n points."""
+
+    family: ClassVar[str] = "single-index"
+    si_n: int = 1000
+    si_m: int = 6
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self, "si_n si_m", lambda v: v >= 1, ">= 1 required")
+        if len(self.si_eta_star) != self.si_m:
+            raise FieldValueError("si_eta_star si_m",
+                                  f"si_eta_star length must equal si_m = {self.si_m}")
+
+    @property
+    def theta_star(self):
+        """(1,) at si_p = 1, else (cos a, sin a, 0, ...), a = si_theta_angle (auto: 0.3)."""
+        a = 0.3 if self.si_theta_angle is None else self.si_theta_angle
+        th = np.zeros(self.si_p)
+        th[:2] = (1.0,) if self.si_p == 1 else (math.cos(a), math.sin(a))
+        return th / np.linalg.norm(th)
+
+    @property
+    def cc_eff(self) -> ConditionConstants:
+        """cc, with the i.i.d. omega = 1/sqrt(si_n) where it supplies none (omega = 0)."""
+        cc = self.cc
+        return replace(cc, omega=1.0 / math.sqrt(self.si_n)) if cc.omega == 0.0 else cc
+
+    @cached_property
+    def basis(self) -> WaveletBasis:
+        return WaveletBasis(m=self.si_m, s_X=self.si_s_x)
+
+    def truth(self):
+        """The truth and its information, estimated from si_r_cov datasets."""
+        basis, star = self.basis, ParameterPoint(self.theta_star, self.si_eta_star)
+        seed = derive_seed(self.master_seed, 999_979)
+        return star, information_at_truth(basis, star, self.si_n, self.si_sigma, self.si_r_cov,
+                                          seed=seed)
+
+    def model(self, ctx, index):
+        star = ctx.upsilon_star
+        dataset = generate(self.si_n, star.theta, star.eta, self.si_sigma,
+                           seed=derive_seed(self.master_seed, index), basis=self.basis)
+        return SingleIndexModel(dataset, self.basis, constrain_theta=self.si_constrain)
+
+    def start(self, ctx, model):
+        return model.default_start(self.si_grid_n)
+
+
+@dataclass(frozen=True)
+class SweepConfig(_SieveConfig):
+    """Single-index cells at each m of sweep_m and n of sweep_n; `run_dimension_sweep`."""
+
+    family: ClassVar[str] = "sweep"
     sweep_n: tuple[int, ...] = (250, 1000)
     sweep_m: tuple[int, ...] = (3, 6)
 
     def __post_init__(self):
-        _require(self, "x z_target toy_d2 toy_h2 toy_a toy_start_offset si_sigma si_s_x",
-                 math.isfinite, "must be finite")
-        _require(self, "reps threads steps toy_p toy_m si_n si_p si_m si_grid_n si_r_cov",
-                 lambda v: v >= 1, ">= 1 required")
-        _require(self, "x z_target solver_tolerance toy_d2 toy_h2 si_s_x", lambda v: v > 0,
-                 "> 0 required")
-        _require(self, "master_seed si_sigma", lambda v: v >= 0, ">= 0 required")
-        # an empty pool or list runs nothing; a repeated entry reruns its cell
-        _require(self, "sweep_n sweep_m si_eta_star", len, "must not be empty")
+        super().__post_init__()
+        # an empty list runs nothing; a repeated entry reruns its cell
+        _require(self, "sweep_n sweep_m", len, "must not be empty")
         _require(self, "sweep_n sweep_m", lambda v: min(v) >= 1, "entries >= 1 required")
         _require(self, "sweep_n sweep_m", lambda v: len(set(v)) == len(v),
                  "entries must be distinct")
-        _require(self, "si_eta_star", lambda v: all(map(math.isfinite, v)),
-                 "entries must be finite")
-        angle = self.si_theta_angle
-        if angle is not None and self.si_p == 1 and self.family != "toy":
-            # theta_star = (1,) has no angle, so a set one would be ignored
-            raise FieldValueError("si_theta_angle", "si_theta_angle must be auto at si_p = 1")
-        if angle is not None and self.si_p >= 2 and not (
-                math.isfinite(angle) and math.cos(angle) > 0):
-            # theta_star must lie on the half-sphere (first coordinate positive)
-            raise FieldValueError("si_theta_angle", "cos(si_theta_angle) > 0 required")
-        if self.family not in ("toy", "single-index", "sweep"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "toy":
-            self.toy_info  # builds and checks the blocks
-        elif self.family == "single-index" and len(self.si_eta_star) != self.si_m:
-            # one value per sieve function; the sweep reads eta_star as a pool of any length
-            raise FieldValueError("si_eta_star si_m",
-                                  f"si_eta_star length must equal si_m = {self.si_m}")
 
-    @cached_property
-    def toy_info(self) -> BlockInformation:
-        """The toy's information blocks, built once per config by `toy_blocks`."""
-        return toy_blocks(self)
+    def truth(self):
+        raise ValueError("a sweep has no one context: run_dimension_sweep builds one per cell")
 
 
-def toy_blocks(cfg: ExperimentConfig) -> BlockInformation:
-    """The toy's information blocks, checked.
-
-    Raises FieldValueError (blaming `toy_a`, `toy_d2`, `toy_h2`) unless
-    toy_a**2 < toy_d2 * toy_h2: the blocks are SPD exactly when the coupling
-    nu is below one.  Raises it (blaming `toy_d2`, then `toy_h2`) where the SPD
-    root of the full information, which `toy.simulate` solves with and
-    `build_context` keeps as the norm weight, is singular: with block scales far apart
-    (`toy_d2 = 1e-300`, `toy_h2 = 1e300`) the eigendecomposition rounds the
-    small eigenvalues to 0.  Raises it (blaming the larger of `toy_d2` and
-    `toy_h2`, then `toy_start_offset`) where the norm in that root of the start
-    offset, which the engine and the toy's functional compute, overflows
-    (`toy_h2 = 5e307` at the default offset, or `toy_start_offset = 1e200` at
-    the default blocks).
-    """
-    if not cfg.toy_a**2 < cfg.toy_d2 * cfg.toy_h2:
-        raise FieldValueError("toy_a toy_d2 toy_h2", "toy_a**2 < toy_d2 * toy_h2 required")
-    p, m = cfg.toy_p, cfg.toy_m
-    A = np.zeros((p, m))
-    for i in range(min(p, m)):
-        A[i, i] = cfg.toy_a
-    info = BlockInformation(
-        D2=cfg.toy_d2 * np.eye(p), A=A, H2=cfg.toy_h2 * np.eye(m)
-    )
-    try:
-        np.linalg.solve(info.full_sqrt(), np.zeros(p + m))
-    except np.linalg.LinAlgError:
-        raise FieldValueError(
-            "toy_d2 toy_h2",
-            "toy_d2 and toy_h2 too far apart: the root of the toy information is singular",
-        ) from None
-    with np.errstate(over="ignore"):
-        start_norm = np.linalg.norm(info.full_sqrt() @ np.full(p + m, cfg.toy_start_offset))
-    if not np.isfinite(start_norm):
-        key = "toy_h2" if cfg.toy_h2 >= cfg.toy_d2 else "toy_d2"
-        raise FieldValueError(f"{key} toy_start_offset", "toy_d2, toy_h2 and toy_start_offset "
-                              "too large: the norm of the start offset overflows")
-    return info
+FAMILIES = {cls.family: cls for cls in (ToyConfig, SingleIndexConfig, SweepConfig)}
 
 
-def si_theta_star(cfg: ExperimentConfig):
-    p = cfg.si_p
-    if p == 1:
-        return np.array([1.0])
-    angle = 0.3 if cfg.si_theta_angle is None else cfg.si_theta_angle
-    th = np.zeros(p)
-    th[0] = math.cos(angle)
-    th[1] = math.sin(angle)
-    return th / np.linalg.norm(th)
+def ExperimentConfig(family=ToyConfig.family, **values):
+    """`FAMILIES[family](**values)`: ValueError for an unknown family, TypeError
+    for a field of another family."""
+    cls = FAMILIES.get(family)
+    if cls is None:
+        raise ValueError(f"unknown family {family!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -246,11 +322,10 @@ class ExperimentContext:
     no R0 and the engine's default step count.
     """
 
-    cfg: ExperimentConfig
+    cfg: ToyConfig | SingleIndexConfig
     upsilon_star: ParameterPoint
     info: BlockInformation
     nu: float
-    basis: WaveletBasis | None
     cc_eff: ConditionConstants
     z_x: float | None
     # K steps at the solver tolerance; its norm weight, the SPD root of the
@@ -263,29 +338,14 @@ class ExperimentContext:
         return self.acfg.max_steps
 
 
-def build_context(cfg: ExperimentConfig) -> ExperimentContext:
-    if cfg.family == "toy":
-        info = cfg.toy_info
-        star = ParameterPoint(np.zeros(cfg.toy_p), np.zeros(cfg.toy_m))
-        basis = None
-    elif cfg.family == "sweep":
-        raise ValueError("a sweep has no one context: run_dimension_sweep builds one per cell")
-    else:
-        basis = WaveletBasis(m=cfg.si_m, s_X=cfg.si_s_x)
-        star = ParameterPoint(si_theta_star(cfg), cfg.si_eta_star)
-        info = information_at_truth(
-            basis, star, cfg.si_n, cfg.si_sigma, cfg.si_r_cov,
-            seed=derive_seed(cfg.master_seed, 999_979),
-        )
+def build_context(cfg: ToyConfig | SingleIndexConfig) -> ExperimentContext:
+    star, info = cfg.truth()
     nu = coupling_norm(info)
-    cc = cfg.cc
-    if cfg.family == "single-index" and cc.omega == 0.0:
-        # i.i.d. default when no gradient-roughness constant is supplied
-        cc = replace(cc, omega=1.0 / math.sqrt(cfg.si_n))
+    cc = cfg.cc_eff
     z_x = combined_quantile(cfg.x, star.p_star, cc=cc) if 0.0 < nu < 1.0 else None
     acfg = AlternationConfig(solver_tolerance=cfg.solver_tolerance, norm_matrix=info.full_sqrt())
-    ctx = ExperimentContext(cfg=cfg, upsilon_star=star, info=info, nu=nu, basis=basis,
-                            cc_eff=cc, z_x=z_x, acfg=acfg)
+    ctx = ExperimentContext(cfg=cfg, upsilon_star=star, info=info, nu=nu, cc_eff=cc, z_x=z_x,
+                            acfg=acfg)
     R0 = None if z_x is None else _concentration_radius(ctx)
     K = cfg.steps
     if K is None:
@@ -310,24 +370,9 @@ def _concentration_radius(ctx):
 
 
 def _make_replication(ctx, rep_index):
-    """The model of one replication and its start: a fixed offset (toy) or the
-    model's grid start on si_grid_n points."""
-    cfg, star = ctx.cfg, ctx.upsilon_star
-    model = _make_model(ctx, rep_index)
-    if cfg.family == "toy":
-        return model, ParameterPoint.from_vector(star.as_vector() + cfg.toy_start_offset, star.p)
-    return model, model.default_start(cfg.si_grid_n)
-
-
-def _make_model(ctx, rep_index):
-    """The model of one replication: a toy draw or a single-index dataset."""
-    cfg = ctx.cfg
-    seed = derive_seed(cfg.master_seed, rep_index)
-    if cfg.family == "toy":
-        return simulate(ctx.info, ctx.upsilon_star, seed=seed)
-    star = ctx.upsilon_star
-    dataset = generate(cfg.si_n, star.theta, star.eta, cfg.si_sigma, seed=seed, basis=ctx.basis)
-    return SingleIndexModel(dataset, ctx.basis, constrain_theta=cfg.si_constrain)
+    """The model of one replication and its start, as its config draws them."""
+    model = ctx.cfg.model(ctx, rep_index)
+    return model, ctx.cfg.start(ctx, model)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +453,7 @@ def _run_replications(ctx, replicate, kind, aggregate, **meta):
 # Wilks / Fisher experiment
 # ---------------------------------------------------------------------------
 
-def run_wilks_fisher(config: ExperimentConfig) -> ExperimentReport:
+def run_wilks_fisher(config: ToyConfig | SingleIndexConfig) -> ExperimentReport:
     ctx = build_context(config)
     return _run_replications(
         ctx, _wilks_replication, "wilks_fisher", aggregate_wilks_fisher,
@@ -512,7 +557,7 @@ def aggregate_wilks_fisher(ok, ctx):
 # convergence to the maximizer
 # ---------------------------------------------------------------------------
 
-def run_me_convergence(config: ExperimentConfig) -> ExperimentReport:
+def run_me_convergence(config: ToyConfig | SingleIndexConfig) -> ExperimentReport:
     ctx = build_context(config)
     return _run_replications(
         ctx, _me_replication, "me_convergence", _aggregate_me,
@@ -551,7 +596,7 @@ def _aggregate_me(ok, ctx):
 # condition probe: local non-quadraticity delta(r)
 # ---------------------------------------------------------------------------
 
-def probe_delta(config: ExperimentConfig, r_grid, R=20, n_points=50, seed=571):
+def probe_delta(config: ToyConfig | SingleIndexConfig, r_grid, R=20, n_points=50, seed=571):
     """Monte Carlo estimate of the non-quadraticity map r -> delta_hat(r).
 
     The expected Hessian at each sampled shell point is estimated by
@@ -591,7 +636,7 @@ def _shell_deviation(ctx, task):
     """The deviation from the identity of the normalized mean Hessian at a shell point."""
     seed0, R, v = task
     point, D0 = ParameterPoint.from_vector(v, ctx.upsilon_star.p), ctx.acfg.norm_matrix
-    Hbar = sum(_make_model(ctx, seed0 + rep).hessian(point) for rep in range(R)) / R
+    Hbar = sum(ctx.cfg.model(ctx, seed0 + rep).hessian(point) for rep in range(R)) / R
     M = np.linalg.solve(D0, np.linalg.solve(D0, -Hbar).T)
     return float(np.linalg.norm(0.5 * (M + M.T) - np.eye(v.size), 2))
 
@@ -600,30 +645,25 @@ def _shell_deviation(ctx, task):
 # dimension sweep
 # ---------------------------------------------------------------------------
 
-def run_dimension_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Median Wilks error and Fisher residual over a (p*, n) grid of a `sweep` config."""
-    if config.family != "sweep":
-        raise ValueError(f"a dimension sweep needs family 'sweep', got {config.family!r}")
+def run_dimension_sweep(config: SweepConfig) -> ExperimentReport:
+    """Median Wilks error and Fisher residual over a (p*, n) grid of a sweep config.
+    Each cell's eta_star is the pool padded with zeros or cut to its m: one link f."""
+    if not isinstance(config, SweepConfig):
+        raise ValueError(f"a dimension sweep needs family {SweepConfig.family!r}, "
+                         f"got {config.family!r}")
+    shared = {f.name: getattr(config, f.name) for f in fields(_SieveConfig)}
     records = []
-    eta_pool = np.asarray(config.si_eta_star, dtype=float)
     for mi, m in enumerate(config.sweep_m):
-        eta = np.resize(eta_pool, m)  # the pool repeated or cut to length m
+        eta = (tuple(config.si_eta_star) + (0.0,) * m)[:m]
         for ni, n in enumerate(config.sweep_n):
-            cell_cfg = replace(
-                config, family="single-index", si_n=int(n), si_m=int(m), si_eta_star=tuple(eta)
-            )
-            rep = run_wilks_fisher(cell_cfg)
+            cell = SingleIndexConfig(**dict(shared, si_n=int(n), si_m=int(m), si_eta_star=eta))
+            rep = run_wilks_fisher(cell)
             K = rep.meta["K"]
             records.append({
-                "rep": mi * len(config.sweep_n) + ni,
-                "status": "ok",
-                "m": int(m),
-                "n": int(n),
-                "p_star": int(config.si_p + m),
-                "K": K,
+                "rep": mi * len(config.sweep_n) + ni, "status": "ok", "m": int(m), "n": int(n),
+                "p_star": int(config.si_p + m), "K": K,
                 "wilks_err_median": rep.aggregates[f"wilks_err_median_{K}"],
-                "fisher_median": rep.aggregates[f"fisher_median_{K}"],
-                "nu": rep.aggregates["nu"],
+                "fisher_median": rep.aggregates[f"fisher_median_{K}"], "nu": rep.aggregates["nu"],
             })
     agg = {}
     for m in config.sweep_m:
@@ -632,7 +672,7 @@ def run_dimension_sweep(config: ExperimentConfig) -> ExperimentReport:
             agg[f"err_decreases_m{m}_n{a['n']}_to_n{b['n']}"] = bool(
                 b["wilks_err_median"] < a["wilks_err_median"]
             )
-    meta = {"family": "single-index", "reps": config.reps,
+    meta = {"family": SingleIndexConfig.family, "reps": config.reps,
             "seed": config.master_seed, "threads": config.threads,
             "sweep_n": list(config.sweep_n), "sweep_m": list(config.sweep_m)}
     return ExperimentReport("dimension_sweep", records, agg, meta)

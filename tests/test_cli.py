@@ -389,7 +389,7 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         main(["toy", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
     assert str(info.value) == "bad value -1 for flag '--seed': master_seed >= 0 required"
     assert not (tmp_path / "o").exists()
-    # the sweep repeats or cuts an eta_star pool of any length to each m
+    # the sweep pads an eta_star pool of any length with zeros, or cuts it, to each m
     cfg = write(tmp_path / "pool.kv", "eta_star = 1.0, -0.8, 0.9\nsweep_m = 2, 6\n")
     assert experiment_config(namespace(cfg), "sweep").si_eta_star == (1.0, -0.8, 0.9)
 
@@ -424,8 +424,9 @@ def test_config_construction_raises_what_the_cli_names():
         with pytest.raises(FieldValueError) as info:
             ExperimentConfig(**kwargs)
         assert (str(info.value), info.value.fields) == (message, fields), kwargs
-    # the sweep reads eta_star as a pool of any length
-    assert ExperimentConfig(family="sweep", si_eta_star=(1.0, -0.8, 0.9)).si_m == 6
+    # the sweep reads eta_star as a pool of any length, and has no m of its own
+    sweep = ExperimentConfig(family="sweep", si_eta_star=(1.0, -0.8, 0.9))
+    assert sweep.si_eta_star == (1.0, -0.8, 0.9) and not hasattr(sweep, "si_m")
 
 
 def test_bound_inputs_raise_what_the_cli_names():
@@ -546,10 +547,9 @@ def test_every_documented_key_parses(tmp_path):
     assert experiment_config(namespace(paths["single-index"]), "single-index") == (
         ExperimentConfig(**SINGLE_INDEX)
     )
+    sweep = {key: value for key, value in SINGLE_INDEX.items() if key not in ("si_n", "si_m")}
     assert experiment_config(namespace(paths["sweep"]), "sweep") == ExperimentConfig(
-        **dict(SINGLE_INDEX, family="sweep", si_n=ExperimentConfig.si_n,
-               si_m=ExperimentConfig.si_m),
-        sweep_n=(200, 400, 800), sweep_m=(3,),
+        **dict(sweep, family="sweep"), sweep_n=(200, 400, 800), sweep_m=(3,),
     )
     assert bounds_inputs(paths["bounds"]) == BoundInputs(
         x=1.5, p=2, m=3, nu=0.4, cc=CONDITIONS, b_eigenvalues=(1.0, 0.8, 0.5, 1.2, 0.9),

@@ -25,7 +25,6 @@ from altmax.harness import (
     run_dimension_sweep,
     run_me_convergence,
     run_wilks_fisher,
-    si_theta_star,
 )
 from altmax.modelapi import ModelDomainError
 
@@ -427,10 +426,13 @@ def test_dimension_sweep_cells_deterministic():
 
 
 def test_dimension_sweep_rejects_a_config_of_another_family():
-    # a toy config (the default family) would run single-index cells from its defaults
-    cfg = ExperimentConfig(family="toy", reps=2, sweep_n=(250,), sweep_m=(3,))
-    with pytest.raises(ValueError, match="a dimension sweep needs family 'sweep', got 'toy'"):
-        run_dimension_sweep(cfg)
+    # a toy config (the default family) has no sweep lists and no single-index
+    # fields; a single-index config has one n and one m, not lists of them
+    for family in ("toy", "single-index"):
+        cfg = ExperimentConfig(family=family, reps=2)
+        with pytest.raises(ValueError,
+                           match=f"a dimension sweep needs family 'sweep', got '{family}'"):
+            run_dimension_sweep(cfg)
 
 
 def test_build_context_toy():
@@ -477,13 +479,13 @@ def test_build_context_reuses_the_blocks_the_config_built(monkeypatch):
     # the toy blocks are built and checked once, when the config is built
     import altmax.harness as hz
 
-    calls, real = [], hz.toy_blocks
-    monkeypatch.setattr(hz, "toy_blocks", lambda cfg: calls.append(cfg) or real(cfg))
+    calls, real = [], hz.BlockInformation
+    monkeypatch.setattr(hz, "BlockInformation", lambda **kw: calls.append(kw) or real(**kw))
     cfg = ExperimentConfig(family="toy", reps=1, steps=4)
-    assert build_context(cfg).info is cfg.toy_info and len(calls) == 1
+    assert build_context(cfg).info is cfg.blocks and len(calls) == 1
     # a pickled config carries its blocks; `replace` builds a new config and new blocks
-    assert pickle.loads(pickle.dumps(cfg)).__dict__["toy_info"].H2[0, 0] == 2.0
-    assert replace(cfg, toy_h2=3.0).toy_info.H2[0, 0] == 3.0 and len(calls) == 2
+    assert pickle.loads(pickle.dumps(cfg)).__dict__["blocks"].H2[0, 0] == 2.0
+    assert replace(cfg, toy_h2=3.0).blocks.H2[0, 0] == 3.0 and len(calls) == 2
 
 
 def test_build_context_single_index_draws_only_the_pilot_dataset(monkeypatch):
@@ -612,20 +614,21 @@ def test_config_validation():
     for threads in (0, -2):  # constructs the config only; starts no process
         with pytest.raises(ValueError, match="threads"):
             ExperimentConfig(threads=threads)
-    # theta_angle must put theta* on the half-sphere only when p >= 2
-    assert ExperimentConfig(si_p=1, si_theta_angle=2.0).si_theta_angle == 2.0
+    # a toy config has no theta_angle to check: it rejects the single-index fields
+    with pytest.raises(TypeError, match="si_p"):
+        ExperimentConfig(si_p=1, si_theta_angle=2.0)
     # at p = 1, where theta* = (1,) has no angle, a single-index config or a
     # sweep rejects a set angle, which it would ignore
     from altmax.bounds import FieldValueError
-    for family in ("single-index", "sweep"):
+    for family, m in (("single-index", {"si_m": 3}), ("sweep", {})):
         with pytest.raises(FieldValueError, match="si_theta_angle must be auto at si_p = 1"):
-            ExperimentConfig(family=family, si_p=1, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
+            ExperimentConfig(family=family, si_p=1, **m, si_eta_star=(1.0, -0.8, 0.9),
                              si_theta_angle=0.3)
     p1 = ExperimentConfig(family="single-index", si_p=1, si_m=3, si_eta_star=(1.0, -0.8, 0.9))
-    assert p1.si_theta_angle is None and np.array_equal(si_theta_star(p1), [1.0])
+    assert p1.si_theta_angle is None and np.array_equal(p1.theta_star, [1.0])
     # auto is 0.3 where p >= 2
-    assert np.array_equal(si_theta_star(ExperimentConfig()),
-                          si_theta_star(ExperimentConfig(si_theta_angle=0.3)))
+    assert np.array_equal(ExperimentConfig(family="single-index").theta_star,
+                          ExperimentConfig(family="single-index", si_theta_angle=0.3).theta_star)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -633,9 +636,54 @@ def test_config_validation():
     ("si_r_cov", 0), ("si_n", 0), ("si_p", 0),
 ])
 def test_config_rejects_malformed_values(key, value):
-    # constructs the config only; the error names the key
+    # constructs the config only, of the family that owns the key; the error names the key
+    family = "single-index" if key.startswith("si_") else "toy"
     with pytest.raises(ValueError, match=key):
-        ExperimentConfig(**{key: value})
+        ExperimentConfig(family=family, **{key: value})
+
+
+def test_config_rejects_a_field_of_another_family():
+    # each family's config has only its own fields: a key of another family
+    # is a TypeError when the config is built, not a value it ignores
+    cases = [
+        ("single-index", dict(toy_a=5.0)),
+        ("toy", dict(si_m=3)),
+        ("sweep", dict(si_n=5)),
+        ("sweep", dict(si_m=99)),
+        ("toy", dict(sweep_m=(3,))),
+        ("single-index", dict(sweep_n=(250,))),
+        ("toy", dict(si_p=1, si_theta_angle=2.0)),
+    ]
+    for family, kwargs in cases:
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            ExperimentConfig(family=family, **kwargs)
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        ExperimentConfig(family="nope", reps=1)
+
+
+def test_sweep_pads_the_eta_pool_so_every_m_has_the_same_link(monkeypatch):
+    # the m = 6 cell of a pool of 3 takes (pool, 0, 0, 0): the same link f as
+    # the m = 3 cell, where a repeated pool would add three more terms
+    import altmax.harness as hz
+    from altmax.wavelet import WaveletBasis
+
+    def record(cfg):  # the cell's config, and a report that reads as one
+        cells[cfg.si_m] = cfg
+        aggregates = {"wilks_err_median_0": 0.0, "fisher_median_0": 0.0, "nu": 0.0}
+        return hz.ExperimentReport("wilks_fisher", [], aggregates, {"K": 0})
+
+    cells = {}
+    monkeypatch.setattr(hz, "run_wilks_fisher", record)
+    pool = (1.0, -0.8, 0.9)
+    run_dimension_sweep(ExperimentConfig(family="sweep", si_eta_star=pool, sweep_n=(250,),
+                                         sweep_m=(3, 6, 2)))
+    assert cells[6].si_eta_star == (*pool, 0.0, 0.0, 0.0)
+    assert (cells[3].si_eta_star, cells[2].si_eta_star) == (pool, pool[:2])
+    assert all(type(cfg) is hz.SingleIndexConfig and cfg.si_n == 250 for cfg in cells.values())
+    u = np.linspace(-1.0, 1.0, 2001)
+    links = {m: WaveletBasis(m, s_X=cells[m].si_s_x).design(u) @ np.array(cells[m].si_eta_star)
+             for m in (3, 6)}
+    assert np.max(np.abs(links[6] - links[3])) <= 1e-12
 
 
 def test_replication_workers_pickle():
