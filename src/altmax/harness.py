@@ -4,8 +4,10 @@ sweeps.
 
 A config is a frozen class of one family (`ToyConfig`, `SingleIndexConfig`,
 `SweepConfig`; `ExperimentConfig(family=...)` looks it up in `FAMILIES`) that
-holds and checks only its own fields, and supplies its truth and information,
-condition constants, and each replication's model and start.
+holds and checks only its own fields, keeps its truth and information (built
+once, on first use) and condition constants, and draws each replication's
+model and start from its fields alone.  `build_context` derives from it, in
+one pass, what every replication shares: nu, the bound inputs and K.
 
 Replication r of an experiment draws its generator from
 SeedSequence(master_seed, spawn_key=(r,)), so results are independent of
@@ -188,15 +190,16 @@ class ToyConfig(_Config):
                                   " too large: the norm of the start offset overflows")
         return info
 
+    @cached_property
     def truth(self):
         """The truth and its information."""
         return ParameterPoint(np.zeros(self.toy_p), np.zeros(self.toy_m)), self.blocks
 
-    def model(self, ctx, index):
-        return simulate(ctx.info, ctx.upsilon_star, seed=derive_seed(self.master_seed, index))
+    def model(self, index):
+        return simulate(self.blocks, self.truth[0], seed=derive_seed(self.master_seed, index))
 
-    def start(self, ctx, model):
-        star = ctx.upsilon_star
+    def start(self, model):
+        star = self.truth[0]
         return ParameterPoint.from_vector(star.as_vector() + self.toy_start_offset, star.p)
 
 
@@ -253,7 +256,7 @@ class SingleIndexConfig(_SieveConfig):
         th[:2] = (1.0,) if self.si_p == 1 else (math.cos(a), math.sin(a))
         return th / np.linalg.norm(th)
 
-    @property
+    @cached_property
     def cc_eff(self) -> ConditionConstants:
         """cc, with the i.i.d. omega = 1/sqrt(si_n) where it supplies none (omega = 0)."""
         cc = self.cc
@@ -263,6 +266,7 @@ class SingleIndexConfig(_SieveConfig):
     def basis(self) -> WaveletBasis:
         return WaveletBasis(m=self.si_m, s_X=self.si_s_x)
 
+    @cached_property
     def truth(self):
         """The truth and its information, estimated from si_r_cov datasets."""
         basis, star = self.basis, ParameterPoint(self.theta_star, self.si_eta_star)
@@ -270,13 +274,12 @@ class SingleIndexConfig(_SieveConfig):
         return star, information_at_truth(basis, star, self.si_n, self.si_sigma, self.si_r_cov,
                                           seed=seed)
 
-    def model(self, ctx, index):
-        star = ctx.upsilon_star
-        dataset = generate(self.si_n, star.theta, star.eta, self.si_sigma,
+    def model(self, index):
+        dataset = generate(self.si_n, self.theta_star, self.si_eta_star, self.si_sigma,
                            seed=derive_seed(self.master_seed, index), basis=self.basis)
         return SingleIndexModel(dataset, self.basis, constrain_theta=self.si_constrain)
 
-    def start(self, ctx, model):
+    def start(self, model):
         return model.default_start(self.si_grid_n)
 
 
@@ -296,6 +299,7 @@ class SweepConfig(_SieveConfig):
         _require(self, "sweep_n sweep_m", lambda v: len(set(v)) == len(v),
                  "entries must be distinct")
 
+    @property
     def truth(self):
         raise ValueError("a sweep has no one context: run_dimension_sweep builds one per cell")
 
@@ -314,24 +318,17 @@ def ExperimentConfig(family=ToyConfig.family, **values):
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """Shared per-configuration state, built by `build_context`: the truth, its
-    information blocks and coupling nu, the bound inputs and the engine config.
-
-    z_x and R0 are None unless 0 < nu < 1.  `build_context` sizes R0, and from
-    it K, with a pilot replication drawn from a provisional context that holds
-    no R0 and the engine's default step count.
-    """
+    """What `build_context` derives from a config: the coupling nu of its
+    information, the bound inputs z_x and R0 (None unless 0 < nu < 1) and the
+    engine config.  The truth, its information and `cc_eff` stay on the config."""
 
     cfg: ToyConfig | SingleIndexConfig
-    upsilon_star: ParameterPoint
-    info: BlockInformation
     nu: float
-    cc_eff: ConditionConstants
     z_x: float | None
+    R0: float | None
     # K steps at the solver tolerance; its norm weight, the SPD root of the
     # full information, gives every information-norm distance
     acfg: AlternationConfig
-    R0: float | None = None
 
     @property
     def K(self):
@@ -339,40 +336,31 @@ class ExperimentContext:
 
 
 def build_context(cfg: ToyConfig | SingleIndexConfig) -> ExperimentContext:
-    star, info = cfg.truth()
-    nu = coupling_norm(info)
-    cc = cfg.cc_eff
+    """The context of `cfg`.  Where 0 < nu < 1, a pilot replication's start
+    gives the initial-guess radius that sizes R0, and R0 sizes K unless
+    cfg.steps is set; else K is cfg.steps or the engine's default."""
+    star, info = cfg.truth
+    nu, cc = coupling_norm(info), cfg.cc_eff
     z_x = combined_quantile(cfg.x, star.p_star, cc=cc) if 0.0 < nu < 1.0 else None
     acfg = AlternationConfig(solver_tolerance=cfg.solver_tolerance, norm_matrix=info.full_sqrt())
-    ctx = ExperimentContext(cfg=cfg, upsilon_star=star, info=info, nu=nu, cc_eff=cc, z_x=z_x,
-                            acfg=acfg)
-    R0 = None if z_x is None else _concentration_radius(ctx)
-    K = cfg.steps
-    if K is None:
-        if R0 is None:
-            K = 30
-        else:
+    R0, K = None, cfg.steps
+    if z_x is not None:
+        _, start = _make_replication(cfg, 999_931)
+        R_K = max(z_x, acfg.weighted_norm(start.as_vector() - star.as_vector()))
+        K0 = initial_level_K0(R_K, cfg.x, cc, z_x)
+        R0 = concentration_radius_R0(cfg.x, K0, star.p_star, cc, nu, z_x)
+        if K is None:
             z = cfg.z_target if cfg.z_target is not None else z_x
             # the rule counts linear-contraction steps; keep a floor of 3 so
             # the nonlinear first phase after a grid start is crossed as well
             K = max(3, min(stopping_steps(z, R0, nu), 200))
-    return replace(ctx, R0=R0, acfg=replace(acfg, max_steps=K))
+    return ExperimentContext(cfg, nu, z_x, R0, acfg if K is None else replace(acfg, max_steps=K))
 
 
-def _concentration_radius(ctx):
-    """The concentration radius R0, with a pilot replication supplying the
-    initial-guess radius."""
-    cfg, star, cc, z_x = ctx.cfg, ctx.upsilon_star, ctx.cc_eff, ctx.z_x
-    _, start = _make_replication(ctx, 999_931)
-    R_K = max(z_x, ctx.acfg.weighted_norm(start.as_vector() - star.as_vector()))
-    K0 = initial_level_K0(R_K, cfg.x, cc, z_x)
-    return concentration_radius_R0(cfg.x, K0, star.p_star, cc, ctx.nu, z_x)
-
-
-def _make_replication(ctx, rep_index):
-    """The model of one replication and its start, as its config draws them."""
-    model = ctx.cfg.model(ctx, rep_index)
-    return model, ctx.cfg.start(ctx, model)
+def _make_replication(cfg, rep_index):
+    """The model of one replication and its start, as `cfg` draws them."""
+    model = cfg.model(rep_index)
+    return model, cfg.start(model)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +445,15 @@ def run_wilks_fisher(config: ToyConfig | SingleIndexConfig) -> ExperimentReport:
     ctx = build_context(config)
     return _run_replications(
         ctx, _wilks_replication, "wilks_fisher", aggregate_wilks_fisher,
-        nu=ctx.nu, p=ctx.upsilon_star.p, m=ctx.upsilon_star.m, x=config.x,
+        nu=ctx.nu, p=config.truth[0].p, m=config.truth[0].m, x=config.x,
     )
 
 
 def _wilks_replication(ctx, i):
     """The efficient score, and the Wilks and Fisher residuals of every step."""
-    K, star = ctx.K, ctx.upsilon_star
-    model, start = _make_replication(ctx, i)
-    score = efficient_score(ctx.info, *model.gradient(star))
+    K, (star, info) = ctx.K, ctx.cfg.truth
+    model, start = _make_replication(ctx.cfg, i)
+    score = efficient_score(info, *model.gradient(star))
     L_star = model.evaluate(ParameterPoint(star.theta, eta_update(model, star.theta)))
     trace = run(model, start, ctx.acfg)
     rec = {"rep": i, "status": "ok", "xi_norm2": float(score.xi @ score.xi),
@@ -477,7 +465,7 @@ def _wilks_replication(ctx, i):
     )
     for k in range(K + 1):
         r_k = trace.records[min(k, len(trace.records) - 1)]
-        rec[f"fisher_{k}"] = fisher_residual(ctx.info, score, r_k.point_kk.theta, star.theta)
+        rec[f"fisher_{k}"] = fisher_residual(info, score, r_k.point_kk.theta, star.theta)
         rec[f"wilks_{k}"] = 2.0 * (r_k.L_kk1 - L_star)
     rec["dist_final"] = ctx.acfg.weighted_norm(trace.final().as_vector() - star.as_vector())
     return rec
@@ -520,7 +508,7 @@ def aggregate_wilks_fisher(ok, ctx):
     fisher_se_k) are NaN.
     """
     K = ctx.K
-    p = ctx.upsilon_star.p
+    p = ctx.cfg.truth[0].p
     w_K = np.array([r[f"wilks_{K}"] for r in ok])
     xi2 = np.array([r["xi_norm2"] for r in ok])
     agg = {
@@ -533,8 +521,8 @@ def aggregate_wilks_fisher(ok, ctx):
     }
     bounds_on = ctx.R0 is not None
     if bounds_on:
-        cc = ctx.cc_eff
-        p_star = ctx.upsilon_star.p_star
+        cc = ctx.cfg.cc_eff
+        p_star = ctx.cfg.truth[0].p_star
         sp_R0 = _spread_or_inf(spread_parametric, ctx.R0, ctx.cfg.x, p_star, cc)
         tau_budget = C_nu(ctx.nu) * ctx.cfg.solver_tolerance
     for k in range(K + 1):
@@ -568,7 +556,7 @@ def run_me_convergence(config: ToyConfig | SingleIndexConfig) -> ExperimentRepor
 def _me_replication(ctx, i):
     """The distance of every step to the replication's maximizer."""
     profile_cfg = replace(ctx.acfg, max_steps=4 * ctx.K)  # profile_estimate runs >= 200
-    model, start = _make_replication(ctx, i)
+    model, start = _make_replication(ctx.cfg, i)
     me, profile = profile_estimate(model, profile_cfg, start)
     me_v = me.as_vector()
     # the alternation is deterministic: the K-step run from `start` would
@@ -619,7 +607,7 @@ def probe_delta(config: ToyConfig | SingleIndexConfig, r_grid, R=20, n_points=50
         # and only its last shell kept
         raise ValueError(f"r_grid entries must be distinct, got {tuple(r_grid)!r}")
     ctx = build_context(config)
-    star_v = ctx.upsilon_star.as_vector()
+    star_v = config.truth[0].as_vector()
     points = []  # one task per shell point: its first dataset seed, R and the point
     for ri, r in enumerate(r_grid):
         rng = np.random.default_rng(derive_seed(seed, ri))
@@ -635,8 +623,8 @@ def probe_delta(config: ToyConfig | SingleIndexConfig, r_grid, R=20, n_points=50
 def _shell_deviation(ctx, task):
     """The deviation from the identity of the normalized mean Hessian at a shell point."""
     seed0, R, v = task
-    point, D0 = ParameterPoint.from_vector(v, ctx.upsilon_star.p), ctx.acfg.norm_matrix
-    Hbar = sum(ctx.cfg.model(ctx, seed0 + rep).hessian(point) for rep in range(R)) / R
+    point, D0 = ParameterPoint.from_vector(v, ctx.cfg.truth[0].p), ctx.acfg.norm_matrix
+    Hbar = sum(ctx.cfg.model(seed0 + rep).hessian(point) for rep in range(R)) / R
     M = np.linalg.solve(D0, np.linalg.solve(D0, -Hbar).T)
     return float(np.linalg.norm(0.5 * (M + M.T) - np.eye(v.size), 2))
 

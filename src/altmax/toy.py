@@ -19,12 +19,12 @@ from .statcore import BlockInformation, ParameterPoint
 
 
 class ToyGaussianModel(Model):
-    def __init__(self, F2: BlockInformation, upsilon_star: ParameterPoint, Y):
+    def __init__(self, F2: BlockInformation, Y):
         F2.validate()
         self.F2 = F2
         self.Y = np.asarray(Y, dtype=float).copy()
-        if self.Y.size != upsilon_star.p_star:
-            raise ValueError("Y dimension does not match upsilon_star")
+        if self.Y.size != F2.p + F2.m:
+            raise ValueError("Y dimension does not match the information F2")
         self._full = F2.full()
         self._p = F2.p
         # what the partial maximizers read on every step
@@ -79,7 +79,7 @@ def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(star.size)
     Y = star + np.linalg.solve(F2.full_sqrt(), z)
-    return ToyGaussianModel(F2, upsilon_star, Y)
+    return ToyGaussianModel(F2, Y)
 
 
 def exact_alternation(model: ToyGaussianModel, start: ParameterPoint, k: int) -> ParameterPoint:

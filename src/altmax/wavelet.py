@@ -302,6 +302,10 @@ class WaveletBasis:
         self.support_len = S
         self.n_levels = level_of_index(self.m - 1, S)[0] + 1  # levels rise with the index
 
+    def __reduce__(self):
+        # a copy takes its tables from the `wavelet_tables` cache, not the pickle
+        return type(self), (self.m, self.s_X, self.genus)
+
     def cell_width(self, j):
         return 2.0 * self.s_X / (self.support_len * 2**j)
 

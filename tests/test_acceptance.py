@@ -90,7 +90,7 @@ def median_decay_rate(medians):
 
 def test_criterion_01_toy_exactness():
     t0 = time.monotonic()
-    model = ToyGaussianModel(F2, STAR, Y=[1.0, 0.0])
+    model = ToyGaussianModel(F2, Y=[1.0, 0.0])
     start = ParameterPoint([0.0], [0.0])
     trace = run(model, start, AlternationConfig(max_steps=20, solver_tolerance=1e-15))
     worst = 0.0
@@ -108,7 +108,7 @@ def test_criterion_01_toy_exactness():
 
 
 def test_criterion_02_fixed_point():
-    model = ToyGaussianModel(F2, STAR, Y=[1.0, 0.0])
+    model = ToyGaussianModel(F2, Y=[1.0, 0.0])
     cfg = AlternationConfig(max_steps=80, solver_tolerance=1e-13)
     pt, _ = profile_estimate(model, cfg)
     eta2 = eta_update(model, pt.theta)
@@ -215,7 +215,7 @@ def test_criterion_09_monotone_ascent(toy_wilks, si_wilks, toy_me, si_me_noisele
 
 def test_criterion_10_gradient_correctness():
     rng = np.random.default_rng(0)
-    toy = ToyGaussianModel(F2, STAR, Y=[1.0, 0.0])
+    toy = ToyGaussianModel(F2, Y=[1.0, 0.0])
     pts = [ParameterPoint(rng.standard_normal(1), rng.standard_normal(1))
            for _ in range(100)]
     toy_err = gradient_check(toy, pts, h=1e-6)

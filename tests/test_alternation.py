@@ -29,7 +29,7 @@ STAR = ParameterPoint([0.0], [0.0])
 
 
 def canon():
-    return ToyGaussianModel(F2, STAR, Y=[1.0, 0.0])
+    return ToyGaussianModel(F2, Y=[1.0, 0.0])
 
 
 def test_eta_update_closed_form():
@@ -189,7 +189,7 @@ class LateBrokenEtaStep(ToyGaussianModel):
 
 
 def test_monotone_violation_aborts():
-    m = BrokenEtaStep(F2, STAR, Y=[1.0, 0.0])
+    m = BrokenEtaStep(F2, Y=[1.0, 0.0])
     with pytest.raises(MonotoneViolationError):
         run(m, ParameterPoint([0.0], [0.0]), AlternationConfig(max_steps=4))
     # after the first step.  canon() from (0, 0): eta_1 = 0.5 and
@@ -198,10 +198,10 @@ def test_monotone_violation_aborts():
     # 0.125 + 2 then gives L(0.75, 2.125) = -4.046875
     with pytest.raises(MonotoneViolationError, match=(
             r"^theta-update decreased L by 3\.438e\+00 \(> 1\.0e-08\) at k=1$")):
-        run(BrokenThetaStep(F2, STAR, Y=[1.0, 0.0]), STAR, AlternationConfig(max_steps=4))
+        run(BrokenThetaStep(F2, Y=[1.0, 0.0]), STAR, AlternationConfig(max_steps=4))
     with pytest.raises(MonotoneViolationError, match=(
             r"^eta-update decreased L by 3\.859e\+00 \(> 1\.0e-08\) at k=1$")):
-        run(LateBrokenEtaStep(F2, STAR, Y=[1.0, 0.0]), STAR, AlternationConfig(max_steps=4))
+        run(LateBrokenEtaStep(F2, Y=[1.0, 0.0]), STAR, AlternationConfig(max_steps=4))
 
 
 class AlwaysBroken(ToyGaussianModel):
@@ -211,7 +211,7 @@ class AlwaysBroken(ToyGaussianModel):
 
 def test_profile_estimate_all_starts_fail():
     # a run that raises fails the estimate, and the message names the engine's error
-    m = AlwaysBroken(F2, STAR, Y=[1.0, 0.0])
+    m = AlwaysBroken(F2, Y=[1.0, 0.0])
     with pytest.raises(ProfileEstimateError) as exc:
         profile_estimate(m, AlternationConfig(max_steps=5), ParameterPoint([1.0], [1.0]))
     assert str(exc.value).startswith(
@@ -224,7 +224,7 @@ def test_profile_estimate_rejects_a_run_that_is_not_stationary():
     # nu = 0.999: each step shrinks the distance to the maximizer by only
     # nu^2, so 200 steps end far from stationarity
     near_one = BlockInformation(D2=[[1.0]], A=[[0.999]], H2=[[1.0]])
-    m = ToyGaussianModel(near_one, STAR, Y=[1.0, 0.0])
+    m = ToyGaussianModel(near_one, Y=[1.0, 0.0])
     with pytest.raises(ProfileEstimateError) as exc:
         profile_estimate(m, AlternationConfig(max_steps=5), STAR)
     assert str(exc.value) == (
@@ -249,7 +249,7 @@ class CountingToy(ToyGaussianModel):
 
 def test_profile_estimate_reads_the_final_value_from_the_trace():
     # run() evaluates twice per record; profile_estimate adds none
-    m = CountingToy(F2, STAR, Y=[1.0, 0.0])
+    m = CountingToy(F2, Y=[1.0, 0.0])
     cfg = AlternationConfig(max_steps=60, solver_tolerance=1e-13)
     start = ParameterPoint([3.0], [-2.0])
     expected = run(m, start, replace(cfg, max_steps=200))

@@ -447,7 +447,7 @@ def test_build_context_toy():
 
 def test_bounds_are_off_at_zero_coupling():
     # toy_a = 0 gives nu = 0, outside (0, 1): no bound inputs, K falls back
-    # to 30, and the summary has no Fisher bound or coverage
+    # to the engine's default, 30, and the summary has no Fisher bound or coverage
     cfg = ExperimentConfig(family="toy", reps=3, master_seed=17, toy_a=0.0)
     ctx = build_context(cfg)
     assert ctx.nu == 0.0
@@ -482,7 +482,7 @@ def test_build_context_reuses_the_blocks_the_config_built(monkeypatch):
     calls, real = [], hz.BlockInformation
     monkeypatch.setattr(hz, "BlockInformation", lambda **kw: calls.append(kw) or real(**kw))
     cfg = ExperimentConfig(family="toy", reps=1, steps=4)
-    assert build_context(cfg).info is cfg.blocks and len(calls) == 1
+    assert build_context(cfg).cfg.truth[1] is cfg.blocks and len(calls) == 1
     # a pickled config carries its blocks; `replace` builds a new config and new blocks
     assert pickle.loads(pickle.dumps(cfg)).__dict__["blocks"].H2[0, 0] == 2.0
     assert replace(cfg, toy_h2=3.0).blocks.H2[0, 0] == 3.0 and len(calls) == 2
@@ -505,6 +505,57 @@ def test_build_context_single_index_draws_only_the_pilot_dataset(monkeypatch):
     ctx = build_context(cfg)
     assert 0.0 < ctx.nu < 1.0 and ctx.R0 is not None
     assert seeds == [(999_931,)]
+
+
+@pytest.mark.parametrize("family", ["toy", "single-index"])
+def test_build_context_constructs_the_context_once(monkeypatch, family):
+    import altmax.harness as hz
+
+    calls, real = [], hz.ExperimentContext
+    monkeypatch.setattr(hz, "ExperimentContext", lambda *a: calls.append(a) or real(*a))
+    si = dict(si_n=300, si_r_cov=5, si_grid_n=64) if family == "single-index" else {}
+    cfg = ExperimentConfig(family=family, reps=1, **si)
+    ctx = build_context(cfg)
+    assert len(calls) == 1 and isinstance(ctx, real) and ctx.R0 is not None
+    # the config keeps its truth: the context reads it, and holds no copy
+    assert ctx.cfg.truth is cfg.truth
+    assert set(vars(ctx)) == {"cfg", "nu", "z_x", "R0", "acfg"}
+
+
+def test_information_at_truth_runs_once_per_single_index_config(monkeypatch):
+    import altmax.harness as hz
+
+    calls, real = [], hz.information_at_truth
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"].spawn_key)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "information_at_truth", counting)
+    kw = dict(family="single-index", reps=2, si_n=300, si_r_cov=5, si_grid_n=64)
+    # a replication's model is drawn from the config alone
+    ExperimentConfig(**kw).model(0)
+    assert calls == []
+    cfg = ExperimentConfig(**kw)
+    build_context(cfg)
+    report = run_wilks_fisher(cfg)
+    assert report.aggregates["n_ok"] == 2 and calls == [(999_979,)]
+
+
+def test_pickled_single_index_context_leaves_the_wavelet_tables_behind():
+    # a basis pickles as (m, s_X, genus): an unpickled one takes the 1.28 MB
+    # tables from the `wavelet_tables` cache (test_replication_workers_pickle
+    # checks that the records do not move)
+    from altmax.wavelet import wavelet_tables
+
+    ctx = build_context(ExperimentConfig(family="single-index", reps=1, si_n=300, si_r_cov=5,
+                                         si_grid_n=64))
+    data = pickle.dumps(ctx)
+    assert len(data) < 16_384
+    copy = pickle.loads(data)
+    basis = copy.cfg.basis
+    assert basis.tables is wavelet_tables(7)
+    assert (basis.m, basis.s_X, basis.genus) == (6, 1.0, 7)
 
 
 def test_failure_budget(monkeypatch):
@@ -718,7 +769,7 @@ def test_grid_start_outside_the_eta_ball_runs():
         si_r_cov=20, si_grid_n=64, master_seed=3,
     ))
     for i in (0, 19):
-        model, start = _make_replication(ctx, i)
+        model, start = _make_replication(ctx.cfg, i)
         grid_start, _ = grid_init(model.dataset, model.basis, 64)
         assert np.linalg.norm(grid_start.eta) > model.eta_radius
         assert np.array_equal(start.theta, grid_start.theta)
@@ -739,7 +790,7 @@ def test_me_replication_reads_the_k_step_run_from_the_profile_trace(cfg):
     ctx = build_context(cfg)
     for i in range(3):
         acfg = ctx.acfg
-        model, start = _make_replication(ctx, i)
+        model, start = _make_replication(ctx.cfg, i)
         me_v = profile_estimate(model, replace(acfg, max_steps=4 * ctx.K), start)[0].as_vector()
         trace = run(model, start, acfg)
         dists = [float(np.linalg.norm(acfg.norm_matrix @ (r.point_kk.as_vector() - me_v)))

@@ -443,7 +443,7 @@ def test_default_start_lies_inside_the_eta_ball():
         family="single-index", reps=1, si_n=250, si_m=3, si_eta_star=(1.0, -0.8, 0.9),
         si_r_cov=20, si_grid_n=64, master_seed=3,
     ))
-    rep0, rep19 = ctx.cfg.model(ctx, 0), ctx.cfg.model(ctx, 19)
+    rep0, rep19 = ctx.cfg.model(0), ctx.cfg.model(19)
     for model in (rep0, rep19):
         assert np.linalg.norm(model.default_start().eta) <= model.eta_radius
     with pytest.raises(ProfileEstimateError, match="not stationary after 200 steps"):
@@ -451,7 +451,7 @@ def test_default_start_lies_inside_the_eta_ball():
     _, trace = profile_estimate(rep19, AlternationConfig(max_steps=20))
     assert trace.stop_reason == "stationary"
     # inside the ball the default start is the grid start, byte for byte
-    model = ctx.cfg.model(ctx, 1)
+    model = ctx.cfg.model(1)
     grid_start, _ = grid_init(model.dataset, model.basis, 64)
     assert np.linalg.norm(grid_start.eta) <= model.eta_radius
     start = model.default_start(64)

@@ -21,7 +21,7 @@ STAR = ParameterPoint([0.0], [0.0])
 
 
 def canon_model():
-    return ToyGaussianModel(F2_CANON, STAR, Y=[1.0, 0.0])
+    return ToyGaussianModel(F2_CANON, Y=[1.0, 0.0])
 
 
 def expected_evaluate(model, star, point):
@@ -44,9 +44,7 @@ def contraction_matrix(F2):
 def test_evaluate_examples():
     m = canon_model()
     assert m.evaluate(ParameterPoint([1.0], [0.0])) == 0.0
-    ident = ToyGaussianModel(
-        BlockInformation(D2=[[1.0]], A=[[0.0]], H2=[[1.0]]), STAR, Y=[1.0, 0.0]
-    )
+    ident = ToyGaussianModel(BlockInformation(D2=[[1.0]], A=[[0.0]], H2=[[1.0]]), Y=[1.0, 0.0])
     assert abs(ident.evaluate(ParameterPoint([0.0], [0.0])) + 0.5) < 1e-14
 
 
@@ -64,7 +62,7 @@ def test_gradient_example_and_fd():
 def test_simulate_zero_noise_and_reproducibility():
     star = ParameterPoint([0.3], [0.7])
     # with no noise (Y = upsilon_star) the functional peaks at the truth
-    m0 = ToyGaussianModel(F2_CANON, star, star.as_vector())
+    m0 = ToyGaussianModel(F2_CANON, star.as_vector())
     assert m0.evaluate(star) == 0.0
     assert not np.concatenate(m0.gradient(star)).any()
     m1 = simulate(F2_CANON, star, seed=5)
@@ -191,7 +189,7 @@ def test_expected_functional_maximized_at_truth():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        ToyGaussianModel(F2_CANON, STAR, Y=[1.0, 0.0, 3.0])
+        ToyGaussianModel(F2_CANON, Y=[1.0, 0.0, 3.0])
 
 
 def _solve_expressions(model, x, which):
@@ -226,8 +224,7 @@ def _toy_models(rng):
                 (np.eye(p), 1e-310 * np.eye(m)),
             ):
                 F2 = BlockInformation(D2=D2, A=A, H2=H2)
-                star = ParameterPoint(np.zeros(p), np.zeros(m))
-                yield ToyGaussianModel(F2, star, rng.standard_normal(p + m))
+                yield ToyGaussianModel(F2, rng.standard_normal(p + m))
 
 
 def test_prepared_solves_match_the_solve_expressions_bit_for_bit():
@@ -258,9 +255,8 @@ def test_prepared_solves_reject_a_non_finite_right_hand_side():
 def test_ill_conditioned_block_warns_on_every_solve():
     # a subnormal 2x2 block is ill-conditioned for dpocon: every solve warns,
     # not only the first for a model
-    star = ParameterPoint(np.zeros(2), np.zeros(2))
     F2 = BlockInformation(D2=1e-310 * np.eye(2), A=0.5 * np.eye(2), H2=1e-310 * np.eye(2))
-    model = ToyGaussianModel(F2, star, [0.5, -0.2, 0.1, 0.3])
+    model = ToyGaussianModel(F2, [0.5, -0.2, 0.1, 0.3])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(3):
@@ -277,7 +273,7 @@ def test_ill_conditioned_block_warns_on_every_solve():
 
 def test_maximizers_reject_an_argument_of_the_wrong_size():
     F2 = BlockInformation(D2=2.0 * np.eye(2), A=np.eye(2, 3), H2=2.0 * np.eye(3))
-    model = ToyGaussianModel(F2, ParameterPoint(np.zeros(2), np.zeros(3)), np.arange(5.0))
+    model = ToyGaussianModel(F2, np.arange(5.0))
     with pytest.raises(ModelDomainError, match="theta must have 2 coordinates"):
         model.eta_argmax(np.array([0.5]))
     with pytest.raises(ModelDomainError, match="eta must have 3 coordinates"):
