@@ -14,7 +14,8 @@ the first step that moves by less than the solver tolerance, or as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class ProfileEstimateError(RuntimeError):
     """The profile run did not become stationary."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlternationConfig:
     max_steps: int = 30
     solver_tolerance: float = 1e-9
@@ -44,8 +45,8 @@ class AlternationConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps K >= 1 required")
-        if self.solver_tolerance <= 0:
-            raise ValueError("solver_tolerance must be > 0")
+        if not 0 < self.solver_tolerance < math.inf:  # NaN fails both comparisons
+            raise ValueError("solver_tolerance must be finite and > 0")
 
     def weighted_norm(self, v):
         """||norm_matrix @ v||, or ||v|| without a norm matrix, for a vector v."""
@@ -54,8 +55,7 @@ class AlternationConfig:
         return _norm(v)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     k: int
     point_kk: ParameterPoint
     point_kk1: ParameterPoint
@@ -64,10 +64,12 @@ class TraceRecord:
     step_norm: float  # ||D (u_kk - u_{k-1,k-1})||; nan at k = 0
 
 
-@dataclass
 class AlternatingTrace:
-    records: list = field(default_factory=list)
-    stop_reason: str = "max_steps"  # max_steps | stationary
+    """The records of a run, one per step, and why it stopped."""
+
+    def __init__(self, records=None, stop_reason="max_steps"):
+        self.records = [] if records is None else records
+        self.stop_reason = stop_reason  # max_steps | stationary
 
     def final(self) -> ParameterPoint:
         return self.records[-1].point_kk

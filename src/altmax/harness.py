@@ -2,12 +2,14 @@
 estimation, convergence to the maximizer, condition probes, and dimension
 sweeps.
 
-A config is a frozen class of one family (`ToyConfig`, `SingleIndexConfig`,
-`SweepConfig`; `ExperimentConfig(family=...)` looks it up in `FAMILIES`) that
-holds and checks only its own fields, keeps its truth and information (built
-once, on first use) and condition constants, and draws each replication's
-model and start from its fields alone.  `build_context` derives from it, in
-one pass, what every replication shares: nu, the bound inputs and K.
+A config is a frozen dataclass of one family (`ToyConfig`, `SingleIndexConfig`,
+`SweepConfig`; `ExperimentConfig(family=...)` looks it up in `FAMILIES`) whose
+fields are the CLI's keys; it checks only its own fields, keeps its truth and
+information (built once, on first use) and condition constants, and draws each
+replication's model and start from its fields alone.  `build_context` derives
+from it, in one pass, what every replication shares: nu, the bound inputs and K,
+in a frozen `ExperimentContext` that compares by identity.  A run returns an
+`ExperimentReport`, a named tuple whose `write` writes its files.
 
 Replication r of an experiment draws its generator from
 SeedSequence(master_seed, spawn_key=(r,)), so results are independent of
@@ -26,7 +28,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import chain
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -122,7 +124,7 @@ def fit_contraction(distances, floor=None):
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class _Config:
     """The fields and checks every experiment family shares."""
 
@@ -136,7 +138,7 @@ class _Config:
     cc: ConditionConstants = field(default_factory=ConditionConstants)
 
     def __post_init__(self):
-        _require(self, "x z_target", math.isfinite, "must be finite")
+        _require(self, "x z_target solver_tolerance", math.isfinite, "must be finite")
         _require(self, "reps threads steps", lambda v: v >= 1, ">= 1 required")
         _require(self, "x z_target solver_tolerance", lambda v: v > 0, "> 0 required")
         _require(self, "master_seed", lambda v: v >= 0, ">= 0 required")
@@ -203,7 +205,7 @@ class ToyConfig(_Config):
         return ParameterPoint.from_vector(star.as_vector() + self.toy_start_offset, star.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class _SieveConfig(_Config):
     """The single-index fields and checks a dimension sweep shares with its cells."""
 
@@ -316,7 +318,7 @@ def ExperimentConfig(family=ToyConfig.family, **values):
     return cls(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentContext:
     """What `build_context` derives from a config: the coupling nu of its
     information, the bound inputs z_x and R0 (None unless 0 < nu < 1) and the
@@ -367,8 +369,7 @@ def _make_replication(cfg, rep_index):
 # experiment report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     kind: str
     records: list
     aggregates: dict

@@ -23,8 +23,8 @@ where the finite sieve identifies the index scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .statcore import BlockInformation, ParameterPoint
 from .wavelet import WaveletBasis, _Workspace
 
 
-@dataclass(frozen=True)
-class SingleIndexDataset:
+class SingleIndexDataset(NamedTuple):
     X: np.ndarray  # n x p, rows inside the ball of radius basis.s_X
     y: np.ndarray
     eta_star: np.ndarray | None = None

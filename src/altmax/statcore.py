@@ -13,23 +13,27 @@ whole semiparametric calculus below is only defined when nu < 1.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe for concurrent use without coordination.  A point
-holds one read-only vector (theta, eta), and theta and eta are views of it.
-The derived geometry of a BlockInformation (its SPD check, the assembled
-matrix, the H2 Cholesky factor, the SPD root of the efficient information
-and of the full matrix) is computed once per instance, on first use, and
-kept read-only: the blocks cannot change, so it never goes stale.  A failed
-computation raises and is not kept, so it raises again on the next use.  A
-pickled or copied point or BlockInformation is rebuilt from its fields, so
-its arrays are read-only too and its geometry is computed afresh.  The H2
-Cholesky factor and its solves are scipy.linalg's `cho_factor` and
-`cho_solve`, called through `_lapack` on scipy's own `_flapack` routines,
-with the same bits.
+and a BlockInformation are plain classes that set each field once, in
+`__init__`: assigning or deleting one raises FrozenInstanceError, and `==`
+and `hash` are identity, since the fields are arrays.  EfficientScore is a
+named tuple.  A point holds one read-only vector (theta, eta), and theta and
+eta are views of it.  The derived geometry of a BlockInformation (its SPD
+check, the assembled matrix, the H2 Cholesky factor, the SPD root of the
+efficient information and of the full matrix) is computed once per instance,
+on first use, and kept read-only: the blocks cannot change, so it never goes
+stale.  A failed computation raises and is not kept, so it raises again on
+the next use.  A pickled or copied point or BlockInformation is rebuilt from
+its fields, so its arrays are read-only too and its geometry is computed
+afresh.  The H2 Cholesky factor and its solves are scipy.linalg's
+`cho_factor` and `cho_solve`, called through `_lapack` on scipy's own
+`_flapack` routines, with the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,16 +100,19 @@ def _check_spd(M, name):
     return wmin
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """`__setattr__` and `__delattr__` of an immutable class, as a frozen dataclass's."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class ParameterPoint:
     """A split parameter upsilon = (theta, eta) of dimensions (p, m)."""
 
-    theta: np.ndarray
-    eta: np.ndarray
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        et = np.asarray(self.eta, dtype=float)
+    def __init__(self, theta, eta):
+        th = np.asarray(theta, dtype=float)
+        et = np.asarray(eta, dtype=float)
         if th.ndim > 1 or et.ndim > 1:
             raise ValueError("theta and eta must be vectors")
         if th.size < 1 or et.size < 1:
@@ -114,12 +121,10 @@ class ParameterPoint:
         # eta are views of it
         v = np.concatenate((th, et), axis=None)
         v.setflags(write=False)
-        object.__setattr__(self, "_vector", v)
-        object.__setattr__(self, "theta", v[: th.size])
-        object.__setattr__(self, "eta", v[th.size :])
+        self.__dict__.update(_vector=v, theta=v[: th.size], eta=v[th.size :])
 
     def __reduce__(self):
-        # rebuilt through __post_init__, so copies are read-only as well
+        # rebuilt through __init__, so copies are read-only as well
         return type(self), (self.theta, self.eta)
 
     @property
@@ -144,27 +149,22 @@ class ParameterPoint:
         return ParameterPoint(v[:p], v[p:])
 
 
-@dataclass(frozen=True)
 class BlockInformation:
     """Block matrix [[D2, A], [A.T, H2]] with SPD diagonal blocks."""
 
-    D2: np.ndarray
-    A: np.ndarray
-    H2: np.ndarray
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        D2 = _as_matrix(self.D2, "D2").copy()
-        A = _as_matrix(self.A, "A").copy()
-        H2 = _as_matrix(self.H2, "H2").copy()
+    def __init__(self, D2, A, H2):
+        D2 = _as_matrix(D2, "D2").copy()
+        A = _as_matrix(A, "A").copy()
+        H2 = _as_matrix(H2, "H2").copy()
         if A.shape != (D2.shape[0], H2.shape[0]):
             raise ValueError(
                 f"A must be p x m = {D2.shape[0]} x {H2.shape[0]}, got {A.shape}"
             )
         for M in (D2, A, H2):
             M.setflags(write=False)
-        object.__setattr__(self, "D2", D2)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "H2", H2)
+        self.__dict__.update(D2=D2, A=A, H2=H2)
 
     def __reduce__(self):
         # rebuilt from the blocks: read-only again, with no cached geometry
@@ -215,8 +215,7 @@ class BlockInformation:
         return _read_only(sqrt_spd(efficient_information(self)))
 
 
-@dataclass(frozen=True)
-class EfficientScore:
+class EfficientScore(NamedTuple):
     """Projected gradient and its standardization xi = inv(sqrt(D2_eff)) @ breve_grad."""
 
     breve_grad: np.ndarray

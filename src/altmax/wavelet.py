@@ -22,8 +22,8 @@ member is supported inside the interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +118,7 @@ def _refine(values, h, deriv_order, levels):
     return v
 
 
-@dataclass(frozen=True)
-class WaveletTables:
+class WaveletTables(NamedTuple):
     """Dyadic tables of the mother wavelet psi and its derivative on [0, S]."""
 
     genus: int

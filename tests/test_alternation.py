@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -235,8 +236,11 @@ def test_profile_estimate_rejects_a_run_that_is_not_stationary():
 def test_config_validation():
     with pytest.raises(ValueError):
         AlternationConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        AlternationConfig(solver_tolerance=0.0)
+    # a NaN or infinite tolerance would switch off the monotone check and the
+    # stationary stop
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="solver_tolerance must be finite and > 0"):
+            AlternationConfig(solver_tolerance=tol)
 
 
 class CountingToy(ToyGaussianModel):

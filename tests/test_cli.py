@@ -304,6 +304,12 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
          "bad value 'inf' for config key 'sigma': si_sigma must be finite"),
         ("single-index", "s_x = nan\n", "bad value 'nan' for config key 's_x': si_s_x must be finite"),
         ("single-index", "x = nan\n", "bad value 'nan' for config key 'x': x must be finite"),
+        # an infinite tolerance would stop every run after one step and switch
+        # off the monotone check
+        ("toy", "solver_tolerance = inf\n",
+         "bad value 'inf' for config key 'solver_tolerance': solver_tolerance must be finite"),
+        ("single-index", "solver_tolerance = nan\n",
+         "bad value 'nan' for config key 'solver_tolerance': solver_tolerance must be finite"),
         ("toy", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
         ("single-index", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),
         ("bounds", "nu0 = 0\n", "bad value '0' for config key 'nu0': nu0 must be > 0"),

@@ -445,6 +445,30 @@ def test_build_context_toy():
         ctx.R0 = 1.0
 
 
+def test_only_config_types_are_dataclasses():
+    # @dataclass only where a dataclass feature is used: `fields` gives the
+    # CLI keys, the tests compare configs with `==`, callers `replace` an
+    # AlternationConfig, and the context is frozen
+    import dataclasses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import altmax
+
+    found = set()
+    for info in pkgutil.iter_modules(altmax.__path__):
+        mod = importlib.import_module(f"altmax.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(mod).items()
+                  if inspect.isclass(obj) and obj.__module__ == mod.__name__
+                  and dataclasses.is_dataclass(obj)}
+    assert found == {
+        "harness._Config", "harness._SieveConfig", "harness.ToyConfig",
+        "harness.SingleIndexConfig", "harness.SweepConfig", "harness.ExperimentContext",
+        "bounds.ConditionConstants", "bounds.BoundInputs", "alternation.AlternationConfig",
+    }
+
+
 def test_bounds_are_off_at_zero_coupling():
     # toy_a = 0 gives nu = 0, outside (0, 1): no bound inputs, K falls back
     # to the engine's default, 30, and the summary has no Fisher bound or coverage
@@ -684,6 +708,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key, value", [
     ("steps", 0), ("solver_tolerance", 0.0), ("solver_tolerance", -1e-9),
+    ("solver_tolerance", math.inf), ("solver_tolerance", math.nan),
     ("si_r_cov", 0), ("si_n", 0), ("si_p", 0),
 ])
 def test_config_rejects_malformed_values(key, value):

@@ -1,5 +1,7 @@
 import copy
+import math
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -313,3 +315,43 @@ def test_assembled_matrix_is_cached_and_read_only():
     back = pickle.loads(pickle.dumps(blocks))
     assert "_full" not in vars(back)
     assert back.full().tobytes() == want.tobytes() and not back.full().flags.writeable
+
+
+def test_value_types_are_immutable_and_pickle():
+    from altmax.alternation import TraceRecord
+    from altmax.harness import ExperimentReport
+    from altmax.singleindex import SingleIndexDataset
+    from altmax.statcore import EfficientScore
+    from altmax.wavelet import wavelet_tables
+
+    rng = np.random.default_rng(47)
+    pt = ParameterPoint(rng.standard_normal(2), rng.standard_normal(1))  # p + m = 3
+    blocks = _coupled_blocks(rng, 2, 1, 0.2)
+    for obj, names in ((pt, ("theta", "eta", "_vector")), (blocks, ("D2", "A", "H2"))):
+        for name in names:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, 0.0)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(obj, name)
+    # the records are named tuples: no field can be set, deleted or added
+    for rec in (EfficientScore(np.zeros(1), np.zeros(1)),
+                TraceRecord(0, pt, pt, 0.0, 0.0, math.nan), wavelet_tables(),
+                SingleIndexDataset(X=np.zeros((2, 1)), y=np.zeros(2)),
+                ExperimentReport("wilks_fisher", [], {}, {})):
+        for name in (*rec._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+    blocks.validate()
+    blocks.full_sqrt()
+    blocks.efficient_root
+    back_pt, back_blocks = pickle.loads(pickle.dumps((pt, blocks)))
+    for M in (back_pt.theta, back_pt.eta, back_blocks.D2, back_blocks.A, back_blocks.H2):
+        assert not M.flags.writeable
+    assert set(vars(back_blocks)) == {"D2", "A", "H2"}  # no cached geometry
+    # equality is identity, since the fields are arrays: an equal copy is
+    # another point, and points and block matrices can be set members
+    assert pt == pt and pt != back_pt and len({pt, back_pt, pt}) == 2
+    assert blocks == blocks and blocks != back_blocks and len({blocks, back_blocks}) == 2
