@@ -180,12 +180,12 @@ class ToyConfig(_Config):
         np.fill_diagonal(A, self.toy_a)
         info = BlockInformation(D2=self.toy_d2 * np.eye(p), A=A, H2=self.toy_h2 * np.eye(m))
         try:
-            np.linalg.solve(info.full_sqrt(), np.zeros(p + m))
+            np.linalg.solve(info.full_sqrt, np.zeros(p + m))
         except np.linalg.LinAlgError:
             raise FieldValueError("toy_d2 toy_h2", "toy_d2 and toy_h2 too far apart: the root "
                                   "of the toy information is singular") from None
         with np.errstate(over="ignore"):
-            start_norm = np.linalg.norm(info.full_sqrt() @ np.full(p + m, self.toy_start_offset))
+            start_norm = np.linalg.norm(info.full_sqrt @ np.full(p + m, self.toy_start_offset))
         if not np.isfinite(start_norm):
             key = "toy_h2" if self.toy_h2 >= self.toy_d2 else "toy_d2"
             raise FieldValueError(f"{key} toy_start_offset", "toy_d2, toy_h2 and toy_start_offset"
@@ -344,7 +344,7 @@ def build_context(cfg: ToyConfig | SingleIndexConfig) -> ExperimentContext:
     star, info = cfg.truth
     nu, cc = coupling_norm(info), cfg.cc_eff
     z_x = combined_quantile(cfg.x, star.p_star, cc=cc) if 0.0 < nu < 1.0 else None
-    acfg = AlternationConfig(solver_tolerance=cfg.solver_tolerance, norm_matrix=info.full_sqrt())
+    acfg = AlternationConfig(solver_tolerance=cfg.solver_tolerance, norm_matrix=info.full_sqrt)
     R0, K = None, cfg.steps
     if z_x is not None:
         _, start = _make_replication(cfg, 999_931)
@@ -461,9 +461,7 @@ def _wilks_replication(ctx, i):
            "monotone_defect": trace.monotone_defect(),
            "stop_reason": trace.stop_reason}
     steps = [r.step_norm for r in trace.records[1:]]
-    rec["nu_hat"] = fit_contraction(
-        [float("nan")] + steps, floor=max(steps[-1], 1e-300) if steps else None
-    )
+    rec["nu_hat"] = fit_contraction([float("nan")] + steps, floor=max(steps[-1], 1e-300))
     for k in range(K + 1):
         r_k = trace.records[min(k, len(trace.records) - 1)]
         rec[f"fisher_{k}"] = fisher_residual(info, score, r_k.point_kk.theta, star.theta)

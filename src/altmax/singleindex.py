@@ -81,8 +81,8 @@ def generate(n, theta_star, eta_star, sigma, seed, basis) -> SingleIndexDataset:
     of `basis`."""
     theta_star = _check_half_sphere(theta_star)
     eta_star = np.atleast_1d(np.asarray(eta_star, dtype=float))
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     X = uniform_ball(rng, n, theta_star.size, basis.s_X)
     f = basis.synth(X @ theta_star, eta_star)
@@ -107,6 +107,8 @@ def information_at_truth(basis, star, n, sigma, r_datasets, *, seed):
     row by row, and the index X theta and the products stay per dataset,
     so every block keeps the bits of a dataset-at-a-time loop.
     """
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     p, m = star.p, basis.m
     D2 = np.zeros((p, p))

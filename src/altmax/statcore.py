@@ -186,22 +186,17 @@ class BlockInformation:
         self._min_eigenvalues  # raises NotSPDError until the check passes
         return self
 
+    @cached_property
     def full(self):
         """Assembled (p+m) x (p+m) block matrix, read-only."""
-        return self._full
-
-    @cached_property
-    def _full(self):
         top = np.hstack([self.D2, self.A])
         bot = np.hstack([self.A.T, self.H2])
         return _read_only(np.vstack([top, bot]))
 
-    def full_sqrt(self):
-        return self._full_sqrt
-
     @cached_property
-    def _full_sqrt(self):
-        return _read_only(sqrt_spd(self.full()))
+    def full_sqrt(self):
+        """SPD root of the assembled matrix, read-only."""
+        return _read_only(sqrt_spd(self.full))
 
     @cached_property
     def h2_cho_factor(self):

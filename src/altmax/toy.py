@@ -25,7 +25,7 @@ class ToyGaussianModel(Model):
         self.Y = np.asarray(Y, dtype=float).copy()
         if self.Y.size != F2.p + F2.m:
             raise ValueError("Y dimension does not match the information F2")
-        self._full = F2.full()
+        self._full = F2.full
         self._p = F2.p
         # what the partial maximizers read on every step
         self._y_th, self._y_et = self.Y[: self._p], self.Y[self._p :]
@@ -78,7 +78,7 @@ def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed):
     star = upsilon_star.as_vector()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(star.size)
-    Y = star + np.linalg.solve(F2.full_sqrt(), z)
+    Y = star + np.linalg.solve(F2.full_sqrt, z)
     return ToyGaussianModel(F2, Y)
 
 

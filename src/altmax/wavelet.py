@@ -27,14 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "daubechies_filter",
-    "WaveletTables",
-    "wavelet_tables",
-    "WaveletBasis",
-    "level_of_index",
-]
-
 
 def daubechies_filter(genus: int) -> np.ndarray:
     """Orthonormal Daubechies low-pass filter with `genus` vanishing moments.
@@ -288,10 +280,10 @@ class WaveletBasis:
     """
 
     def __init__(self, m, s_X, genus=7):
-        if m < 1:
-            raise ValueError("m >= 1 required")
-        if s_X <= 0:
-            raise ValueError("s_X > 0 required")
+        if not (m >= 1 and float(m).is_integer()):  # NaN fails the comparison
+            raise ValueError(f"m must be an integer >= 1, got {m!r}")
+        if not 0 < s_X < np.inf:
+            raise ValueError(f"s_X must be finite and > 0, got {s_X!r}")
         self.m = int(m)
         self.s_X = float(s_X)
         self.tables = wavelet_tables(genus)

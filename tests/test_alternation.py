@@ -113,7 +113,7 @@ def test_profile_estimate_matches_joint_ascent_oracle():
         if np.linalg.norm(g) < 1e-12:
             break
     pt, _ = profile_estimate(model, AlternationConfig(max_steps=80, solver_tolerance=1e-13))
-    D = sqrt_spd(F2.full())
+    D = sqrt_spd(F2.full)
     assert np.linalg.norm(D @ (pt.as_vector() - v)) < 1e-8
 
 

@@ -52,6 +52,17 @@ def test_generate_validates_theta_star():
         generate(10, [-1.0, 0.0], [1.0, 1.0], 0.1, seed=0, basis=basis)
 
 
+def test_generate_and_information_at_truth_reject_a_non_finite_sigma():
+    # a NaN sigma gave a noiseless dataset whose model used noise scale 1,
+    # and an infinite one a non-finite y
+    basis = WaveletBasis(m=2, s_X=1.0)
+    for sigma in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            generate(10, THETA2, [1.0, 1.0], sigma, seed=0, basis=basis)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            information_at_truth(basis, ParameterPoint(THETA2, [1.0, 1.0]), 10, sigma, 2, seed=0)
+
+
 def test_generate_noise_variance():
     basis = WaveletBasis(m=3, s_X=1.0)
     sigma = 0.7
@@ -224,7 +235,7 @@ def test_model_hessian_fd():
 def test_information_at_truth_noiseless_is_spd():
     basis = WaveletBasis(m=6, s_X=1.0)
     info = information_at_truth(basis, STAR, 300, 0.0, 10, seed=6)
-    w = np.linalg.eigvalsh(info.full())
+    w = np.linalg.eigvalsh(info.full)
     assert w.min() > 0
 
 
@@ -233,7 +244,7 @@ def test_information_at_truth_replication_oracle():
     info = information_at_truth(basis, STAR, 400, 0.5, 200, seed=100)
     ref = information_at_truth(basis, STAR, 400, 0.5, 2000, seed=999)
     # each entry within 3 standard errors of the long-run estimate
-    D, Dref = info.full(), ref.full()
+    D, Dref = info.full, ref.full
     scale = np.abs(Dref).max()
     se = 3.0 * scale / np.sqrt(200)
     assert np.abs(D - Dref).max() < 3.0 * se

@@ -188,7 +188,7 @@ def test_cached_geometry_is_bit_equal_to_fresh_computation():
         checked += 1
         fresh_root = sqrt_spd(efficient_information(blocks))
         assert np.array_equal(blocks.efficient_root, fresh_root)
-        assert np.array_equal(blocks.full_sqrt(), sqrt_spd(blocks.full()))
+        assert np.array_equal(blocks.full_sqrt, sqrt_spd(blocks.full))
         gt, ge = rng.standard_normal(p), rng.standard_normal(m)
         for _ in range(2):  # first use fills the cache, the second reads it
             score = efficient_score(blocks, gt, ge)
@@ -203,12 +203,12 @@ def test_cached_geometry_is_read_only_and_computed_once():
     rng = np.random.default_rng(29)
     blocks = _coupled_blocks(rng, 3, 2, 0.2)
     c, _low = blocks.h2_cho_factor
-    for M in (blocks.efficient_root, blocks.full_sqrt(), c):
+    for M in (blocks.efficient_root, blocks.full_sqrt, c):
         assert not M.flags.writeable
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
     assert blocks.efficient_root is blocks.efficient_root
-    assert blocks.full_sqrt() is blocks.full_sqrt()
+    assert blocks.full_sqrt is blocks.full_sqrt
     assert blocks.h2_cho_factor is blocks.h2_cho_factor
 
 
@@ -244,10 +244,10 @@ def test_round_trip_is_read_only_with_the_same_geometry(clone):
     for a, b in ((back.theta, pt.theta), (back.eta, pt.eta)):
         assert not a.flags.writeable and np.array_equal(a, b)
     blocks = _coupled_blocks(rng, 3, 2, 0.2)
-    cached = (blocks.efficient_root, blocks.full_sqrt(), blocks.h2_cho_factor[0])
+    cached = (blocks.efficient_root, blocks.full_sqrt, blocks.h2_cho_factor[0])
     back = clone(blocks)
-    assert not {"efficient_root", "_full_sqrt", "h2_cho_factor"} & set(vars(back))
-    again = (back.efficient_root, back.full_sqrt(), back.h2_cho_factor[0])
+    assert not {"efficient_root", "full_sqrt", "h2_cho_factor"} & set(vars(back))
+    again = (back.efficient_root, back.full_sqrt, back.h2_cho_factor[0])
     for a, b in zip((back.D2, back.A, back.H2) + again,
                     (blocks.D2, blocks.A, blocks.H2) + cached):
         assert not a.flags.writeable
@@ -306,15 +306,15 @@ def test_scalar_and_list_coordinates_make_float_vectors():
 def test_assembled_matrix_is_cached_and_read_only():
     rng = np.random.default_rng(43)
     blocks = _coupled_blocks(rng, 3, 2, 0.2)
-    full = blocks.full()
+    full = blocks.full
     want = np.vstack([np.hstack([blocks.D2, blocks.A]), np.hstack([blocks.A.T, blocks.H2])])
     assert full.tobytes() == want.tobytes() and full.shape == (5, 5)
-    assert blocks.full() is full and not full.flags.writeable
+    assert blocks.full is full and not full.flags.writeable
     with pytest.raises(ValueError):
         full[0, 0] = 1.0
     back = pickle.loads(pickle.dumps(blocks))
-    assert "_full" not in vars(back)
-    assert back.full().tobytes() == want.tobytes() and not back.full().flags.writeable
+    assert "full" not in vars(back)
+    assert back.full.tobytes() == want.tobytes() and not back.full.flags.writeable
 
 
 def test_value_types_are_immutable_and_pickle():
@@ -345,7 +345,7 @@ def test_value_types_are_immutable_and_pickle():
             with pytest.raises(AttributeError):
                 delattr(rec, name)
     blocks.validate()
-    blocks.full_sqrt()
+    blocks.full_sqrt
     blocks.efficient_root
     back_pt, back_blocks = pickle.loads(pickle.dumps((pt, blocks)))
     for M in (back_pt.theta, back_pt.eta, back_blocks.D2, back_blocks.A, back_blocks.H2):

@@ -28,7 +28,7 @@ def expected_evaluate(model, star, point):
     """E over the noise of L(point), for data drawn from the truth `star`:
     -||F(u - u*)||^2/2 - p*/2."""
     d = point.as_vector() - star.as_vector()
-    return float(-0.5 * d @ (model.F2.full() @ d) - 0.5 * d.size)
+    return float(-0.5 * d @ (model.F2.full @ d) - 0.5 * d.size)
 
 
 def contraction_matrix(F2):
@@ -68,7 +68,7 @@ def test_simulate_zero_noise_and_reproducibility():
     m1 = simulate(F2_CANON, star, seed=5)
     # the noise is inv(F) z, with z the seed's standard normal draw
     z = np.random.default_rng(5).standard_normal(2)
-    assert np.allclose(F2_CANON.full_sqrt() @ (m1.Y - star.as_vector()), z)
+    assert np.allclose(F2_CANON.full_sqrt @ (m1.Y - star.as_vector()), z)
     m2 = simulate(F2_CANON, star, seed=5)
     assert np.array_equal(m1.Y, m2.Y)
     assert not np.allclose(simulate(F2_CANON, star, seed=6).Y, m1.Y)
@@ -79,7 +79,7 @@ def test_simulate_covariance_matches_inverse_information():
     reps = 10_000
     ys = np.array([simulate(F2_CANON, star, seed=s).Y for s in range(reps)])
     cov = np.cov(ys.T)
-    target = np.linalg.inv(F2_CANON.full())
+    target = np.linalg.inv(F2_CANON.full)
     se = np.abs(target) * np.sqrt(2.0 / reps) + 1e-3
     assert np.all(np.abs(cov - target) < 3.0 * (se + np.sqrt(2.0 / reps) * np.abs(target).max()))
 

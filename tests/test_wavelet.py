@@ -206,3 +206,14 @@ def test_bad_args():
             wavelet_tables(genus)
         with pytest.raises(ValueError, match="genus >= 2"):
             WaveletBasis(m=3, s_X=1.0, genus=genus)
+
+
+def test_basis_rejects_a_non_finite_radius_and_a_fractional_m():
+    # a NaN radius gave a design of zeros, and m = 2.7 a basis of m = 2
+    for s_X in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="s_X must be finite and > 0"):
+            WaveletBasis(m=3, s_X=s_X)
+    for m in (2.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            WaveletBasis(m=m, s_X=1.0)
+    assert WaveletBasis(m=3.0, s_X=1.0).m == WaveletBasis(m=np.int64(3), s_X=1.0).m == 3
