@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -52,9 +53,10 @@ class ConditionConstants:
 
     The local non-quadraticity map delta(r) is parametrized as
     delta_const + delta_slope * r (non-negative, non-decreasing); the
-    large-deviation exponential-moment map g(r) is the constant g_r_value.
-    Infinite g / g0 select the first branch of every piecewise quantile,
-    matching models with genuinely Gaussian errors.
+    large-deviation exponential-moment map g(r) and the probability term
+    beta_A(x) are the constants g_r and beta_a.  Infinite g / g0 select the
+    first branch of every piecewise quantile, matching models with genuinely
+    Gaussian errors; g, g0 and g_r are the only constants that may be inf.
     """
 
     nu0: float = 1.0
@@ -68,26 +70,20 @@ class ConditionConstants:
     nu_r: float = 1.0
     delta_slope: float = 0.0
     delta_const: float = 0.0
-    g_r_value: float = math.inf
-    beta_A_value: float = 0.0
+    g_r: float = math.inf
+    beta_a: float = 0.0
     z_hess: float = 0.0
 
     def __post_init__(self):
         _require(self, "omega omega2", lambda v: 0.0 <= v <= 0.5, "must lie in [0, 1/2]")
-        _require(self, "nu0 nu1 nu2 nu_r g g0 g_r_value b", lambda v: v > 0, "must be > 0")
-        _require(self, "delta_slope delta_const z_hess beta_A_value", math.isfinite,
+        _require(self, "nu0 nu1 nu2 nu_r g g0 g_r b", lambda v: v > 0, "must be > 0")
+        _require(self, "nu0 nu1 nu2 nu_r b delta_slope delta_const z_hess beta_a", math.isfinite,
                  "must be finite")
         # the delta map must be non-negative and non-decreasing
         _require(self, "delta_slope delta_const", lambda v: v >= 0, "must be >= 0")
 
     def delta(self, r):
         return self.delta_const + self.delta_slope * r
-
-    def g_r(self, r):
-        return self.g_r_value
-
-    def beta_A(self, x):
-        return self.beta_A_value
 
 
 @dataclass(frozen=True)
@@ -100,20 +96,21 @@ class BoundInputs:
     nu: float = 0.25
     cc: ConditionConstants = field(default_factory=ConditionConstants)
     b_eigenvalues: tuple[float, ...] | None = None
-    R_K: float | None = None
-    K0: float | None = None
+    r_k_init: float | None = None
+    k0: float | None = None
     eps: float = 0.0
-    norm_Dinv: float = 0.0
+    norm_dinv: float = 0.0
     k_max: int = 20
 
     def __post_init__(self):
-        _require(self, "x eps norm_Dinv R_K K0", math.isfinite, "must be finite")
+        _require(self, "p m k_max", lambda v: isinstance(v, Integral), "must be an integer")
+        _require(self, "x eps norm_dinv r_k_init k0", math.isfinite, "must be finite")
         _require(self, "b_eigenvalues", lambda v: all(map(math.isfinite, v)),
                  "entries must be finite")
         _require(self, "x", lambda v: v > 0, "> 0 required")
         _require(self, "p m", lambda v: v >= 1, ">= 1 required")
         _require(self, "nu", lambda v: 0 <= v < 1, "in [0, 1) required")
-        _require(self, "k_max eps norm_Dinv R_K K0", lambda v: v >= 0, ">= 0 required")
+        _require(self, "k_max eps norm_dinv r_k_init k0", lambda v: v >= 0, ">= 0 required")
         eigs = self.b_eigenvalues
         if eigs is not None and len(eigs) != self.p + self.m:
             raise FieldValueError("b_eigenvalues",
@@ -188,10 +185,9 @@ def entropy_quantile(x, Q, g0=math.inf):
     return (x + Q) / g0 + g0 / 2.0
 
 
-def combined_quantile(x, p_star, cc: ConditionConstants | None = None):
+def combined_quantile(x, p_star, cc: ConditionConstants):
     """z(x) = z(x, I) v z0(x, 4 p*): the single symbol covering all
     sqrt(p* + x)-order terms."""
-    cc = cc or ConditionConstants()
     return max(
         quad_form_quantile(x, np.eye(p_star), cc.g),
         math.sqrt(entropy_quantile_sq(x, 4.0 * p_star, cc.g0)),
@@ -295,7 +291,7 @@ def check_B1(x, p_star, cc: ConditionConstants, r_grid=None):
     for r in r_grid:
         if r < r_min:
             continue
-        if not lhs <= 3.0 * cc.nu_r**2 * cc.g_r(r) / cc.b:
+        if not lhs <= 3.0 * cc.nu_r**2 * cc.g_r / cc.b:
             return False
     return True
 
@@ -393,7 +389,7 @@ def compute_bound_report(inputs: BoundInputs):
     `r_star_k` is empty unless kappa < 1 - nu.
     """
     x, p, m, nu, cc, k_max = inputs.x, inputs.p, inputs.m, inputs.nu, inputs.cc, inputs.k_max
-    R_K, K0, eps, norm_Dinv = inputs.R_K, inputs.K0, inputs.eps, inputs.norm_Dinv
+    eps, r_k_init = inputs.eps, inputs.r_k_init
     p_star = p + m
     B = np.diag(inputs.b_eigenvalues) if inputs.b_eigenvalues is not None else np.eye(p_star)
     v = {"x": x, "p": p, "m": m, "nu": nu}
@@ -401,9 +397,8 @@ def compute_bound_report(inputs: BoundInputs):
     v["z0_sq"] = entropy_quantile_sq(x, 4.0 * p_star, cc.g0)
     v["z_entropy"] = entropy_quantile(x, 2.0 * p_star + 2.0 * p, cc.g0)
     z_x = v["z_x"] = max(v["z_quad"], math.sqrt(v["z0_sq"]))
-    if K0 is None:
-        K0 = initial_level_K0(z_x if R_K is None else R_K, x, cc, z_x)
-    v["K0"] = K0
+    K0 = v["K0"] = inputs.k0 if inputs.k0 is not None else initial_level_K0(
+        z_x if r_k_init is None else r_k_init, x, cc, z_x)
     R0 = v["R0"] = concentration_radius_R0(x, K0, p_star, cc, nu, z_x)
     v["r_ups"] = concentration_radius_R0(x, 0.0, p_star, cc, nu, z_x)
     v["spread_Q"] = spread_parametric(R0, x, p_star, cc)
@@ -417,7 +412,7 @@ def compute_bound_report(inputs: BoundInputs):
         radii["r_k_refined"] = [fisher_radius_refined(k, x, nu, R0, z_x, eps) for k in steps]
     v["K_stop"] = stopping_steps(z_x, R0, nu) if 0.0 < nu < 1.0 else 0
     z6 = entropy_quantile(x, 6.0 * p_star, cc.g0)
-    kap = v["kappa"] = kappa(R0, cc, nu, norm_Dinv, z6, cc.z_hess)
+    kap = v["kappa"] = kappa(R0, cc, nu, inputs.norm_dinv, z6, cc.z_hess)
     v["tau_x"] = v["L_k"] = None
     if kap < 1.0 - nu:
         radii["r_star_k"] = [me_radius(k, kap, nu, R0 + v["r_ups"]) for k in steps]
@@ -427,7 +422,7 @@ def compute_bound_report(inputs: BoundInputs):
     v.update(zip(names, quad_form_constants(B, cc.g)))
     v["mu_c"] = MU_C
     v["C_nu"] = C_nu(nu)
-    v["prob_level"] = 1.0 - 8.0 * math.exp(-x) - cc.beta_A(x)
+    v["prob_level"] = 1.0 - 8.0 * math.exp(-x) - cc.beta_a
     v.update(check_A3_c1=c1, check_A3_c2=c2, check_A3_ok=a3_ok,
              check_B1_ok=check_B1(x, p_star, cc), check_kappa_lt_1mn=kap < 1.0 - nu)
     return v, radii

@@ -9,8 +9,10 @@ Subcommands:
 Configuration files are flat key-value text: one `key = value` per line,
 `#` starts a comment.  Keys are documented in the README; a key the
 subcommand does not read is rejected.  Command-line flags
---seed/--reps/--threads override the file.  With --assert the exit code is 1
-when any of the subcommand's acceptance-keyed checks fails.
+--seed/--reps/--threads override the file.  The exit status is 0; 1 with
+--assert when any of the subcommand's acceptance-keyed checks fails; 2 when
+the config file or a flag value is rejected (one line on stderr, as argparse
+reports a bad flag).
 """
 
 from __future__ import annotations
@@ -37,12 +39,8 @@ from .harness import (
 
 
 # Config keys whose names differ from their fields'; every other `si_` field
-# drops the prefix.
-_RENAMED = {
-    "master_seed": "seed", "si_constrain": "constrain_theta",
-    "g_r_value": "g_r", "beta_A_value": "beta_a",
-    "R_K": "r_k_init", "K0": "k0", "norm_Dinv": "norm_dinv",
-}
+# drops the prefix, and every other field is its own key.
+_RENAMED = {"master_seed": "seed", "si_constrain": "constrain_theta"}
 
 
 def _parse_bool(raw):
@@ -114,38 +112,49 @@ def parse_config(path):
     return out
 
 
+class ConfigError(ValueError):
+    """A config file or flag value that the subcommand `command` rejects."""
+
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
+
+
 def _inputs(path, command, flags=()):
     """The `_CLASSES[command]` of a config file (no file: its defaults); each
     (flag, field, value) of `flags` whose value is set overrides the file.
 
     Every key of the file must be one of `KEYS[command]`; any other key is a
-    typo or belongs to another subcommand, and raises ValueError, as does a
-    value that does not parse or is out of range, named by its file and key
-    or by its flag.
+    typo or belongs to another subcommand, and raises ConfigError, as do a
+    line that is not `key = value`, a key set twice and a value that does
+    not parse or is out of range, named by its file and key or by its flag.
     """
-    entries = parse_config(path) if path else {}
-    table, cls = KEYS[command], _CLASSES[command]
-    unknown = sorted(set(entries) - set(table))
-    if unknown:
-        hints = []
-        for key in unknown:
-            close = difflib.get_close_matches(key, table, n=1)
-            hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
-        raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
-    values, where = {ConditionConstants: {}, cls: {}}, {}  # where: (class, field) -> its origin
-    for key, raw in entries.items():
-        owner, name, parse = table[key]
-        where[owner, name] = f"{path}: bad value {raw!r} for config key {key!r}"
-        try:
-            values[owner][name] = parse(raw)
-        except ValueError as exc:
-            raise ValueError(f"{where[owner, name]}: {exc}") from None
-    for flag, name, value in flags:
-        if value is not None:
-            values[cls][name] = value
-            where[cls, name] = f"bad value {value!r} for flag '--{flag}'"
-    cc = _build(ConditionConstants, where, **values[ConditionConstants])
-    return _build(cls, where, cc=cc, **values[cls])
+    try:
+        entries = parse_config(path) if path else {}
+        table, cls = KEYS[command], _CLASSES[command]
+        unknown = sorted(set(entries) - set(table))
+        if unknown:
+            hints = []
+            for key in unknown:
+                close = difflib.get_close_matches(key, table, n=1)
+                hints.append(repr(key) + (f" (did you mean {close[0]!r}?)" if close else ""))
+            raise ValueError(f"{path}: unknown config key(s): {', '.join(hints)}")
+        values, where = {ConditionConstants: {}, cls: {}}, {}  # where: (class, field) -> origin
+        for key, raw in entries.items():
+            owner, name, parse = table[key]
+            where[owner, name] = f"{path}: bad value {raw!r} for config key {key!r}"
+            try:
+                values[owner][name] = parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"{where[owner, name]}: {exc}") from None
+        for flag, name, value in flags:
+            if value is not None:
+                values[cls][name] = value
+                where[cls, name] = f"bad value {value!r} for flag '--{flag}'"
+        cc = _build(ConditionConstants, where, **values[ConditionConstants])
+        return _build(cls, where, cc=cc, **values[cls])
+    except ValueError as exc:
+        raise ConfigError(command, str(exc)) from None
 
 
 def experiment_config(args, command):
@@ -273,7 +282,8 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; with --assert, print its checks and exit 1 if one fails."""
+    """Run one subcommand; with --assert, print its checks and exit 1 if one fails.
+    A config that the subcommand rejects raises ConfigError."""
     args = build_parser().parse_args(argv)
     checks = COMMANDS[args.command][1](args)
     if not args.do_assert:
@@ -282,5 +292,16 @@ def main(argv=None):
     return 0 if all(ok for _, ok in checks) else 1
 
 
+def console(argv=None):
+    """The `altmax` command: `main`, with a rejected config reported as one
+    stderr line and exit status 2, argparse's status for a bad flag.  An
+    error raised during a run keeps its traceback."""
+    try:
+        return main(argv)
+    except ConfigError as exc:
+        print(f"altmax {exc.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

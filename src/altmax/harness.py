@@ -28,6 +28,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import chain
+from numbers import Integral
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -138,6 +139,8 @@ class _Config:
     cc: ConditionConstants = field(default_factory=ConditionConstants)
 
     def __post_init__(self):
+        _require(self, "reps threads steps master_seed", lambda v: isinstance(v, Integral),
+                 "must be an integer")
         _require(self, "x z_target solver_tolerance", math.isfinite, "must be finite")
         _require(self, "reps threads steps", lambda v: v >= 1, ">= 1 required")
         _require(self, "x z_target solver_tolerance", lambda v: v > 0, "> 0 required")
@@ -163,6 +166,7 @@ class ToyConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
+        _require(self, "toy_p toy_m", lambda v: isinstance(v, Integral), "must be an integer")
         _require(self, "toy_d2 toy_h2 toy_a toy_start_offset", math.isfinite, "must be finite")
         _require(self, "toy_p toy_m", lambda v: v >= 1, ">= 1 required")
         _require(self, "toy_d2 toy_h2", lambda v: v > 0, "> 0 required")
@@ -220,6 +224,8 @@ class _SieveConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
+        _require(self, "si_p si_grid_n si_r_cov", lambda v: isinstance(v, Integral),
+                 "must be an integer")
         _require(self, "si_sigma si_s_x", math.isfinite, "must be finite")
         _require(self, "si_p si_grid_n si_r_cov", lambda v: v >= 1, ">= 1 required")
         _require(self, "si_s_x", lambda v: v > 0, "> 0 required")
@@ -245,6 +251,7 @@ class SingleIndexConfig(_SieveConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _require(self, "si_n si_m", lambda v: isinstance(v, Integral), "must be an integer")
         _require(self, "si_n si_m", lambda v: v >= 1, ">= 1 required")
         if len(self.si_eta_star) != self.si_m:
             raise FieldValueError("si_eta_star si_m",
@@ -297,6 +304,8 @@ class SweepConfig(_SieveConfig):
         super().__post_init__()
         # an empty list runs nothing; a repeated entry reruns its cell
         _require(self, "sweep_n sweep_m", len, "must not be empty")
+        _require(self, "sweep_n sweep_m", lambda v: all(isinstance(x, Integral) for x in v),
+                 "entries must be integers")
         _require(self, "sweep_n sweep_m", lambda v: min(v) >= 1, "entries >= 1 required")
         _require(self, "sweep_n sweep_m", lambda v: len(set(v)) == len(v),
                  "entries must be distinct")

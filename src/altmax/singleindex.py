@@ -572,17 +572,14 @@ class SingleIndexModel(Model):
     theta_gtol = 1e-9  # relative gradient tolerance of the theta solvers
 
     def __init__(self, dataset: SingleIndexDataset, basis: WaveletBasis,
-                 constrain_theta=True, eta_radius=None):
+                 constrain_theta=True):
         self.dataset = dataset
         self.basis = basis
         self.constrain_theta = bool(constrain_theta)
         self.noise_scale = _noise_scale(dataset.sigma)
-        if eta_radius is None:
-            if dataset.eta_star is not None:
-                eta_radius = max(10.0 * float(np.linalg.norm(dataset.eta_star)), 1.0)
-            else:
-                eta_radius = 1e3
-        self.eta_radius = float(eta_radius)
+        # the eta ball: 10 ||eta*||, at least 1, where the dataset knows eta*
+        self.eta_radius = (1e3 if dataset.eta_star is None
+                           else max(10.0 * float(np.linalg.norm(dataset.eta_star)), 1.0))
         self._inv2s = 1.0 / (2.0 * self.noise_scale**2)
 
     def _check(self, point: ParameterPoint):

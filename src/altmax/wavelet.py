@@ -124,8 +124,9 @@ class WaveletTables(NamedTuple):
         return 2 * self.genus - 1
 
 
-def wavelet_tables(genus=7, j_table=12) -> WaveletTables:
-    """The tables of `genus` on the dyadic grid of step 2^-j_table, built once per pair.
+def wavelet_tables(genus=7) -> WaveletTables:
+    """The tables of `genus` on the dyadic grid of step 2^-12 (their j_table),
+    built once per genus.
 
     genus 1 (Haar) is rejected: `_integer_values` zeroes the two ends of
     the support, which are Haar's only integers, so its tables would be all
@@ -133,7 +134,7 @@ def wavelet_tables(genus=7, j_table=12) -> WaveletTables:
     """
     if int(genus) < 2:
         raise ValueError("genus >= 2 required")
-    return _wavelet_tables(int(genus), int(j_table))
+    return _wavelet_tables(int(genus), 12)
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +160,7 @@ def _wavelet_tables(N, J):
         return psi
 
     dpsi = build(1)
-    return WaveletTables(
-        genus=N, j_table=J, psi=build(0), dpsi=dpsi,
-        dpsi_h=dpsi * (1.0 / 2.0**J),
-    )
+    return WaveletTables(N, J, build(0), dpsi, dpsi * (1.0 / 2.0**J))
 
 
 def level_of_index(k, support_len):

@@ -8,6 +8,7 @@ from altmax.bounds import (
     BoundInputs,
     C_nu,
     ConditionConstants,
+    FieldValueError,
     UnsupportedRegimeError,
     check_A3,
     check_B1,
@@ -157,13 +158,23 @@ def test_check_A3():
 
 
 def test_check_B1():
-    assert check_B1(1.0, 4, ConditionConstants(g_r_value=math.inf))
-    assert not check_B1(1.0, 4, ConditionConstants(g_r_value=1e-3))  # g_r = 0 is rejected
+    assert check_B1(1.0, 4, ConditionConstants(g_r=math.inf))
+    assert not check_B1(1.0, 4, ConditionConstants(g_r=1e-3))  # g_r = 0 is rejected
     # boundary equality passes (<= convention)
     x, p_star = 1.0, 4
     lhs = 1.0 + math.sqrt(x + 4.0 * p_star)
-    cc = ConditionConstants(nu_r=1.0, b=1.0, g_r_value=lhs / 3.0)
+    cc = ConditionConstants(nu_r=1.0, b=1.0, g_r=lhs / 3.0)
     assert check_B1(x, p_star, cc)
+
+
+@pytest.mark.parametrize("key", ["nu0", "nu1", "nu2", "nu_r", "b"])
+def test_condition_constants_reject_an_infinite_scale(key):
+    # the bound formulas are not defined there: nu0 = inf gave K0 = nan;
+    # g, g0 and g_r keep inf, which selects the Gaussian branch
+    with pytest.raises(FieldValueError) as info:
+        ConditionConstants(**{key: math.inf})
+    assert (str(info.value), info.value.fields) == (f"{key} must be finite", [key])
+    assert ConditionConstants(g=math.inf, g0=math.inf, g_r=math.inf).g_r == math.inf
 
 
 def test_stopping_steps():
@@ -243,7 +254,7 @@ def test_all_operations_agree_with_reference_script():
             nu0=d["nu0"], nu1=d["nu1"], nu2=d["nu2"], omega=d["omega"],
             omega2=d["omega2"], g=d["g"], g0=d["g0"], b=d["b"], nu_r=d["nu_r"],
             delta_slope=d["delta_slope"], delta_const=d["delta_const"],
-            g_r_value=d["g_r"],
+            g_r=d["g_r"],
         )
         p_star = d["p"] + d["m"]
         x, nu, r, z, R0, k = d["x"], d["nu"], d["r"], d["z"], d["R0"], d["k"]
@@ -292,7 +303,7 @@ def test_all_operations_agree_with_reference_script():
                          ref.ref_rk_refined(k, nu, R0, z, d["eps"]))
         grid = [0.5 * R0, R0, 2.0 * R0, 10.0 * R0]
         assert check_B1(x, p_star, cc, r_grid=grid) == ref.ref_check_b1(
-            x, p_star, d["nu0"], d["b"], d["nu_r"], cc.g_r, grid
+            x, p_star, d["nu0"], d["b"], d["nu_r"], lambda r: cc.g_r, grid
         )
         if 0.0 < nu < 1.0:
             assert stopping_steps(z, R0, nu) == ref.ref_stop_k(z, R0, nu)
@@ -351,7 +362,7 @@ def test_validate_quad_tail():
 def test_compute_bound_report_smoke():
     cc = ConditionConstants(omega=0.05, delta_slope=0.005, z_hess=0.1)
     rep, radii = compute_bound_report(
-        BoundInputs(2.0, 1, 2, 0.25, cc, eps=1e-4, norm_Dinv=0.01, k_max=10))
+        BoundInputs(2.0, 1, 2, 0.25, cc, eps=1e-4, norm_dinv=0.01, k_max=10))
     rk = np.array(radii["r_k"])
     assert np.all(np.diff(rk) <= 1e-12)
     assert rep["K_stop"] >= 0
@@ -366,6 +377,6 @@ def test_compute_bound_report_smoke():
 
 
 def test_combined_quantile_order():
-    z = combined_quantile(2.0, 3)
+    z = combined_quantile(2.0, 3, ConditionConstants())
     assert z >= math.sqrt(3.0)  # order sqrt(p* + x)
     assert z <= 10.0

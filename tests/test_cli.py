@@ -1,14 +1,18 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from altmax.bounds import BoundInputs, ConditionConstants, FieldValueError, compute_bound_report
-from altmax.cli import KEYS, bounds_inputs, experiment_config, main, parse_config
+from altmax.cli import KEYS, bounds_inputs, console, experiment_config, main, parse_config
 from altmax.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = str(CONFIGS.parent / "src")
 
 
 def write(path, text):
@@ -248,10 +252,10 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         ("bounds", "eps = -1e-4\n",
          "bad value '-1e-4' for config key 'eps': eps >= 0 required"),
         ("bounds", "norm_dinv = -0.01\n",
-         "bad value '-0.01' for config key 'norm_dinv': norm_Dinv >= 0 required"),
+         "bad value '-0.01' for config key 'norm_dinv': norm_dinv >= 0 required"),
         ("bounds", "r_k_init = -1\n",
-         "bad value '-1' for config key 'r_k_init': R_K >= 0 required"),
-        ("bounds", "k0 = -1\n", "bad value '-1' for config key 'k0': K0 >= 0 required"),
+         "bad value '-1' for config key 'r_k_init': r_k_init >= 0 required"),
+        ("bounds", "k0 = -1\n", "bad value '-1' for config key 'k0': k0 >= 0 required"),
         ("single-index", "s_x = 0\n", "bad value '0' for config key 's_x': si_s_x > 0 required"),
         ("single-index", "m = 0\n", "bad value '0' for config key 'm': si_m >= 1 required"),
         ("single-index", "grid_n = 0\n",
@@ -320,14 +324,21 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         ("single-index", "nu1 = -1\n", "bad value '-1' for config key 'nu1': nu1 must be > 0"),
         ("bounds", "nu2 = 0\n", "bad value '0' for config key 'nu2': nu2 must be > 0"),
         ("bounds", "nu_r = nan\n", "bad value 'nan' for config key 'nu_r': nu_r must be > 0"),
-        ("bounds", "g_r = 0\n", "bad value '0' for config key 'g_r': g_r_value must be > 0"),
+        ("bounds", "g_r = 0\n", "bad value '0' for config key 'g_r': g_r must be > 0"),
+        # the bound formulas are not defined at an infinite scale: nu0 = inf
+        # gave K0 = nan and an R0 of z_x, as max drops the NaN
+        ("bounds", "nu0 = inf\n", "bad value 'inf' for config key 'nu0': nu0 must be finite"),
+        ("toy", "nu1 = inf\n", "bad value 'inf' for config key 'nu1': nu1 must be finite"),
+        ("bounds", "nu2 = inf\n", "bad value 'inf' for config key 'nu2': nu2 must be finite"),
+        ("bounds", "nu_r = inf\n", "bad value 'inf' for config key 'nu_r': nu_r must be finite"),
+        ("single-index", "b = inf\n", "bad value 'inf' for config key 'b': b must be finite"),
         ("toy", "delta_slope = nan\n",
          "bad value 'nan' for config key 'delta_slope': delta_slope must be finite"),
         ("bounds", "delta_const = inf\n",
          "bad value 'inf' for config key 'delta_const': delta_const must be finite"),
         ("bounds", "z_hess = nan\n", "bad value 'nan' for config key 'z_hess': z_hess must be finite"),
         ("bounds", "beta_a = -inf\n",
-         "bad value '-inf' for config key 'beta_a': beta_A_value must be finite"),
+         "bad value '-inf' for config key 'beta_a': beta_a must be finite"),
         # a non-finite eta_star entry, which ended in a bare NotSPDError
         ("single-index", "eta_star = 1.0, nan, 0.9, -0.7, 0.6, 0.8\n",
          "bad value '1.0, nan, 0.9, -0.7, 0.6, 0.8' for config key 'eta_star': "
@@ -358,11 +369,11 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
         ("bounds", "b_eigenvalues = 1, inf\n",
          "bad value '1, inf' for config key 'b_eigenvalues': b_eigenvalues entries must be "
          "finite"),
-        ("bounds", "k0 = inf\n", "bad value 'inf' for config key 'k0': K0 must be finite"),
+        ("bounds", "k0 = inf\n", "bad value 'inf' for config key 'k0': k0 must be finite"),
         ("bounds", "r_k_init = inf\n",
-         "bad value 'inf' for config key 'r_k_init': R_K must be finite"),
+         "bad value 'inf' for config key 'r_k_init': r_k_init must be finite"),
         ("bounds", "norm_dinv = inf\n",
-         "bad value 'inf' for config key 'norm_dinv': norm_Dinv must be finite"),
+         "bad value 'inf' for config key 'norm_dinv': norm_dinv must be finite"),
         ("bounds", "eps = inf\n", "bad value 'inf' for config key 'eps': eps must be finite"),
         # a repeated sweep entry reruns its cell; an empty list or pool runs nothing
         ("sweep", "sweep_m = 3, 3\n",
@@ -398,6 +409,42 @@ def test_cli_out_of_range_value_names_file_and_key_or_flag(tmp_path):
     # the sweep pads an eta_star pool of any length with zeros, or cuts it, to each m
     cfg = write(tmp_path / "pool.kv", "eta_star = 1.0, -0.8, 0.9\nsweep_m = 2, 6\n")
     assert experiment_config(namespace(cfg), "sweep").si_eta_star == (1.0, -0.8, 0.9)
+
+
+def test_console_reports_a_rejected_config_in_one_line(tmp_path, capsys):
+    # the `altmax` command exits 2, argparse's status for a bad flag, with one
+    # stderr line, where main raises the error (a ValueError, as the tests above read it)
+    cases = [
+        ("toy", "rep = 3\n", "unknown config key(s): 'rep' (did you mean 'reps'?)"),
+        ("bounds", "nu0 = inf\n", "bad value 'inf' for config key 'nu0': nu0 must be finite"),
+    ]
+    for command, text, message in cases:
+        cfg = write(tmp_path / "bad.kv", text)
+        assert console([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"altmax {command}: error: {cfg}: {message}\n"
+    assert not (tmp_path / "o").exists()
+    # the same through the module's entry point, in a process of its own
+    out = subprocess.run([sys.executable, "-m", "altmax.cli", "bounds", "--config", cfg],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"altmax bounds: error: {cfg}: {cases[1][2]}\n"
+
+
+def test_console_keeps_the_traceback_of_an_error_in_a_run(tmp_path, monkeypatch):
+    def fail(cfg):
+        raise RuntimeError("raised inside the run")
+
+    monkeypatch.setattr("altmax.cli.run_wilks_fisher", fail)
+    with pytest.raises(RuntimeError, match="raised inside the run"):
+        console(["toy", "--reps", "2", "--out", str(tmp_path / "o")])
+
+
+def test_every_key_is_its_field_name():
+    # a config key names its field, or its single-index field without `si_`;
+    # seed and constrain_theta are the two keys named otherwise
+    renamed = {key: name for table in KEYS.values() for key, (_, name, _) in table.items()
+               if key not in (name, name.removeprefix("si_"))}
+    assert renamed == {"seed": "master_seed", "constrain_theta": "si_constrain"}
 
 
 def test_config_construction_raises_what_the_cli_names():
@@ -444,17 +491,20 @@ def test_bound_inputs_raise_what_the_cli_names():
         (dict(nu=2.0), "nu in [0, 1) required"),
         (dict(k_max=-1), "k_max >= 0 required"),
         (dict(eps=-1e-4), "eps >= 0 required"),
-        (dict(norm_Dinv=-0.01), "norm_Dinv >= 0 required"),
-        (dict(R_K=-1.0), "R_K >= 0 required"),
-        (dict(K0=-1.0), "K0 >= 0 required"),
+        (dict(norm_dinv=-0.01), "norm_dinv >= 0 required"),
+        (dict(r_k_init=-1.0), "r_k_init >= 0 required"),
+        (dict(k0=-1.0), "k0 >= 0 required"),
         (dict(b_eigenvalues=(1.0,)), "b_eigenvalues must have p + m = 2 entries"),
         (dict(b_eigenvalues=(1.0, -1.0)), "b_eigenvalues entries >= 0 required"),
         (dict(x=math.inf), "x must be finite"),
         (dict(b_eigenvalues=(1.0, math.inf)), "b_eigenvalues entries must be finite"),
-        (dict(K0=math.inf), "K0 must be finite"),
-        (dict(R_K=math.inf), "R_K must be finite"),
-        (dict(norm_Dinv=math.inf), "norm_Dinv must be finite"),
+        (dict(k0=math.inf), "k0 must be finite"),
+        (dict(r_k_init=math.inf), "r_k_init must be finite"),
+        (dict(norm_dinv=math.inf), "norm_dinv must be finite"),
         (dict(eps=math.inf), "eps must be finite"),
+        (dict(p=2.5), "p must be an integer"),
+        (dict(m=2.5), "m must be an integer"),
+        (dict(k_max=2.5), "k_max must be an integer"),
     ]
     for kwargs, message in cases:
         with pytest.raises(FieldValueError) as info:
@@ -466,7 +516,7 @@ def test_shipped_bounds_config_reports_as_its_values():
     # configs/bounds.kv, read by the CLI, and its values given to the library
     cc = ConditionConstants(nu0=1.0, nu1=1.0, omega=0.05, omega2=0.002, delta_slope=0.001,
                             z_hess=0.1)
-    inputs = BoundInputs(x=2.0, p=1, m=2, nu=0.25, cc=cc, norm_Dinv=0.01, eps=1e-4, k_max=20)
+    inputs = BoundInputs(x=2.0, p=1, m=2, nu=0.25, cc=cc, norm_dinv=0.01, eps=1e-4, k_max=20)
     read = bounds_inputs(str(CONFIGS / "bounds.kv"))
     assert read == inputs
     assert compute_bound_report(read) == compute_bound_report(inputs)
@@ -495,7 +545,7 @@ z_hess = 0.4
 """
 CONDITIONS = ConditionConstants(
     nu0=0.9, nu1=1.1, nu2=1.2, omega=0.1, omega2=0.2, g=30.0, g0=math.inf, b=2.0,
-    nu_r=0.7, g_r_value=12.5, delta_slope=0.01, delta_const=0.02, beta_A_value=0.3,
+    nu_r=0.7, g_r=12.5, delta_slope=0.01, delta_const=0.02, beta_a=0.3,
     z_hess=0.4,
 )
 COMMON_KEYS = """reps = 7
@@ -559,7 +609,7 @@ def test_every_documented_key_parses(tmp_path):
     )
     assert bounds_inputs(paths["bounds"]) == BoundInputs(
         x=1.5, p=2, m=3, nu=0.4, cc=CONDITIONS, b_eigenvalues=(1.0, 0.8, 0.5, 1.2, 0.9),
-        R_K=4.0, K0=3.5, eps=1e-4, norm_Dinv=0.01, k_max=12,
+        r_k_init=4.0, k0=3.5, eps=1e-4, norm_dinv=0.01, k_max=12,
     )
     # flags override the file; `auto`, inf spellings and 0 read as documented
     cfg = write(tmp_path / "o.kv", "steps = auto\ng = inf\ng_r = infinity\n"
@@ -567,7 +617,7 @@ def test_every_documented_key_parses(tmp_path):
     c = experiment_config(namespace(cfg, reps=9, seed=4, threads=3), "single-index")
     assert (c.reps, c.master_seed, c.threads, c.steps) == (9, 4, 3, None)
     assert c.si_theta_angle is None
-    assert c.cc.g == math.inf and c.cc.g_r_value == math.inf and c.si_constrain is False
+    assert c.cc.g == math.inf and c.cc.g_r == math.inf and c.si_constrain is False
 
 
 def test_shipped_configs_load():

@@ -718,6 +718,23 @@ def test_config_rejects_malformed_values(key, value):
         ExperimentConfig(family=family, **{key: value})
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("toy", "reps", 2.5), ("toy", "threads", 2.5), ("toy", "steps", 2.5),
+    ("toy", "master_seed", 2.5), ("toy", "toy_p", 2.5), ("toy", "toy_m", 2.5),
+    ("single-index", "si_p", 2.5), ("single-index", "si_n", 2.5), ("single-index", "si_m", 2.5),
+    ("single-index", "si_grid_n", 2.5), ("single-index", "si_r_cov", 2.5),
+    ("sweep", "sweep_n", (250, 2.5)), ("sweep", "sweep_m", (3, 2.5)),
+])
+def test_config_rejects_a_non_integer(family, key, value):
+    # reps = 2.5 built, then failed with a bare TypeError; steps = 2.5 failed
+    # every replication, then aborted the run
+    from altmax.bounds import FieldValueError
+    with pytest.raises(FieldValueError) as info:
+        ExperimentConfig(family=family, **{key: value})
+    need = "entries must be integers" if key.startswith("sweep_") else "must be an integer"
+    assert (str(info.value), info.value.field) == (f"{key} {need}", key)
+
+
 def test_config_rejects_a_field_of_another_family():
     # each family's config has only its own fields: a key of another family
     # is a TypeError when the config is built, not a value it ignores

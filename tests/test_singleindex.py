@@ -422,7 +422,8 @@ def test_eta_argmax_on_the_ball_is_the_constrained_maximizer():
     ds, basis = desk(n=300, seed=4)
     free = eta_step_closed_form(ds, basis, THETA2)
     radius = 0.5 * float(np.linalg.norm(free))
-    model = SingleIndexModel(ds, basis, eta_radius=radius)
+    model = SingleIndexModel(ds, basis)
+    model.eta_radius = radius
     eta = model.eta_argmax(THETA2)
     assert radius * (1 - 1e-9) <= np.linalg.norm(eta) <= radius
 

@@ -44,7 +44,7 @@ def table_grid(tab):
 
 
 def test_mother_tables_zero_mean_unit_norm():
-    tab = wavelet_tables(7, 12)
+    tab = wavelet_tables(7)
     g = table_grid(tab)
     assert abs(np.trapezoid(tab.psi, g)) < 1e-8
     assert abs(np.trapezoid(tab.psi**2, g) - 1.0) < 1e-6
