@@ -11,8 +11,8 @@ Configuration files are flat key-value text: one `key = value` per line,
 subcommand does not read is rejected.  Command-line flags
 --seed/--reps/--threads override the file.  The exit status is 0; 1 with
 --assert when any of the subcommand's acceptance-keyed checks fails; 2 when
-the config file or a flag value is rejected (one line on stderr, as argparse
-reports a bad flag).
+the config file or a flag value is rejected, or the file cannot be read
+(one line on stderr, as argparse reports a bad flag).
 """
 
 from __future__ import annotations
@@ -126,11 +126,15 @@ def _inputs(path, command, flags=()):
 
     Every key of the file must be one of `KEYS[command]`; any other key is a
     typo or belongs to another subcommand, and raises ConfigError, as do a
-    line that is not `key = value`, a key set twice and a value that does
-    not parse or is out of range, named by its file and key or by its flag.
+    file that cannot be read, a line that is not `key = value`, a key set
+    twice and a value that does not parse or is out of range, named by its
+    file and key or by its flag.
     """
     try:
-        entries = parse_config(path) if path else {}
+        try:
+            entries = parse_config(path) if path else {}
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read the config file: {exc.strerror}") from None
         table, cls = KEYS[command], _CLASSES[command]
         unknown = sorted(set(entries) - set(table))
         if unknown:

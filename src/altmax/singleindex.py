@@ -103,7 +103,8 @@ def information_at_truth(basis, star, n, sigma, r_datasets, *, seed):
     The datasets are stacked in blocks of at most _INFO_BLOCK design
     entries (one dataset where it alone has more): each dataset's draws are
     written into the block's arrays, which are put onto the ball
-    (`_onto_ball`) and designed once per block.  Both are elementwise or
+    (`_onto_ball`), located in the sieve once per block, and designed
+    with their derivatives from those cells.  Both are elementwise or
     row by row, and the index X theta and the products stay per dataset,
     so every block keeps the bits of a dataset-at-a-time loop.
     """
@@ -132,8 +133,9 @@ def information_at_truth(basis, star, n, sigma, r_datasets, *, seed):
         _onto_ball(X, t, basis.s_X)
         for r in rows:
             t[r] = X[r] @ star.theta
-        E = basis.design(t)
-        dE = basis.ddesign(t)
+        cells = basis.locate(t)
+        E = basis.design(cells)
+        dE = basis.ddesign(cells)
         for r in rows:
             Jt = X[r] * (dE[r] @ star.eta)[:, None]
             D2 += c * (Jt.T @ Jt)
@@ -207,22 +209,23 @@ def _eta_on_ball(dataset, basis, theta, radius):
 class _Fit:
     """L(theta, eta) at one point, with its theta-derivatives on first use.
 
-    `t = X theta`, the design at t, the residual and the value are built
-    once; `dE` (the design's derivative), `grad` and `hess` (the theta-
-    gradient and theta-Hessian of L) when first read.
+    The sieve cells of `t = X theta` (`WaveletBasis.locate`), the design
+    read from them, the residual and the value are built once; `dE` (the
+    design's derivative, from the same cells), `grad` and `hess` (the
+    theta-gradient and theta-Hessian of L) when first read.
     """
 
     def __init__(self, dataset, basis, inv2s, theta, eta):
         self.X, self.basis, self.inv2s = dataset.X, basis, inv2s
         self.theta, self.eta = theta, eta
-        self.t = dataset.X @ theta
-        self.E = basis.design(self.t)
+        self.cells = basis.locate(dataset.X @ theta)
+        self.E = basis.design(self.cells)
         self.r = dataset.y - self.E @ eta
         self.value = -inv2s * float(self.r @ self.r)
 
     @cached_property
     def dE(self):
-        return self.basis.ddesign(self.t)
+        return self.basis.ddesign(self.cells)
 
     @cached_property
     def fp(self):
@@ -234,7 +237,7 @@ class _Fit:
 
     @cached_property
     def hess(self):
-        fpp = self.basis.d2design(self.t) @ self.eta
+        fpp = self.basis.d2design(self.cells) @ self.eta
         w = self.r * fpp - self.fp * self.fp
         return 2.0 * self.inv2s * ((self.X * w[:, None]).T @ self.X)
 
@@ -430,15 +433,16 @@ def _scan_grid(dataset, basis, grid):
     Scores _SCAN_BLOCK points at a time from the in-sieve entries of the
     design (`WaveletBasis.level_pairs`): the normal equations of a block
     are segment sums (`_gram_block`), and the residual sum of squares
-    follows from them.  The n x block arrays of every block are views of
-    one `_Workspace`, allocated once per scan.  A point is accepted as in
-    `eta_step_closed_form`, and a rejected one (NaN) ranks last; ties keep
-    the first index.  Returns None when the eta step fails on every point.
+    follows from them.  The arrays of every block, n x block entries per
+    level, are views of one `_Workspace`, allocated once per scan.  A point
+    is accepted as in `eta_step_closed_form`, and a rejected one (NaN)
+    ranks last; ties keep the first index.  Returns None when the eta step
+    fails on every point.
     """
     X, y = dataset.X, dataset.y
     n = dataset.n
     yy = float(y @ y) / n
-    ws = _Workspace(n * min(_SCAN_BLOCK, grid.shape[0]))
+    ws = _Workspace(n * min(_SCAN_BLOCK, grid.shape[0]) * basis.n_levels)
     best_rss, best_i = np.inf, None
     for lo in range(0, grid.shape[0], _SCAN_BLOCK):
         block = grid[lo:lo + _SCAN_BLOCK]
@@ -462,8 +466,8 @@ def _gram_block(entries, y, B, m, ws):
 
     entries: `level_pairs` of the n x B index matrix, from the `_Workspace`
     ws.  Each level's bins get a buffer of ws; the row and product arrays
-    reuse those of the Hermite kernel's cells and first value ("idx",
-    "y0"), which no entry views.  Returns c (B, m), the diagonal d (B, m)
+    reuse those of the table cells and the Hermite kernel's first value
+    ("idx", "y0"), which no entry views.  Returns c (B, m), the diagonal d (B, m)
     of E'E/n and E'E/n itself (B, m, m), None for a one-level sieve: a
     point meets one function per level, so the level-diagonal blocks are
     diagonal and only the cross-level blocks need pair bins.

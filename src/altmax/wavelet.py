@@ -18,11 +18,17 @@ family is exactly the subfamily {2^{j/2} psi(2^j u - S r)} of the standard
 orthonormal wavelet system (translate steps of S in the wavelet's own
 argument), hence orthonormal across all levels and translates, and every
 member is supported inside the interval.
+
+A point meets one translate per level.  `WaveletBasis.locate` finds those
+cells for every point and level in one pass (`SieveCells`), and the design,
+its two derivatives and their sparse form `level_pairs` are read from the
+cells by one cubic Hermite interpolant of the tables: points located once
+give all three.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -128,12 +134,12 @@ def wavelet_tables(genus=7) -> WaveletTables:
     """The tables of `genus` on the dyadic grid of step 2^-12 (their j_table),
     built once per genus.
 
-    genus 1 (Haar) is rejected: `_integer_values` zeroes the two ends of
-    the support, which are Haar's only integers, so its tables would be all
-    zeros.
+    The genus is an integer >= 2.  Genus 1 (Haar) is rejected:
+    `_integer_values` zeroes the two ends of the support, which are Haar's
+    only integers, so its tables would be all zeros.
     """
-    if int(genus) < 2:
-        raise ValueError("genus >= 2 required")
+    if not (genus >= 2 and float(genus).is_integer()):  # NaN fails the comparison
+        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
     return _wavelet_tables(int(genus), 12)
 
 
@@ -175,12 +181,13 @@ def level_of_index(k, support_len):
 
 
 class _Workspace:
-    """Where the arrays of a `WaveletBasis._level_pairs` call go, by key.
+    """Where the arrays of a `WaveletBasis._locate` call, and of the values
+    read from its cells, go, by key.
 
     With a size, each key has one buffer of `size` entries, allocated on
     first use, and an array of k entries is a view of its first k: a
     caller that evaluates many blocks of points allocates them once.
-    Without one, every array is new, as numpy allocates it.
+    Without one, every array is new.
     """
 
     def __init__(self, size=None):
@@ -215,23 +222,47 @@ class _Workspace:
         return self._buffers["arange"][:k]
 
 
-def _hermite_eval(tab, x, want, ws, key):
-    """Cubic Hermite interpolation of the (psi, psi') tables of `tab`.
+class SieveCells:
+    """Where the points of an index vector fall in the sieve of `basis`
+    (`WaveletBasis.locate`); its `design`, `ddesign` and `d2design` read
+    the cells in place of the points.
+
+    One entry per point and level, level-major.  `levels` holds (rows,
+    entries) per level: the points it meets, in order, and the slice of
+    their entries.  Every level but the last meets every point; the last,
+    which the sieve may fill only in part, only those inside the sieve.
+    Per entry, cols is the flat index k = (2^j - 1)*S + r of its basis
+    function, idx the table cell and s the fraction of the cell at the
+    point.
+    """
+
+    def __init__(self, basis, n, levels, cols, idx, s):
+        self.basis, self.n, self.levels = basis, n, levels
+        self.cols, self.idx, self.s = cols, idx, s
+
+    @cached_property
+    def flat(self):
+        """Each entry's position in the flattened n x m design."""
+        flat = np.empty_like(self.cols)
+        for rows, e in self.levels:
+            np.multiply(rows, self.basis.m, out=flat[e])
+        flat += self.cols
+        return flat
+
+
+def _hermite(tab, idx, s, want, ws):
+    """Cubic Hermite interpolation of the (psi, psi') tables of `tab` at
+    the fractions s of the table cells idx.
 
     want: 0 -> value, 1 -> first derivative, 2 -> second derivative, all
-    with respect to u = x / 2^j_table.  x is an array of table coordinates
-    already inside [0, S*2^j_table]; the integer part of x picks the table
-    cell and its fraction s is the position inside the cell.  x is
-    overwritten, the temporaries are arrays of the `_Workspace` ws, and
-    the value is its array `key` (a derivative is a new array).  Each
-    formula keeps the operations and their order of the textbook one, so
-    the result has its bits.
+    with respect to u = x / 2^j_table for the table coordinate x = idx + s.
+    idx and s are read only.  The value's temporaries are arrays of the
+    `_Workspace` ws and the value is its array "vals" (a derivative is a
+    new array).  Each formula keeps the operations and their order of the
+    textbook one, so the result has its bits.
     """
     psi, dpsi = tab.psi, tab.dpsi
-    k = x.size
-    idx = ws.ints("idx", x)  # x >= 0, so truncation is the floor
-    np.minimum(idx, psi.size - 2, out=idx)
-    s = np.subtract(x, idx, out=x)
+    k = s.size
     # idx is inside the tables, so mode="clip" takes the same entries, and
     # spares the copy of `out` that the default mode makes
     y0 = psi.take(idx, out=ws("y0", k), mode="clip")
@@ -242,19 +273,19 @@ def _hermite_eval(tab, x, want, ws, key):
         s2 = np.multiply(s, s, out=ws("s2", k))
         s3 = np.multiply(s2, s, out=ws("s3", k))
         q = np.multiply(3, s2, out=ws("q", k))
-        q -= np.multiply(2, s3, out=ws(key, k))
-        out = np.subtract(1, q, out=ws(key, k))
+        q -= np.multiply(2, s3, out=ws("vals", k))
+        out = np.subtract(1, q, out=ws("vals", k))
         out *= y0
         w = np.multiply(2, s2, out=y0)
         np.subtract(s3, w, out=w)
         w += s
-        w *= tab.dpsi_h.take(idx, out=s, mode="clip")
-        out += w
-        y1 = psi[1:].take(idx, out=w, mode="clip")
-        y1 *= q
-        out += y1
         s3 -= s2
         s3 *= tab.dpsi_h[1:].take(idx, out=s2, mode="clip")
+        w *= tab.dpsi_h.take(idx, out=s2, mode="clip")
+        out += w
+        y1 = psi[1:].take(idx, out=s2, mode="clip")
+        y1 *= q
+        out += y1
         out += s3
         return out
     y1 = psi[1:].take(idx)
@@ -290,6 +321,9 @@ class WaveletBasis:
         S = self.tables.support_len
         self.support_len = S
         self.n_levels = level_of_index(self.m - 1, S)[0] + 1  # levels rise with the index
+        # the factor of level j's entries in the want-th derivative
+        self._scale = [[self._norm_scale(j) * (S / self.cell_width(j)) ** want
+                        for j in range(self.n_levels)] for want in range(3)]
 
     def __reduce__(self):
         # a copy takes its tables from the `wavelet_tables` cache, not the pickle
@@ -302,79 +336,111 @@ class WaveletBasis:
         # gamma_j with ||e_k||_2 = 1: e_k = gamma_j * psi(S (t - t0)/c_j)
         return np.sqrt(self.support_len / self.cell_width(j))
 
+    def locate(self, t):
+        """The `SieveCells` of the points t (flattened) on every level."""
+        return self._locate(np.asarray(t, dtype=float).ravel(), _Workspace())
+
+    def _locate(self, t, ws):
+        """`locate` of the flat array t, its arrays taken from the
+        `_Workspace` ws: with a size (at least n_levels * t.size) they are
+        views of its buffers, valid until ws is used again.  t may be a view
+        of ws's buffer "t" (the grid scan's index matrix), which is then
+        shifted in place.
+
+        The translates of one level tile the interval, so each point meets
+        exactly one of them per level.  Each level writes the points'
+        positions, in its cells, into one array, and the cell, table
+        coordinate, table cell and fraction are computed once for all.
+        """
+        S, n, last = self.support_len, t.size, self.n_levels - 1
+        x_top = S * 2**self.j_table  # the last node of the tables
+        shifted = np.add(t, self.s_X, out=ws("t", n))
+        a = ws("a", (last + 1) * n)
+        a = np.empty((last + 1) * n) if a is None else a
+        for j in range(last):
+            np.divide(shifted, self.cell_width(j), out=a[j * n:(j + 1) * n])
+        levels = [(ws.arange(n), slice(j * n, (j + 1) * n)) for j in range(last)]
+        width = self.m - (2**last - 1) * S  # translates of the last level in the sieve
+        full = last + (width == S * 2**last)  # the levels the sieve fills
+        if full > last:
+            levels.append((ws.arange(n), slice(last * n, None)))
+            np.divide(shifted, self.cell_width(last), out=a[last * n:])
+        else:
+            # the cell of a point is its truncated position, clipped to the
+            # level: below `width` exactly when the position is; flat
+            # positions, not a boolean mask, since a mask gathers and
+            # scatters a scattered selection several times slower
+            pos = np.divide(shifted, self.cell_width(last), out=shifted)
+            rows = np.less(pos, width, out=ws("below", n, bool)).nonzero()[0]
+            levels.append((rows, slice(last * n, None)))
+            a = a[:last * n + rows.size]
+            pos.take(rows, out=a[last * n:], mode="clip")
+        # truncation differs from the floor only below 0, clipped there; a
+        # full level clips above at its last translate, below which the
+        # points kept on a partial one lie
+        cols = ws.ints("cols", a)
+        np.maximum(cols, 0, out=cols)
+        for j in range(full):
+            np.minimum(cols[j * n:(j + 1) * n], S * 2**j - 1, out=cols[j * n:(j + 1) * n])
+        # table coordinate 2^j_table S (a - r) of the point in its cell r;
+        # scaling by a power of two after rounding gives the same bits
+        x = np.subtract(a, cols, out=a)
+        x *= x_top
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, float(x_top), out=x)
+        idx = ws.ints("idx", x)  # x >= 0, so truncation is the floor
+        np.minimum(idx, x_top - 1, out=idx)  # the last cell of the tables
+        s = np.subtract(x, idx, out=x)
+        for j in range(1, last + 1):
+            cols[j * n:(j + 1) * n] += (2**j - 1) * S
+        return SieveCells(self, n, levels, cols, idx, s)
+
+    def _values(self, cells, want, ws):
+        """The want-th derivative of each entry's basis function at its
+        point, in the array "vals" of the `_Workspace` ws."""
+        if cells.basis is not self:
+            raise ValueError("cells located by another basis")
+        vals = _hermite(self.tables, cells.idx, cells.s, want, ws)
+        for (_, e), scale in zip(cells.levels, self._scale[want]):
+            vals[e] *= scale
+        return vals
+
     def level_pairs(self, t, want=0):
         """Sparse form of the design (want=0) or of its derivatives (1, 2).
 
-        The translates of one level tile the interval, so each point meets
-        exactly one of them per level; on the last level, which the sieve may
-        fill only in part, that translate can lie beyond the sieve.  Returns
-        the in-sieve entries of each level as 1-D arrays (rows, cols, vals):
-        vals[e] is the want-th derivative of basis function cols[e] at the
-        point t.flat[rows[e]], and rows is increasing.  Every level but the
-        last meets the sieve at every point, so its rows are arange(t.size).
+        Returns the in-sieve entries of each level as 1-D arrays (rows,
+        cols, vals): vals[e] is the want-th derivative of basis function
+        cols[e] at the point t.flat[rows[e]], and rows is increasing.  Every
+        level but the last meets the sieve at every point, so its rows are
+        arange(t.size).
         """
         t = np.asarray(t, dtype=float).ravel()
         return self._level_pairs(t, want, _Workspace())
 
     def _level_pairs(self, t, want, ws):
-        """`level_pairs` of the flat array t, its arrays taken from the
-        `_Workspace` ws: with a size (at least t.size) they are views of its
-        buffers, valid until ws is used again.  A full level's rows are
-        `ws.arange`.  t may be a view of ws's buffer "t" (the grid scan's
-        index matrix), which is then shifted in place."""
-        S = self.support_len
-        x_top = S * 2**self.j_table  # the last node of the tables
-        shifted = np.add(t, self.s_X, out=ws("t", t.size))
-        entries = []
-        for j in range(self.n_levels):
-            c = self.cell_width(j)
-            # position in cells of level j; the last level divides shifted
-            # in place, since no level reads it after
-            last = j == self.n_levels - 1
-            a = np.divide(shifted, c, out=shifted if last else ws("a", t.size))
-            width = min(S * 2**j, self.m - (2**j - 1) * S)  # translates in the sieve
-            if width < S * 2**j:
-                # the cell of a point is its truncated position, clipped to
-                # the level: below `width` exactly when the position is;
-                # flat positions, not a boolean mask, since a mask gathers
-                # and scatters a scattered selection several times slower
-                rows = np.less(a, width, out=ws("below", t.size, bool)).nonzero()[0]
-                a = a.take(rows, out=ws("x", rows.size), mode="clip")
-            else:
-                rows = ws.arange(t.size)
-            # truncation differs from the floor only below 0, clipped there
-            rr = ws.ints(("cols", j), a)
-            np.maximum(rr, 0, out=rr)
-            np.minimum(rr, S * 2**j - 1, out=rr)
-            # table coordinate 2^j_table S (a - rr) of the point in its cell;
-            # scaling by a power of two after rounding gives the same bits
-            x = np.subtract(a, rr, out=a)
-            x *= x_top
-            np.maximum(x, 0.0, out=x)
-            np.minimum(x, float(x_top), out=x)
-            vals = _hermite_eval(self.tables, x, want, ws, ("vals", j))
-            vals *= self._norm_scale(j) * (S / c) ** want
-            rr += (2**j - 1) * S
-            entries.append((rows, rr, vals))
-        return entries
+        """`level_pairs` of the flat array t (`_locate`, with its `_Workspace` ws)."""
+        cells = self._locate(t, ws)
+        vals = self._values(cells, want, ws)
+        return [(rows, cells.cols[e], vals[e]) for rows, e in cells.levels]
 
     def _design_general(self, t, want):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((t.size, self.m))
-        for rows, cols, vals in self.level_pairs(t, want):
-            out[rows, cols] = vals
-        return out
+        cells = t if isinstance(t, SieveCells) else self.locate(t)
+        out = np.zeros(cells.n * self.m)
+        out[cells.flat] = self._values(cells, want, _Workspace())
+        return out.reshape(cells.n, self.m)
 
     def design(self, t):
-        """n x m matrix of basis values e_k(t_i) (C^1 surface)."""
+        """n x m matrix of basis values e_k(t_i) (C^1 surface), at the points
+        t or their `SieveCells`."""
         return self._design_general(t, 0)
 
     def ddesign(self, t):
-        """n x m matrix of first derivatives e_k'(t_i)."""
+        """n x m matrix of first derivatives e_k'(t_i), at t or its cells."""
         return self._design_general(t, 1)
 
     def d2design(self, t):
-        """n x m matrix of second derivatives e_k''(t_i) (piecewise linear)."""
+        """n x m matrix of second derivatives e_k''(t_i) (piecewise linear),
+        at t or its cells."""
         return self._design_general(t, 2)
 
     def synth(self, t, eta):

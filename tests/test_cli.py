@@ -422,6 +422,12 @@ def test_console_reports_a_rejected_config_in_one_line(tmp_path, capsys):
         cfg = write(tmp_path / "bad.kv", text)
         assert console([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"altmax {command}: error: {cfg}: {message}\n"
+    # a config file that does not exist is named, as is a directory
+    for path, reason in [(tmp_path / "missing.kv", "No such file or directory"),
+                         (tmp_path, "Is a directory")]:
+        assert console(["toy", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"altmax toy: error: {path}: cannot read the config file: {reason}\n")
     assert not (tmp_path / "o").exists()
     # the same through the module's entry point, in a process of its own
     out = subprocess.run([sys.executable, "-m", "altmax.cli", "bounds", "--config", cfg],

@@ -196,8 +196,11 @@ def test_level_pairs_rebuild_design_exactly(m):
         rng.uniform(-1, 1, 300), rng.uniform(-cap, cap, 100),
     ])
     T = np.concatenate([rng.uniform(-1.0, 1.0, (200, 7)), rng.uniform(-cap, cap, (40, 7))])
+    # the design and both derivatives read from one located-cells object
+    cells = basis.locate(t)
     for want, dense in enumerate((basis.design, basis.ddesign, basis.d2design)):
-        assert dense(t).tobytes() == reference_design(basis, t, want).tobytes()
+        ref = reference_design(basis, t, want).tobytes()
+        assert dense(t).tobytes() == dense(cells).tobytes() == ref
         entries = basis.level_pairs(T, want)
         assert len(entries) == basis.n_levels
         E = np.zeros((T.size, m))
@@ -212,6 +215,9 @@ def test_level_pairs_rebuild_design_exactly(m):
         E = E.reshape(T.shape + (m,))
         for k in range(T.shape[1]):
             assert E[:, k].tobytes() == reference_design(basis, T[:, k], want).tobytes()
+    # cells are read only by the basis that located them
+    with pytest.raises(ValueError, match="cells located by another basis"):
+        WaveletBasis(m=m, s_X=1.0).design(cells)
 
 
 @pytest.mark.parametrize("n", [250, 1000])

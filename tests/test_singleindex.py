@@ -232,6 +232,32 @@ def test_model_hessian_fd():
     assert np.abs(H - num).max() / np.abs(H).max() < 1e-4
 
 
+def test_fit_and_hessian_locate_the_index_once(monkeypatch):
+    # a fit reads E, dE and d2E from the sieve cells of one locate call, as
+    # do the model's Hessian and each block of the information at the truth
+    ds, basis = desk(n=200, seed=3)
+    pt = ParameterPoint(THETA2, ETA6 * 0.9)
+    t = ds.X @ THETA2
+    dense = [f(t).tobytes() for f in (basis.design, basis.ddesign, basis.d2design)]
+    calls = []
+    locate = WaveletBasis.locate
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return locate(self, t)
+
+    monkeypatch.setattr(WaveletBasis, "locate", counted)
+    model = SingleIndexModel(ds, basis, constrain_theta=False)
+    fit = model._fit(pt.theta, pt.eta)
+    fit.value, fit.grad, fit.hess
+    assert calls == [200]
+    assert [fit.E.tobytes(), fit.dE.tobytes()] == dense[:2]
+    model.hessian(pt)
+    assert calls == [200, 200]
+    information_at_truth(basis, STAR, 200, 0.5, 3, seed=1)  # one block of 3 datasets
+    assert calls == [200, 200, 600]
+
+
 def test_information_at_truth_noiseless_is_spd():
     basis = WaveletBasis(m=6, s_X=1.0)
     info = information_at_truth(basis, STAR, 300, 0.0, 10, seed=6)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -200,12 +201,15 @@ def test_bad_args():
         WaveletBasis(m=0, s_X=1.0)
     with pytest.raises(ValueError):
         WaveletBasis(m=3, s_X=-1.0)
-    # genus 1 (Haar) would build all-zero tables after a division by zero
-    for genus in (0, 1):
-        with pytest.raises(ValueError, match="genus >= 2"):
+    # genus 1 (Haar) would build all-zero tables after a division by zero,
+    # and a fractional genus was truncated: 7.5 built genus 7, 2.9 genus 2
+    for genus in (0, 1, 7.5, 2.9, float("nan"), float("inf")):
+        msg = f"genus must be an integer >= 2, got {genus!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
             wavelet_tables(genus)
-        with pytest.raises(ValueError, match="genus >= 2"):
+        with pytest.raises(ValueError, match=re.escape(msg)):
             WaveletBasis(m=3, s_X=1.0, genus=genus)
+    assert WaveletBasis(m=3, s_X=1.0, genus=8.0).genus == wavelet_tables(np.int64(8)).genus == 8
 
 
 def test_basis_rejects_a_non_finite_radius_and_a_fractional_m():
