@@ -11,12 +11,7 @@ from .statcore import (
     efficient_score,
     sqrt_spd,
 )
-from .modelapi import (
-    Model,
-    ModelDomainError,
-    finite_difference_gradient,
-    gradient_check,
-)
+from .modelapi import Model, ModelDomainError
 from .alternation import (
     AlternatingTrace,
     AlternationConfig,

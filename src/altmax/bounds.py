@@ -5,8 +5,9 @@ quantiles, entropy-corrected deviation levels for suprema of smooth
 processes, the initial-guess level K0 and concentration radius R0, the
 parametric and semiparametric uniform spreads, the per-step radii r_k of the
 Fisher/Wilks statements, the step-count rule, and the second-order roughness
-coefficient kappa with the nearly-linear convergence radii.  A seeded Monte
-Carlo validator for the quadratic-form tail bound is included.
+coefficient kappa with the nearly-linear convergence radii.  The seeded
+Monte Carlo check of the quadratic-form tail bound and the projected-condition
+constants are the acceptance gate's, in `tests/instruments.py`.
 
 Piecewise formulas use <= for the first branch throughout.  Monotonicity
 in x and k holds as stated, but branch continuity is not asserted.
@@ -221,14 +222,6 @@ def spread_parametric(r, x, p_star, cc: ConditionConstants):
     return cc.delta(r) * r + 6.0 * cc.nu1 * cc.omega * (z0sq + 2.0 * r**2)
 
 
-def convert_conditions(cc: ConditionConstants, nu):
-    """(g_breve, nu_breve): the projected-condition constants implied by the
-    full ones under coupling nu.  delta(r) and omega carry over unchanged."""
-    fac = (1.0 + nu * math.sqrt(1.0 + nu**2)) / math.sqrt(1.0 - nu**2)
-    g_breve = cc.g / fac if not math.isinf(cc.g) else math.inf
-    return g_breve, nu * fac
-
-
 def spread_semiparametric(r, x, p_star, p, cc: ConditionConstants, nu):
     """Semiparametric uniform spread with the entropy-squared correction."""
     z0sq = entropy_quantile_sq(x, 2.0 * p_star + 2.0 * p, cc.g0)
@@ -339,44 +332,6 @@ def me_radius(k, kappa_val, nu, R_tilde0):
         return nu**k * 2.0 * math.sqrt(2.0) * R_tilde0 / (1.0 - kappa_val * k)
     tau, _ = me_tau_L(k, kappa_val, nu)
     return 2.0 * (1.0 - nu) / kappa_val * tau ** (k / math.log(k)) * R_tilde0
-
-
-def validate_quad_tail(B, x_list, n_draws, seed, g=math.inf):
-    """Empirical exceedance of ||B xi|| over the quantile, per x.
-
-    Draws are generated in chunks of 20 000, each with a seed derived from
-    (seed, chunk index), so the result is independent of execution schedule.
-    Pass criterion: fraction <= 2 exp(-x) + 3 binomial standard errors.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    dim = B.shape[0]
-    zs = [quad_form_quantile(x, B, g) for x in x_list]
-    counts = np.zeros(len(x_list), dtype=np.int64)
-    chunk = 20_000
-    for c, lo in enumerate(range(0, n_draws, chunk)):
-        size = min(chunk, n_draws - lo)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        xi = rng.standard_normal((size, dim))
-        norms = np.linalg.norm(xi @ B.T, axis=1)
-        for i, z in enumerate(zs):
-            counts[i] += int(np.count_nonzero(norms > z))
-    out = []
-    for i, x in enumerate(x_list):
-        frac = counts[i] / n_draws
-        se = math.sqrt(max(frac * (1.0 - frac), 1.0 / n_draws) / n_draws)
-        bound = 2.0 * math.exp(-x)
-        out.append(
-            {
-                "x": float(x),
-                "z": float(zs[i]),
-                "count": int(counts[i]),
-                "fraction": float(frac),
-                "se": float(se),
-                "bound": float(bound),
-                "ok": bool(frac <= bound + 3.0 * se),
-            }
-        )
-    return out
 
 
 def compute_bound_report(inputs: BoundInputs):

@@ -600,13 +600,16 @@ def probe_delta(config: ToyConfig | SingleIndexConfig, r_grid, R=20, n_points=50
     largest deviation of the normalized Hessian from the identity over
     n_points points sampled on the shell of radius r.  The dataset seeds
     are distinct only for R <= 1000 and n_points <= 100, so larger values
-    raise ValueError, as does a radius that is negative, not finite or
-    repeated.
+    raise ValueError, as do a count or a seed that is not an integer, a
+    negative seed, and a radius that is negative, not finite or repeated.
+    Each is checked before the context is built.
     """
-    if not 1 <= R <= 1000:
-        raise ValueError(f"R must be in 1..1000, got {R!r}")
-    if not 1 <= n_points <= 100:
-        raise ValueError(f"n_points must be in 1..100, got {n_points!r}")
+    if not (isinstance(R, Integral) and 1 <= R <= 1000):
+        raise ValueError(f"R must be an integer in 1..1000, got {R!r}")
+    if not (isinstance(n_points, Integral) and 1 <= n_points <= 100):
+        raise ValueError(f"n_points must be an integer in 1..100, got {n_points!r}")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     for r in r_grid:
         if not 0 <= r < math.inf:
             raise ValueError(f"r_grid entries must be finite and >= 0, got {r!r}")

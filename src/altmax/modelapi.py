@@ -10,8 +10,6 @@ truth from the truth itself.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .statcore import ParameterPoint
 
 
@@ -42,32 +40,3 @@ class Model:
 
     def default_start(self) -> ParameterPoint:
         raise NotImplementedError
-
-
-def finite_difference_gradient(model: Model, point: ParameterPoint, h=1e-6):
-    """Central-difference split gradient of model.evaluate at the point."""
-    v0 = point.as_vector()
-    p = point.p
-    g = np.zeros(v0.size)
-    for j in range(v0.size):
-        vp = v0.copy()
-        vm = v0.copy()
-        vp[j] += h
-        vm[j] -= h
-        fp = model.evaluate(ParameterPoint.from_vector(vp, p))
-        fm = model.evaluate(ParameterPoint.from_vector(vm, p))
-        g[j] = (fp - fm) / (2.0 * h)
-    return g[:p], g[p:]
-
-
-def gradient_check(model: Model, points, h=1e-6):
-    """Max relative error between analytic and central-difference gradients."""
-    worst = 0.0
-    for pt in points:
-        gt, ge = model.gradient(pt)
-        ft, fe = finite_difference_gradient(model, pt, h=h)
-        g = np.concatenate([gt, ge])
-        f = np.concatenate([ft, fe])
-        denom = max(float(np.linalg.norm(g)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(g - f)) / denom)
-    return worst

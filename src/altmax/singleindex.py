@@ -24,6 +24,7 @@ where the finite sieve identifies the index scale.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -380,10 +381,11 @@ def grid_init(dataset, basis, N):
     largest L at any noise scale, is returned; the grid is scored
     in blocks from the sparse sieve design (`_scan_grid`), and the winner's
     eta comes from `eta_step_closed_form`.  The grid and tau depend on
-    (p, N) only and are computed once per pair (`_half_sphere_grid`).
+    (p, N) only and are computed once per pair (`_half_sphere_grid`).  N is
+    an integer >= 1, as the config's `grid_n` is.
     """
-    if N < 1:
-        raise ValueError("grid size N must be >= 1")
+    if not (isinstance(N, Integral) and N >= 1):
+        raise ValueError(f"grid size N must be an integer >= 1, got {N!r}")
     grid, tau = _half_sphere_grid(dataset.p, N)
     best = _scan_grid(dataset, basis, grid)
     if best is None:
@@ -431,9 +433,9 @@ def _scan_grid(dataset, basis, grid):
     residual sum of squares (the largest L, -n rss / (2 sigma~^2)).
 
     Scores _SCAN_BLOCK points at a time from the in-sieve entries of the
-    design (`WaveletBasis.level_pairs`): the normal equations of a block
-    are segment sums (`_gram_block`), and the residual sum of squares
-    follows from them.  The arrays of every block, n x block entries per
+    design, located and evaluated as the designs do (`WaveletBasis._locate`,
+    `_values`): the normal equations of a block are segment sums
+    (`_gram_block`), and the residual sum of squares follows from them.  The arrays of every block, n x block entries per
     level, are views of one `_Workspace`, allocated once per scan.  A point
     is accepted as in `eta_step_closed_form`, and a rejected one (NaN)
     ranks last; ties keep the first index.  Returns None when the eta step
@@ -447,7 +449,8 @@ def _scan_grid(dataset, basis, grid):
     for lo in range(0, grid.shape[0], _SCAN_BLOCK):
         block = grid[lo:lo + _SCAN_BLOCK]
         T = np.matmul(X, block.T, out=ws("t", n * block.shape[0]).reshape(n, -1))
-        c, d, G = _gram_block(basis._level_pairs(T.ravel(), 0, ws), y, T.shape[1], basis.m, ws)
+        cells = basis._locate(T.ravel(), ws)
+        c, d, G = _gram_block(cells, basis._values(cells, 0, ws), y, T.shape[1], ws)
         eta = _solve_block(c, d, G)
         if G is None:
             quad = np.einsum("bk,bk,bk->b", eta, d, eta)
@@ -461,47 +464,50 @@ def _scan_grid(dataset, basis, grid):
     return best_i
 
 
-def _gram_block(entries, y, B, m, ws):
+def _gram_block(cells, vals, y, B, ws):
     """E'y/n and E'E/n for every point of a block, as segment sums.
 
-    entries: `level_pairs` of the n x B index matrix, from the `_Workspace`
-    ws.  Each level's bins get a buffer of ws; the row and product arrays
-    reuse those of the table cells and the Hermite kernel's first value
-    ("idx", "y0"), which no entry views.  Returns c (B, m), the diagonal d (B, m)
-    of E'E/n and E'E/n itself (B, m, m), None for a one-level sieve: a
-    point meets one function per level, so the level-diagonal blocks are
-    diagonal and only the cross-level blocks need pair bins.
+    cells: the `SieveCells` of the n x B index matrix, and vals their values,
+    from the `_Workspace` ws; a level's entries, for its (rows, e) in
+    cells.levels, are the functions cells.cols[e] with values vals[e].  Each
+    level's bins get a buffer of ws; the row and product arrays reuse those
+    of the table cells and the Hermite kernel's first value ("idx", "y0"),
+    which nothing reads once vals is computed.  Returns c (B, m), the
+    diagonal d (B, m) of E'E/n and E'E/n itself (B, m, m), None for a
+    one-level sieve: a point meets one function per level, so the
+    level-diagonal blocks are diagonal and only the cross-level blocks need
+    pair bins.
     """
-    n = y.size
+    n, m = y.size, cells.basis.m
     c = np.zeros(B * m)
     d = np.zeros(B * m)
     bins = []
-    for j, (rows, cols, vals) in enumerate(entries):
+    for j, (rows, e) in enumerate(cells.levels):
         k = rows.size
         # flat position i*B + b: data row i, point b
         i = np.floor_divide(rows, B, out=ws("idx", k, int))
         b = np.multiply(i, B, out=ws(("bin", j), k, int))
         np.subtract(rows, b, out=b)
         b *= m
-        b += cols  # bin b*m + col
+        b += cells.cols[e]  # bin b*m + col
         bins.append(b)
         y_i = y.take(i, out=ws("y0", k), mode="clip")
-        c += np.bincount(b, np.multiply(vals, y_i, out=y_i), B * m)
-        d += np.bincount(b, np.multiply(vals, vals, out=y_i), B * m)
+        c += np.bincount(b, np.multiply(vals[e], y_i, out=y_i), B * m)
+        d += np.bincount(b, np.multiply(vals[e], vals[e], out=y_i), B * m)
     c, d = c.reshape(B, m) / n, d.reshape(B, m) / n
-    if len(entries) == 1:
+    if len(cells.levels) == 1:
         return c, d, None
     G = np.zeros(B * m * m)
-    for a, (_, _, vals_a) in enumerate(entries):
-        for rows_b, cols_b, vals_b in entries[a + 1:]:
+    for a, (_, e_a) in enumerate(cells.levels):
+        for rows_b, e_b in cells.levels[a + 1:]:
             # level a meets every point (only the last level is partial),
             # so its entry for a point is at the point's flat position
             k = rows_b.size
             pair = bins[a].take(rows_b, out=ws("idx", k, int), mode="clip")
             pair *= m
-            pair += cols_b
-            prod = vals_a.take(rows_b, out=ws("y0", k), mode="clip")
-            prod *= vals_b
+            pair += cells.cols[e_b]
+            prod = vals[e_a].take(rows_b, out=ws("y0", k), mode="clip")
+            prod *= vals[e_b]
             G += np.bincount(pair, prod, B * m * m)
     G = G.reshape(B, m, m)
     G = (G + G.transpose(0, 2, 1)) / n

@@ -2,11 +2,13 @@
 
 Observation Y = upsilon_star + eps with eps ~ N(0, inv(F2)), functional
 L(u) = -||F (u - Y)||^2 / 2.  Both partial maximizers are linear maps, so
-every alternation iterate has a closed form, `exact_alternation`.  Their
-solves are scipy's SPD solve, `_lapack.solve`, with each diagonal block
-factored once per model (`_lapack._factor`) and applied on every step: for
-the 1x1 blocks of every shipped config that is scipy's scalar quotient, with
-no LAPACK call.
+every alternation iterate has a closed form: theta_k - y_theta =
+M^k (theta_0 - y_theta) with M = D2^{-1} A H2^{-1} A', and eta_k is the
+eta-update at theta_{k-1}.  The acceptance gate compares the engine's
+iterates with it (`tests/instruments.py`).  The maximizers' solves are
+scipy's SPD solve, with each diagonal block factored once per model
+(`_lapack._factor`) and applied on every step: for the 1x1 blocks of every
+shipped config that is scipy's scalar quotient, with no LAPACK call.
 """
 
 from __future__ import annotations
@@ -80,26 +82,3 @@ def simulate(F2: BlockInformation, upsilon_star: ParameterPoint, seed):
     z = rng.standard_normal(star.size)
     Y = star + np.linalg.solve(F2.full_sqrt, z)
     return ToyGaussianModel(F2, Y)
-
-
-def exact_alternation(model: ToyGaussianModel, start: ParameterPoint, k: int) -> ParameterPoint:
-    """Closed-form alternation iterate (theta_k, eta_k) after k full steps.
-
-    theta_k - y_theta = M^k (theta_0 - y_theta) with M = D2^{-1} A H2^{-1} A.T,
-    and eta_k is the eta-update at theta_{k-1}.  k = 0 returns the start.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return start
-    p = model.F2.p
-    y_th = model.Y[:p]
-    M = _lapack.solve(model.F2.D2, model.F2.A @ _lapack.solve(model.F2.H2, model.F2.A.T))
-    err = start.theta - y_th
-    prev = err
-    for _ in range(k):
-        prev = err
-        err = M @ err
-    theta_k = y_th + err
-    eta_k = model.eta_argmax(y_th + prev)
-    return ParameterPoint(theta_k, eta_k)

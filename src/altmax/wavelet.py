@@ -20,10 +20,11 @@ argument), hence orthonormal across all levels and translates, and every
 member is supported inside the interval.
 
 A point meets one translate per level.  `WaveletBasis.locate` finds those
-cells for every point and level in one pass (`SieveCells`), and the design,
-its two derivatives and their sparse form `level_pairs` are read from the
-cells by one cubic Hermite interpolant of the tables: points located once
-give all three.
+cells for every point and level in one pass (`SieveCells`), and the design
+and its two derivatives are read from the cells by one cubic Hermite
+interpolant of the tables: points located once give all three.  The grid
+scan reads the in-sieve entries of the same cells, without the zeros of the
+dense design.
 """
 
 from __future__ import annotations
@@ -404,24 +405,6 @@ class WaveletBasis:
         for (_, e), scale in zip(cells.levels, self._scale[want]):
             vals[e] *= scale
         return vals
-
-    def level_pairs(self, t, want=0):
-        """Sparse form of the design (want=0) or of its derivatives (1, 2).
-
-        Returns the in-sieve entries of each level as 1-D arrays (rows,
-        cols, vals): vals[e] is the want-th derivative of basis function
-        cols[e] at the point t.flat[rows[e]], and rows is increasing.  Every
-        level but the last meets the sieve at every point, so its rows are
-        arange(t.size).
-        """
-        t = np.asarray(t, dtype=float).ravel()
-        return self._level_pairs(t, want, _Workspace())
-
-    def _level_pairs(self, t, want, ws):
-        """`level_pairs` of the flat array t (`_locate`, with its `_Workspace` ws)."""
-        cells = self._locate(t, ws)
-        vals = self._values(cells, want, ws)
-        return [(rows, cells.cols[e], vals[e]) for rows, e in cells.levels]
 
     def _design_general(self, t, want):
         cells = t if isinstance(t, SieveCells) else self.locate(t)

@@ -16,18 +16,17 @@ from altmax.alternation import (
     run,
     theta_update,
 )
-from altmax.bounds import validate_quad_tail
 from altmax.harness import (
     ExperimentConfig,
     run_dimension_sweep,
     run_me_convergence,
     run_wilks_fisher,
 )
-from altmax.modelapi import gradient_check
 from altmax.singleindex import SingleIndexModel, generate
 from altmax.statcore import BlockInformation, ParameterPoint
-from altmax.toy import ToyGaussianModel, exact_alternation
+from altmax.toy import ToyGaussianModel
 from altmax.wavelet import WaveletBasis
+from instruments import exact_alternation, gradient_check, validate_quad_tail
 
 F2 = BlockInformation(D2=[[2.0]], A=[[1.0]], H2=[[2.0]])
 STAR = ParameterPoint([0.0], [0.0])

@@ -15,7 +15,6 @@ from altmax.bounds import (
     combined_quantile,
     compute_bound_report,
     concentration_radius_R0,
-    convert_conditions,
     entropy_quantile,
     entropy_quantile_sq,
     fisher_radius,
@@ -28,8 +27,8 @@ from altmax.bounds import (
     spread_semiparametric,
     spread_semiparametric_plain,
     stopping_steps,
-    validate_quad_tail,
 )
+from instruments import convert_conditions, validate_quad_tail
 
 RTOL = 1e-12
 

@@ -468,6 +468,7 @@ def test_config_construction_raises_what_the_cli_names():
         (dict(toy_p=2, toy_d2=1e-300, toy_h2=1e300, toy_a=0.0), ["toy_d2", "toy_h2"], singular),
         (dict(toy_p=2, toy_h2=1e-308, toy_a=1e-200), ["toy_d2", "toy_h2"], singular),
         (dict(toy_h2=5e307, toy_a=0.0), ["toy_h2", "toy_start_offset"], overflow),
+        (dict(toy_h2=1e308, toy_a=0), ["toy_h2", "toy_start_offset"], overflow),
         (dict(toy_d2=1e308, toy_a=0.0), ["toy_d2", "toy_start_offset"], overflow),
         (dict(toy_start_offset=1e200), ["toy_h2", "toy_start_offset"], overflow),
         (dict(toy_h2=5e307, toy_a=0.0, toy_start_offset=3.0), ["toy_h2", "toy_start_offset"],

@@ -3,9 +3,9 @@
 `reference_grid_init` is the per-point loop that `grid_init` replaced: one
 dense design, one SVD condition number and one LAPACK solve per grid point
 (`reference_eta_step`).  `reference_design` is the dense design builder
-that `level_pairs` replaced, with the textbook cubic Hermite formula of
-`reference_hermite`.  All four are kept here, independent of the code under
-test, as oracles.
+that the located sieve cells (`WaveletBasis.locate`) replaced, with the
+textbook cubic Hermite formula of `reference_hermite`.  All four are kept
+here, independent of the code under test, as oracles.
 """
 
 import sys
@@ -26,7 +26,7 @@ from altmax.singleindex import (
     uniform_ball,
 )
 from altmax.statcore import ParameterPoint
-from altmax.wavelet import WaveletBasis
+from altmax.wavelet import WaveletBasis, _Workspace
 
 ETA = (1.0, -0.8, 0.9, -0.7, 0.6, 0.8)
 
@@ -198,20 +198,24 @@ def test_level_pairs_rebuild_design_exactly(m):
     T = np.concatenate([rng.uniform(-1.0, 1.0, (200, 7)), rng.uniform(-cap, cap, (40, 7))])
     # the design and both derivatives read from one located-cells object
     cells = basis.locate(t)
+    # the in-sieve entries that the grid scan reads: the (rows, entries) pair
+    # of each level of the cells, their columns and their values
+    cells_T = basis.locate(T)
     for want, dense in enumerate((basis.design, basis.ddesign, basis.d2design)):
         ref = reference_design(basis, t, want).tobytes()
         assert dense(t).tobytes() == dense(cells).tobytes() == ref
-        entries = basis.level_pairs(T, want)
-        assert len(entries) == basis.n_levels
+        vals = basis._values(cells_T, want, _Workspace())
+        assert len(cells_T.levels) == basis.n_levels
         E = np.zeros((T.size, m))
-        for j, (rows, cols, vals) in enumerate(entries):
-            assert rows.shape == cols.shape == vals.shape
+        for j, (rows, e) in enumerate(cells_T.levels):
+            cols = cells_T.cols[e]
+            assert rows.shape == cols.shape == vals[e].shape
             # one entry per point and level, in row order, in the sieve only
             assert np.all(np.diff(rows) > 0)
             assert np.all((0 <= cols) & (cols < m))
             if j < basis.n_levels - 1:
                 assert np.array_equal(rows, np.arange(T.size))
-            E[rows, cols] = vals
+            E[rows, cols] = vals[e]
         E = E.reshape(T.shape + (m,))
         for k in range(T.shape[1]):
             assert E[:, k].tobytes() == reference_design(basis, T[:, k], want).tobytes()

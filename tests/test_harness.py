@@ -371,11 +371,18 @@ def test_probe_delta_propagates_the_model_domain_error():
         probe_delta(cfg, r_grid=(1e4,), R=2, n_points=1)
 
 
-@pytest.mark.parametrize("bad", [{"R": 1001}, {"n_points": 101}, {"R": 0}])
-def test_probe_delta_rejects_counts_that_would_reuse_dataset_seeds(bad):
-    # seed 10_000_000 + ri*100_000 + j*1000 + rep repeats past these counts
+@pytest.mark.parametrize("bad", [{"R": 1001}, {"n_points": 101}, {"R": 0}, {"R": 2.5},
+                                 {"n_points": 1.5}, {"seed": -1}, {"seed": 2.5}])
+def test_probe_delta_rejects_counts_that_would_reuse_dataset_seeds(bad, monkeypatch):
+    # seed 10_000_000 + ri*100_000 + j*1000 + rep repeats past these counts; a
+    # count or seed that is not an integer, or a negative seed, is named too,
+    # before the context is built
+    import altmax.harness as hz
+
+    monkeypatch.setattr(hz, "build_context", None)
     cfg = ExperimentConfig(family="toy", reps=1, master_seed=0)
-    with pytest.raises(ValueError, match=next(iter(bad))):
+    name, value = next(iter(bad.items()))
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer .*, got {value!r}$"):
         probe_delta(cfg, r_grid=[0.5], **bad)
 
 
@@ -390,7 +397,8 @@ def test_probe_delta_rejects_a_radius_that_is_negative_or_not_finite(r):
 
 def test_import_and_probe_delta_leave_scipy_special_unloaded():
     # chi2_cdf loads only gammainc's extension module, on first use, which the
-    # probe never makes; a toy Wilks run then loads no scipy package at all
+    # probe never makes; a toy Wilks run then loads no scipy package at all,
+    # and neither does a single-index one, which also solves on _flapack
     code = "\n".join([
         "import sys",
         "import altmax",
@@ -405,13 +413,17 @@ def test_import_and_probe_delta_leave_scipy_special_unloaded():
         "run_wilks_fisher(ExperimentConfig(reps=5))",
         "print(*(name in sys.modules for name in ('scipy', 'scipy.special', 'scipy.linalg')))",
         "print('numpy.ma' in sys.modules)",  # the summaries' medians are harness._median
+        "run_wilks_fisher(ExperimentConfig(family='single-index', reps=2, si_n=300, si_m=3,",
+        "                                  si_eta_star=(1.0, -0.8, 0.9)))",
+        "print(*(name in sys.modules for name in ('scipy', 'scipy.special', 'scipy.linalg')))",
+        "print('numpy.ma' in sys.modules)",
     ])
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     if _ufunc_module_found():
-        assert out.split() == ["False"] * 7
+        assert out.split() == ["False"] * 11
     else:  # chi2_cdf imports scipy.special
         assert out.split()[:3] == ["False", "False", "True"]
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from altmax.modelapi import Model, finite_difference_gradient
+from altmax.modelapi import Model
 from altmax.singleindex import SingleIndexModel, generate, uniform_ball
 from altmax.statcore import ParameterPoint
 from altmax.wavelet import WaveletBasis
+from instruments import finite_difference_gradient
 
 
 class Bare(Model):

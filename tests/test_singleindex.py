@@ -10,7 +10,7 @@ from altmax.alternation import (
     run,
 )
 from altmax.harness import ExperimentConfig, build_context
-from altmax.modelapi import ModelDomainError, gradient_check
+from altmax.modelapi import ModelDomainError
 from altmax.singleindex import (
     SingleIndexModel,
     _onto_ball,
@@ -23,6 +23,7 @@ from altmax.singleindex import (
 )
 from altmax.statcore import ParameterPoint
 from altmax.wavelet import WaveletBasis
+from instruments import gradient_check
 
 THETA2 = np.array([np.cos(0.3), np.sin(0.3)])
 ETA6 = np.array([1.0, -0.8, 0.9, -0.7, 0.6, 0.8])
@@ -164,8 +165,10 @@ def test_theta_step_stationarity_and_mesh_oracle():
 
 def test_grid_init_examples():
     ds, basis = desk(n=300, seed=4)
-    with pytest.raises(ValueError):
-        grid_init(ds, basis, 0)
+    # N = 2.5 would build a 3-point grid spaced pi/2.5
+    for N in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match=f"grid size N must be an integer >= 1, got {N!r}"):
+            grid_init(ds, basis, N)
     pt1, tau1 = grid_init(ds, basis, 1)
     assert pt1.theta.shape == (2,)
     assert tau1 == 0.0

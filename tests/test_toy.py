@@ -6,7 +6,7 @@ from scipy.linalg import LinAlgWarning
 
 from altmax import _lapack, toy
 from altmax.alternation import AlternationConfig, run
-from altmax.modelapi import ModelDomainError, gradient_check
+from altmax.modelapi import ModelDomainError
 from altmax.statcore import (
     BlockInformation,
     ParameterPoint,
@@ -14,7 +14,8 @@ from altmax.statcore import (
     efficient_information,
     sqrt_spd,
 )
-from altmax.toy import ToyGaussianModel, exact_alternation, simulate
+from altmax.toy import ToyGaussianModel, simulate
+from instruments import exact_alternation, gradient_check
 
 F2_CANON = BlockInformation(D2=[[2.0]], A=[[1.0]], H2=[[2.0]])
 STAR = ParameterPoint([0.0], [0.0])
