@@ -41,9 +41,9 @@ def daubechies_filter(genus: int) -> np.ndarray:
     Returns the 2*genus tap filter h with sum(h) = sqrt(2), computed by
     spectral factorization (minimal-phase root selection).
     """
+    if not (genus >= 1 and float(genus).is_integer()):  # NaN fails the comparison
+        raise ValueError(f"genus must be an integer >= 1, got {genus!r}")
     N = int(genus)
-    if N < 1:
-        raise ValueError("genus must be >= 1")
     if N == 1:
         return np.array([1.0, 1.0]) / np.sqrt(2.0)
     # P(y) = sum_k C(N-1+k, k) y^k, the Bezout factor of the halfband filter.
@@ -172,8 +172,10 @@ def _wavelet_tables(N, J):
 
 def level_of_index(k, support_len):
     """Decompose flat index k = (2^j - 1)*S + r into (j, r)."""
-    if k < 0 or support_len < 1:
-        raise ValueError("index >= 0 and support length >= 1 required")
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError(f"index must be an integer >= 0, got {k!r}")
+    if support_len < 1:
+        raise ValueError("support length >= 1 required")
     j = 0
     while (2 ** (j + 1) - 1) * support_len <= k:
         j += 1

@@ -112,6 +112,11 @@ def test_index_decomposition_roundtrip():
     assert level_of_index(12, S) == (0, 12)
     assert level_of_index(13, S) == (1, 0)
     assert level_of_index(39, S) == (2, 0)
+    # a fractional index gave a fractional translate: 14.5 gave (1, 1.5)
+    for k in (14.5, -1, float("nan"), float("inf")):
+        msg = f"index must be an integer >= 0, got {k!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            level_of_index(k, S)
 
 
 def cell_bounds(b, k):
@@ -210,6 +215,14 @@ def test_bad_args():
         with pytest.raises(ValueError, match=re.escape(msg)):
             WaveletBasis(m=3, s_X=1.0, genus=genus)
     assert WaveletBasis(m=3, s_X=1.0, genus=8.0).genus == wavelet_tables(np.int64(8)).genus == 8
+    # the filter takes Haar too, but took int(genus): 2.9 built the genus-2
+    # filter (4 taps), and NaN failed inside int()
+    for genus in (0, 7.5, 2.9, float("nan"), float("inf")):
+        msg = f"genus must be an integer >= 1, got {genus!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            daubechies_filter(genus)
+    assert daubechies_filter(1).size == 2
+    assert daubechies_filter(np.int64(7)).tobytes() == daubechies_filter(7.0).tobytes()
 
 
 def test_basis_rejects_a_non_finite_radius_and_a_fractional_m():
