@@ -33,7 +33,7 @@ from . import _lapack
 from .alternation import SolverError
 from .modelapi import Model, ModelDomainError
 from .statcore import BlockInformation, ParameterPoint
-from .wavelet import WaveletBasis, _Workspace
+from .wavelet import WaveletBasis
 
 
 class SingleIndexDataset(NamedTuple):
@@ -354,11 +354,6 @@ def theta_step(model, eta, theta_init):
     return best[0]
 
 
-# grid points scored together by grid_init; bounds the n x block temporaries.
-# Larger blocks score a little faster, but a block of 64 raised si_wilks'
-# peak RSS by 6-9%, beyond the 5% that the benchmark allows.
-_SCAN_BLOCK = 16
-
 # design entries (rows x m) that information_at_truth stacks in one block:
 # 32 datasets at n = 1000, m = 3, and 4 at m = 20.  A block stacks only the
 # datasets' indices and their designs; each dataset is drawn alone.  A bound
@@ -428,25 +423,14 @@ def _scan_grid(dataset, basis, grid):
     """Index of the grid point whose closed-form eta gives the smallest
     residual sum of squares (the largest L, -n rss / (2 sigma~^2)).
 
-    Scores _SCAN_BLOCK points at a time from the in-sieve entries of the
-    design, located and evaluated as the designs do (`WaveletBasis._locate`,
-    `_values`): the normal equations of a block are segment sums
-    (`_gram_block`), and the residual sum of squares follows from them.  The arrays of every block, n x block entries per
-    level, are views of one `_Workspace`, allocated once per scan.  A point
-    is accepted as in `eta_step_closed_form`, and a rejected one (NaN)
-    ranks last; ties keep the first index.  Returns None when the eta step
-    fails on every point.
+    Scores each block of `WaveletBasis.normal_equations`: a point's residual
+    sum of squares follows from its equations, it is accepted as in
+    `eta_step_closed_form`, and a rejected one (NaN) ranks last; ties keep
+    the first index.  Returns None when the eta step fails on every point.
     """
-    X, y = dataset.X, dataset.y
-    n = dataset.n
-    yy = float(y @ y) / n
-    ws = _Workspace(n * min(_SCAN_BLOCK, grid.shape[0]) * basis.n_levels)
+    yy = float(dataset.y @ dataset.y) / dataset.n
     best_rss, best_i = np.inf, None
-    for lo in range(0, grid.shape[0], _SCAN_BLOCK):
-        block = grid[lo:lo + _SCAN_BLOCK]
-        T = np.matmul(X, block.T, out=ws("t", n * block.shape[0]).reshape(n, -1))
-        cells = basis._locate(T.ravel(), ws)
-        c, d, G = _gram_block(cells, basis._values(cells, 0, ws), y, T.shape[1], ws)
+    for lo, c, d, G in basis.normal_equations(dataset.X, dataset.y, grid):
         eta = _solve_block(c, d, G)
         if G is None:
             quad = np.einsum("bk,bk,bk->b", eta, d, eta)
@@ -460,59 +444,8 @@ def _scan_grid(dataset, basis, grid):
     return best_i
 
 
-def _gram_block(cells, vals, y, B, ws):
-    """E'y/n and E'E/n for every point of a block, as segment sums.
-
-    cells: the `SieveCells` of the n x B index matrix, and vals their values,
-    from the `_Workspace` ws; a level's entries, for its (rows, e) in
-    cells.levels, are the functions cells.cols[e] with values vals[e].  Each
-    level's bins get a buffer of ws; the row and product arrays reuse those
-    of the table cells and the Hermite kernel's first value ("idx", "y0"),
-    which nothing reads once vals is computed.  Returns c (B, m), the
-    diagonal d (B, m) of E'E/n and E'E/n itself (B, m, m), None for a
-    one-level sieve: a point meets one function per level, so the
-    level-diagonal blocks are diagonal and only the cross-level blocks need
-    pair bins.
-    """
-    n, m = y.size, cells.basis.m
-    c = np.zeros(B * m)
-    d = np.zeros(B * m)
-    bins = []
-    for j, (rows, e) in enumerate(cells.levels):
-        k = rows.size
-        # flat position i*B + b: data row i, point b
-        i = np.floor_divide(rows, B, out=ws("idx", k, int))
-        b = np.multiply(i, B, out=ws(("bin", j), k, int))
-        np.subtract(rows, b, out=b)
-        b *= m
-        b += cells.cols[e]  # bin b*m + col
-        bins.append(b)
-        y_i = y.take(i, out=ws("y0", k), mode="clip")
-        c += np.bincount(b, np.multiply(vals[e], y_i, out=y_i), B * m)
-        d += np.bincount(b, np.multiply(vals[e], vals[e], out=y_i), B * m)
-    c, d = c.reshape(B, m) / n, d.reshape(B, m) / n
-    if len(cells.levels) == 1:
-        return c, d, None
-    G = np.zeros(B * m * m)
-    for a, (_, e_a) in enumerate(cells.levels):
-        for rows_b, e_b in cells.levels[a + 1:]:
-            # level a meets every point (only the last level is partial),
-            # so its entry for a point is at the point's flat position
-            k = rows_b.size
-            pair = bins[a].take(rows_b, out=ws("idx", k, int), mode="clip")
-            pair *= m
-            pair += cells.cols[e_b]
-            prod = vals[e_a].take(rows_b, out=ws("y0", k), mode="clip")
-            prod *= vals[e_b]
-            G += np.bincount(pair, prod, B * m * m)
-    G = G.reshape(B, m, m)
-    G = (G + G.transpose(0, 2, 1)) / n
-    G.reshape(B, m * m)[:, ::m + 1] = d
-    return c, d, G
-
-
 def _solve_block(c, d, G):
-    """`eta_step_closed_form` for a block of normal equations (`_gram_block`).
+    """`eta_step_closed_form` for a block of `WaveletBasis.normal_equations`.
 
     Accept by `_well_conditioned`, else retry once with the ridge
     1e-8 * trace/m; the eta of a point that fails both is left NaN.  A

@@ -23,8 +23,8 @@ A point meets one translate per level.  `WaveletBasis.locate` finds those
 cells for every point and level in one pass (`SieveCells`), and the design
 and its two derivatives are read from the cells by one cubic Hermite
 interpolant of the tables: points located once give all three.  The grid
-scan reads the in-sieve entries of the same cells, without the zeros of the
-dense design.
+scan's normal equations (`WaveletBasis.normal_equations`) are summed from
+the in-sieve entries of the same cells, without the zeros of the design.
 """
 
 from __future__ import annotations
@@ -35,15 +35,21 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _integer(value, name, low):
+    """int(value) for an integer in [low, 2**53], all of which float64 holds,
+    else ValueError naming the value; float() sees only values in range."""
+    if not (low <= value <= 2**53 and float(value).is_integer()):  # NaN fails
+        raise ValueError(f"{name} must be an integer in [{low}, 2**53], got {value!r}")
+    return int(value)
+
+
 def daubechies_filter(genus: int) -> np.ndarray:
     """Orthonormal Daubechies low-pass filter with `genus` vanishing moments.
 
     Returns the 2*genus tap filter h with sum(h) = sqrt(2), computed by
     spectral factorization (minimal-phase root selection).
     """
-    if not (genus >= 1 and float(genus).is_integer()):  # NaN fails the comparison
-        raise ValueError(f"genus must be an integer >= 1, got {genus!r}")
-    N = int(genus)
+    N = _integer(genus, "genus", 1)
     if N == 1:
         return np.array([1.0, 1.0]) / np.sqrt(2.0)
     # P(y) = sum_k C(N-1+k, k) y^k, the Bezout factor of the halfband filter.
@@ -135,13 +141,11 @@ def wavelet_tables(genus=7) -> WaveletTables:
     """The tables of `genus` on the dyadic grid of step 2^-12 (their j_table),
     built once per genus.
 
-    The genus is an integer >= 2.  Genus 1 (Haar) is rejected:
+    The genus is an integer in [2, 2**53].  Genus 1 (Haar) is rejected:
     `_integer_values` zeroes the two ends of the support, which are Haar's
     only integers, so its tables would be all zeros.
     """
-    if not (genus >= 2 and float(genus).is_integer()):  # NaN fails the comparison
-        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
-    return _wavelet_tables(int(genus), 12)
+    return _wavelet_tables(_integer(genus, "genus", 2), 12)
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +176,7 @@ def _wavelet_tables(N, J):
 
 def level_of_index(k, support_len):
     """Decompose flat index k = (2^j - 1)*S + r into (j, r)."""
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError(f"index must be an integer >= 0, got {k!r}")
+    k = _integer(k, "index", 0)
     if support_len < 1:
         raise ValueError("support length >= 1 required")
     j = 0
@@ -223,6 +226,12 @@ class _Workspace:
         if "arange" not in self._buffers:
             self._buffers["arange"] = np.arange(self.size)
         return self._buffers["arange"][:k]
+
+
+# index vectors that `normal_equations` sums together; bounds the n x block
+# temporaries.  Larger blocks score a little faster, but a block of 64
+# raised si_wilks' peak RSS by 6-9%, beyond the 5% that the benchmark allows.
+_SCAN_BLOCK = 16
 
 
 class SieveCells:
@@ -312,11 +321,9 @@ class WaveletBasis:
     """
 
     def __init__(self, m, s_X, genus=7):
-        if not (m >= 1 and float(m).is_integer()):  # NaN fails the comparison
-            raise ValueError(f"m must be an integer >= 1, got {m!r}")
+        self.m = _integer(m, "m", 1)
         if not 0 < s_X < np.inf:
             raise ValueError(f"s_X must be finite and > 0, got {s_X!r}")
-        self.m = int(m)
         self.s_X = float(s_X)
         self.tables = wavelet_tables(genus)
         self.genus = self.tables.genus
@@ -347,7 +354,7 @@ class WaveletBasis:
         """`locate` of the flat array t, its arrays taken from the
         `_Workspace` ws: with a size (at least n_levels * t.size) they are
         views of its buffers, valid until ws is used again.  t may be a view
-        of ws's buffer "t" (the grid scan's index matrix), which is then
+        of ws's buffer "t" (`normal_equations`' index matrix), which is then
         shifted in place.
 
         The translates of one level tile the interval, so each point meets
@@ -407,6 +414,65 @@ class WaveletBasis:
         for (_, e), scale in zip(cells.levels, self._scale[want]):
             vals[e] *= scale
         return vals
+
+    def normal_equations(self, X, y, grid):
+        """E'y/n and E'E/n of the design at the index vectors X theta, for
+        the rows theta of grid, as segment sums of its in-sieve entries:
+        yields (lo, c, d, G) for each block grid[lo:lo + _SCAN_BLOCK] of B
+        rows, with c (B, m), the diagonal d (B, m) of E'E/n and E'E/n itself
+        (B, m, m), None for a one-level sieve.  A point meets one function
+        per level, so the level-diagonal blocks are diagonal and only the
+        cross-level blocks need pair bins.
+
+        A block is located and evaluated as the designs are, into one
+        `_Workspace` per call: each level's bins get a buffer, and the row
+        and product arrays reuse those of the table cells and the Hermite
+        kernel's first value ("idx", "y0"), which nothing reads once the
+        values are computed.  c, d and G are new arrays.
+        """
+        n, m = y.size, self.m
+        ws = _Workspace(n * min(_SCAN_BLOCK, grid.shape[0]) * self.n_levels)
+        for lo in range(0, grid.shape[0], _SCAN_BLOCK):
+            block = grid[lo:lo + _SCAN_BLOCK]
+            B = block.shape[0]
+            T = np.matmul(X, block.T, out=ws("t", n * B).reshape(n, B))
+            cells = self._locate(T.ravel(), ws)
+            vals = self._values(cells, 0, ws)
+            c = np.zeros(B * m)
+            d = np.zeros(B * m)
+            bins = []
+            for j, (rows, e) in enumerate(cells.levels):
+                k = rows.size
+                # flat position i*B + b: data row i, point b
+                i = np.floor_divide(rows, B, out=ws("idx", k, int))
+                b = np.multiply(i, B, out=ws(("bin", j), k, int))
+                np.subtract(rows, b, out=b)
+                b *= m
+                b += cells.cols[e]  # bin b*m + col
+                bins.append(b)
+                y_i = y.take(i, out=ws("y0", k), mode="clip")
+                c += np.bincount(b, np.multiply(vals[e], y_i, out=y_i), B * m)
+                d += np.bincount(b, np.multiply(vals[e], vals[e], out=y_i), B * m)
+            c, d = c.reshape(B, m) / n, d.reshape(B, m) / n
+            if self.n_levels == 1:
+                yield lo, c, d, None
+                continue
+            G = np.zeros(B * m * m)
+            for a, (_, e_a) in enumerate(cells.levels):
+                for rows_b, e_b in cells.levels[a + 1:]:
+                    # level a meets every point (only the last is partial),
+                    # so its entry for a point is at the point's flat position
+                    k = rows_b.size
+                    pair = bins[a].take(rows_b, out=ws("idx", k, int), mode="clip")
+                    pair *= m
+                    pair += cells.cols[e_b]
+                    prod = vals[e_a].take(rows_b, out=ws("y0", k), mode="clip")
+                    prod *= vals[e_b]
+                    G += np.bincount(pair, prod, B * m * m)
+            G = G.reshape(B, m, m)
+            G = (G + G.transpose(0, 2, 1)) / n
+            G.reshape(B, m * m)[:, ::m + 1] = d
+            yield lo, c, d, G
 
     def _design_general(self, t, want):
         cells = t if isinstance(t, SieveCells) else self.locate(t)

@@ -8,12 +8,14 @@ textbook cubic Hermite formula of `reference_hermite`.  All four are kept
 here, independent of the code under test, as oracles.
 """
 
+import ast
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
-from altmax import _lapack
+from altmax import _lapack, singleindex, wavelet
 from altmax.alternation import SolverError
 from altmax.singleindex import (
     SingleIndexDataset,
@@ -295,6 +297,55 @@ def test_second_scan_takes_few_page_faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert _scan_grid(ds, basis, grid) == first
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+# one partial level, one full level, and two levels with the second partial
+@pytest.mark.parametrize("m", [6, 13, 14, 20])
+def test_normal_equations_are_the_designs(m):
+    # X reaches past the sieve's interval [-1, 1]: the sieve clips such a
+    # point to an end cell of each level, or drops it past the end of a
+    # partial level; 40 grid points make two full blocks and a partial one
+    basis = WaveletBasis(m=m, s_X=1.0)
+    rng = np.random.default_rng(m)
+    X = uniform_ball(rng, 300, 2, 1.3)
+    y = rng.standard_normal(300)
+    grid = reference_grid(40, 2)
+    assert np.abs(X @ grid.T).max() > 1.2
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    seen = 0
+    for lo, c, d, G in basis.normal_equations(X, y, grid):
+        assert lo == seen
+        assert (G is None) == (basis.n_levels == 1)
+        for b, theta in enumerate(grid[lo:lo + c.shape[0]]):
+            E = basis.design(X @ theta)
+            EE = E.T @ E / 300
+            close(c[b], E.T @ y / 300)
+            close(d[b], np.diagonal(EE))
+            if G is None:
+                # one function per point: E'E/n is the diagonal d
+                assert np.array_equal(EE, np.diag(np.diagonal(EE)))
+            else:
+                close(G[b], EE)
+        seen += c.shape[0]
+    assert seen == grid.shape[0]
+
+
+def test_singleindex_reads_the_sieve_through_public_names():
+    # the scan's workspace, the buffers it reuses and the level layout
+    # belong to `wavelet`: singleindex imports no private name of it and
+    # reads no private attribute of a basis, of its cells or of the module
+    basis = WaveletBasis(m=20, s_X=1.0)
+    private = {a for obj in (basis, basis.locate([0.5, -0.5]), wavelet) for a in dir(obj)
+               if a.startswith("_") and not a.startswith("__")}
+    assert {"_locate", "_values", "_scale", "_Workspace"} <= private
+    for node in ast.walk(ast.parse(inspect.getsource(singleindex))):
+        if isinstance(node, ast.ImportFrom) and node.module == "wavelet":
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in private, ast.unparse(node)
 
 
 def test_scan_matches_loop_noiseless_and_tiny_grids():

@@ -112,10 +112,12 @@ def test_index_decomposition_roundtrip():
     assert level_of_index(12, S) == (0, 12)
     assert level_of_index(13, S) == (1, 0)
     assert level_of_index(39, S) == (2, 0)
-    # a fractional index gave a fractional translate: 14.5 gave (1, 1.5)
-    for k in (14.5, -1, float("nan"), float("inf")):
-        msg = f"index must be an integer >= 0, got {k!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
+    assert level_of_index(14.0, S) == (1, 1)
+    # a fractional index gave a fractional translate: 14.5 gave (1, 1.5);
+    # an index beyond float64 raised OverflowError in the range check
+    for k in (14.5, -1, float("nan"), float("inf"), 2**53 + 1, 10**400):
+        msg = f"index must be an integer in [0, 2**53], got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             level_of_index(k, S)
 
 
@@ -207,20 +209,29 @@ def test_bad_args():
     with pytest.raises(ValueError):
         WaveletBasis(m=3, s_X=-1.0)
     # genus 1 (Haar) would build all-zero tables after a division by zero,
-    # and a fractional genus was truncated: 7.5 built genus 7, 2.9 genus 2
-    for genus in (0, 1, 7.5, 2.9, float("nan"), float("inf")):
-        msg = f"genus must be an integer >= 2, got {genus!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
+    # a fractional genus was truncated (7.5 built genus 7, 2.9 genus 2), and
+    # a genus beyond float64 raised OverflowError in the range check
+    for genus in (0, 1, 7.5, 2.9, float("nan"), float("inf"), 10**400):
+        msg = f"^{re.escape(f'genus must be an integer in [2, 2**53], got {genus!r}')}$"
+        with pytest.raises(ValueError, match=msg):
             wavelet_tables(genus)
-        with pytest.raises(ValueError, match=re.escape(msg)):
+        with pytest.raises(ValueError, match=msg):
             WaveletBasis(m=3, s_X=1.0, genus=genus)
     assert WaveletBasis(m=3, s_X=1.0, genus=8.0).genus == wavelet_tables(np.int64(8)).genus == 8
+    assert WaveletBasis(m=3, s_X=1.0, genus=np.int64(8)).genus == 8
     # the filter takes Haar too, but took int(genus): 2.9 built the genus-2
     # filter (4 taps), and NaN failed inside int()
-    for genus in (0, 7.5, 2.9, float("nan"), float("inf")):
-        msg = f"genus must be an integer >= 1, got {genus!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
+    for genus in (0, 7.5, 2.9, float("nan"), float("inf"), 10**400):
+        msg = f"genus must be an integer in [1, 2**53], got {genus!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             daubechies_filter(genus)
+    # an m beyond float64 raised OverflowError in the range check, and
+    # 10**200 (with a RuntimeWarning) while the basis built its level scales
+    for m in (2**53 + 1, 10**200, 10**400):
+        msg = f"m must be an integer in [1, 2**53], got {m!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            WaveletBasis(m=m, s_X=1.0)
+    assert WaveletBasis(m=2**53, s_X=1.0).n_levels == 50
     assert daubechies_filter(1).size == 2
     assert daubechies_filter(np.int64(7)).tobytes() == daubechies_filter(7.0).tobytes()
 
@@ -231,6 +242,6 @@ def test_basis_rejects_a_non_finite_radius_and_a_fractional_m():
         with pytest.raises(ValueError, match="s_X must be finite and > 0"):
             WaveletBasis(m=3, s_X=s_X)
     for m in (2.7, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        with pytest.raises(ValueError, match=re.escape("m must be an integer in [1, 2**53]")):
             WaveletBasis(m=m, s_X=1.0)
     assert WaveletBasis(m=3.0, s_X=1.0).m == WaveletBasis(m=np.int64(3), s_X=1.0).m == 3
